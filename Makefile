@@ -94,22 +94,18 @@ bench:
 bench-json:
 	$(DUNE) exec bench/main.exe -- --engine-only --scale 0.1 --engine-json BENCH_engine.json
 
-# The whole gate in one target: compile, unit + differential suites,
-# chaos suites, the cache-core thrash suite, the serving-pipeline
-# suites, regenerate the engine benchmark, and fail if cold-path or
-# fault-free serving throughput regressed more than 30% against the
-# committed BENCH_engine.json (or the segmented policy stopped
-# out-hitting plain LRU, or the pipelined cold batch stopped beating
-# the blocking one under loader latency, or the sketch tier stopped
-# answering 100% of a blacked-out dataset's queries).
+# The whole gate in one target: compile, run every suite exactly once
+# (`dune runtest` covers the unit, differential, chaos, stress, thrash,
+# pipeline, overload and degradation suites; the topic targets above
+# re-run subsets for local use), regenerate the engine benchmark, and
+# fail if cold-path or fault-free serving throughput regressed more
+# than 30% against the committed BENCH_engine.json (or the segmented
+# policy stopped out-hitting plain LRU, or the pipelined cold batch
+# stopped beating the blocking one under loader latency, or the
+# sketch tier stopped answering 100% of a blacked-out dataset's
+# queries).
 ci: build
 	$(DUNE) runtest
-	$(MAKE) chaos
-	$(MAKE) stress
-	$(MAKE) thrash
-	$(MAKE) pipeline
-	$(MAKE) overload
-	$(MAKE) degrade
 	$(MAKE) bench-json
 	sh tools/check_bench_regression.sh BENCH_engine.json
 

@@ -58,8 +58,8 @@ val create :
 val summary : t -> Xpest_synopsis.Summary.t
 
 val cache_stats : t -> (string * Xpest_plan.Plan_cache.stats) list
-(** Working-set report of the four engine caches, as
-    [("plan" | "rel" | "chain" | "run", stats)] — capacity, current
+(** Working-set report of the two engine caches, as
+    [("plan" | "run", stats)] — capacity, current
     and peak occupancy, evictions.  Tracked unconditionally. *)
 
 val plan_of : t -> Xpest_xpath.Pattern.t -> Xpest_plan.Plan.t

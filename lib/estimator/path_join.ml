@@ -7,16 +7,10 @@ module Plan = Xpest_plan.Plan
 module Bounded_cache = Xpest_util.Bounded_cache
 module Cache_config = Xpest_plan.Cache_config
 
-(* Observability: cache effectiveness and pruning volume of the join.
-   All no-ops unless [Counters.set_enabled true].  Created once here
-   and handed to the per-estimator bounded caches (see
+(* Observability: run-cache effectiveness and pruning volume of the
+   join.  All no-ops unless [Counters.set_enabled true].  Created once
+   here and handed to the per-estimator run cache (see
    Xpest_util.Bounded_cache). *)
-let c_rel_hit = Counters.create "path_join.rel_cache.hit"
-let c_rel_miss = Counters.create "path_join.rel_cache.miss"
-let c_rel_evict = Counters.create "path_join.rel_cache.evict"
-let c_chain_hit = Counters.create "path_join.chain_cache.hit"
-let c_chain_miss = Counters.create "path_join.chain_cache.miss"
-let c_chain_evict = Counters.create "path_join.chain_cache.evict"
 let c_run_hit = Counters.create "path_join.run_cache.hit"
 let c_run_miss = Counters.create "path_join.run_cache.miss"
 let c_run_evict = Counters.create "path_join.run_cache.evict"
@@ -33,20 +27,23 @@ type jnode = {
 
 type result = { nodes : jnode array }
 
-(* Keys of the three execution caches.  The chain key drops the
-   node-id indirection of [Plan.chain]: feasibility only depends on
-   the anchoring and the (axis, tag) steps. *)
-type chain_key = bool * (Pattern.axis * string) list * int
-type rel_key = int * bool * string * string
-
+(* A pid is a bitvector over root-to-leaf paths (bit b = the path with
+   encoding b + 1), so "a per-path property holds on some path of this
+   pid" is one [Bitvec.intersects pid mask] against the mask of paths
+   where it holds.  The index below is built once per summary and only
+   read afterwards. *)
 type t = {
   summary : Summary.t;
   chain_pruning : bool;
-  (* (encoding, child?, anc tag, desc tag) -> axis holds on that path *)
-  rel_cache : (rel_key, bool) Bounded_cache.t;
-  (* (anchored, steps, encoding) -> per-chain-node feasibility of a
-     full ordered embedding of the chain into that root-to-leaf path *)
-  chain_cache : (chain_key, bool array) Bounded_cache.t;
+  tag_id : (string, int) Hashtbl.t;  (* interned tags *)
+  paths : int array array;  (* bit -> the path's tag ids, root first *)
+  tag_paths : Bitvec.t array;  (* tag id -> paths containing the tag *)
+  rows : (Bitvec.t * float) array Lazy.t array;
+      (* tag id -> its p-histogram row, never mutated (pruning copies).
+         Built on first use: every catalog load creates a join, and a
+         query touches few tags.  Forcing is safe because a join
+         serves one domain at a time, like its run cache (parallel
+         batches give each worker its own [Estimator.sibling]). *)
   (* one estimate joins the same shape repeatedly (counterpart,
      simplified counterpart, Q'), and join output only depends on the
      shape given a fixed summary *)
@@ -61,118 +58,141 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
     if config.Cache_config.segmented then Bounded_cache.segmented
     else Bounded_cache.Lru
   in
+  let tag_id = Hashtbl.create 64 in
+  let intern tag =
+    match Hashtbl.find_opt tag_id tag with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length tag_id in
+        Hashtbl.add tag_id tag id;
+        id
+  in
+  Array.iter (fun tag -> ignore (intern tag)) (Summary.tags summary);
+  let paths =
+    Array.of_list
+      (List.map
+         (fun path -> Array.of_list (List.map intern path))
+         (Encoding_table.paths (Summary.encoding_table summary)))
+  in
+  let tags = Array.make (Hashtbl.length tag_id) "" in
+  Hashtbl.iter (fun tag id -> tags.(id) <- tag) tag_id;
+  let on_path = Array.map (fun _ -> Array.make (Array.length paths) false) tags in
+  Array.iteri (fun bit path -> Array.iter (fun id -> on_path.(id).(bit) <- true) path) paths;
   {
     summary;
     chain_pruning;
-    rel_cache =
-      Bounded_cache.create ~capacity:config.Cache_config.rel ~policy
-        ~hit:c_rel_hit ~miss:c_rel_miss ~evict:c_rel_evict ();
-    chain_cache =
-      Bounded_cache.create ~capacity:config.Cache_config.chain ~policy
-        ~hit:c_chain_hit ~miss:c_chain_miss ~evict:c_chain_evict ();
+    tag_id;
+    paths;
+    tag_paths = Array.map Bitvec.of_bits on_path;
+    rows =
+      Array.map (fun tag -> lazy (Array.of_list (Summary.tag_pids summary tag))) tags;
     run_cache =
       Bounded_cache.create ~capacity:config.Cache_config.run ~policy
         ~hit:c_run_hit ~miss:c_run_miss ~evict:c_run_evict ();
   }
 
-let cache_stats t =
-  [
-    ("rel", Bounded_cache.stats t.rel_cache);
-    ("chain", Bounded_cache.stats t.chain_cache);
-    ("run", Bounded_cache.stats t.run_cache);
-  ]
+let cache_stats t = [ ("run", Bounded_cache.stats t.run_cache) ]
 
-(* Can the whole chain embed into the path type [encoding], and if so
-   at which chain nodes is each position?  Returns per-chain-node
-   feasibility: node i is feasible iff some full embedding of the
-   chain places it somewhere on the path.  Child steps demand adjacent
-   positions, descendant steps any later position; an anchored head
-   must sit at position 0. *)
-let chain_feasibility_uncached t ~anchored ~steps encoding =
-  let path =
-    Array.of_list
-      (Encoding_table.path_of_encoding
-         (Summary.encoding_table t.summary)
-         encoding)
-  in
-  let m = Array.length path in
-  let k = List.length steps in
-  let steps = Array.of_list steps in
-  (* forward[i].(q): prefix s_0..s_i embeds with s_i at position q *)
-  let forward = Array.make_matrix k m false in
-  (* an anchored head ([/n1]) is the document root: position 0 *)
-  (for q = 0 to m - 1 do
-     let _, tag = steps.(0) in
-     if String.equal path.(q) tag && ((not anchored) || q = 0) then
-       forward.(0).(q) <- true
-   done);
-  for i = 1 to k - 1 do
-    let axis, tag = steps.(i) in
-    for q = 0 to m - 1 do
-      if String.equal path.(q) tag then
-        let reachable =
-          match axis with
-          | Pattern.Child -> q > 0 && forward.(i - 1).(q - 1)
-          | Pattern.Descendant ->
-              let rec any p = p >= 0 && (forward.(i - 1).(p) || any (p - 1)) in
-              any (q - 1)
-        in
-        if reachable then forward.(i).(q) <- true
-    done
-  done;
-  (* backward[i].(q): suffix s_i..s_{k-1} embeds with s_i at q *)
-  let backward = Array.make_matrix k m false in
-  (for q = 0 to m - 1 do
-     let _, tag = steps.(k - 1) in
-     if String.equal path.(q) tag then backward.(k - 1).(q) <- true
-   done);
-  for i = k - 2 downto 0 do
-    let _, tag = steps.(i) in
-    let next_axis, _ = steps.(i + 1) in
-    for q = 0 to m - 1 do
-      if String.equal path.(q) tag then
-        let extendable =
-          match next_axis with
-          | Pattern.Child -> q + 1 < m && backward.(i + 1).(q + 1)
-          | Pattern.Descendant ->
-              let rec any p = p < m && (backward.(i + 1).(p) || any (p + 1)) in
-              any (q + 1)
-        in
-        if extendable then backward.(i).(q) <- true
-    done
-  done;
-  Array.init k (fun i ->
-      let rec any q =
-        q < m && ((forward.(i).(q) && backward.(i).(q)) || any (q + 1))
+(* A tag outside the summary gets id -1: it is on no path and has no
+   pids. *)
+let id_of t tag = Option.value ~default:(-1) (Hashtbl.find_opt t.tag_id tag)
+
+(* Paths holding every given tag. *)
+let paths_with t ids =
+  List.fold_left
+    (fun acc id ->
+      if id < 0 then Bitvec.zero (Array.length t.paths)
+      else Bitvec.logand acc t.tag_paths.(id))
+    (Summary.root_pid t.summary) ids
+
+(* Per chain node i, the paths into which the whole chain embeds with
+   node i somewhere on them.  Child steps demand adjacent positions,
+   descendant steps any later position; an anchored head must sit at
+   position 0.  Only paths holding every chain tag can embed, so the
+   forward/backward DP runs on those alone. *)
+let chain_masks t (c : Plan.chain) =
+  let steps = Array.of_list c.Plan.steps in
+  let k = Array.length steps in
+  let ids = Array.map (fun (_, tag) -> id_of t tag) steps in
+  let candidates = paths_with t (Array.to_list ids) in
+  let feasible = Array.init k (fun _ -> Array.make (Array.length t.paths) false) in
+  Bitvec.iter_set_bits candidates (fun bit ->
+      let path = t.paths.(bit) in
+      let m = Array.length path in
+      let at i q = path.(q) = ids.(i) in
+      (* forward.(i).(q): prefix s_0..s_i embeds with s_i at q *)
+      let forward = Array.make_matrix k m false in
+      for i = 0 to k - 1 do
+        let seen = ref false (* forward.(i - 1).(p) for some p < q *) in
+        for q = 0 to m - 1 do
+          if at i q then
+            forward.(i).(q) <-
+              (if i = 0 then (not c.Plan.anchored) || q = 0
+               else
+                 match fst steps.(i) with
+                 | Pattern.Child -> q > 0 && forward.(i - 1).(q - 1)
+                 | Pattern.Descendant -> !seen);
+          if i > 0 && forward.(i - 1).(q) then seen := true
+        done
+      done;
+      (* backward.(i).(q): suffix s_i..s_{k-1} embeds with s_i at q *)
+      let backward = Array.make_matrix k m false in
+      for i = k - 1 downto 0 do
+        let seen = ref false (* backward.(i + 1).(p) for some p > q *) in
+        for q = m - 1 downto 0 do
+          if at i q then
+            backward.(i).(q) <-
+              (i = k - 1
+              ||
+              match fst steps.(i + 1) with
+              | Pattern.Child -> q + 1 < m && backward.(i + 1).(q + 1)
+              | Pattern.Descendant -> !seen);
+          if i < k - 1 && backward.(i + 1).(q) then seen := true
+        done
+      done;
+      for i = 0 to k - 1 do
+        for q = 0 to m - 1 do
+          if forward.(i).(q) && backward.(i).(q) then feasible.(i).(bit) <- true
+        done
+      done);
+  Array.map Bitvec.of_bits feasible
+
+(* The paths on which [anc] stands in [axis]'s relation to [desc]:
+   immediately above it for a child step, anywhere above it for a
+   descendant step. *)
+let edge_mask t ~axis ~anc ~desc =
+  let a = id_of t anc and d = id_of t desc in
+  let holds = Array.make (Array.length t.paths) false in
+  Bitvec.iter_set_bits (paths_with t [ a; d ]) (fun bit ->
+      let path = t.paths.(bit) in
+      let rec scan q seen =
+        q < Array.length path
+        && (path.(q) = d
+            && (match (axis : Pattern.axis) with
+               | Child -> q > 0 && path.(q - 1) = a
+               | Descendant -> seen)
+           || scan (q + 1) (seen || path.(q) = a))
       in
-      any 0)
+      holds.(bit) <- scan 0 false);
+  Bitvec.of_bits holds
 
-let chain_feasibility t (c : Plan.chain) encoding =
-  Bounded_cache.find_or_add t.chain_cache
-    (c.Plan.anchored, c.Plan.steps, encoding)
-    (fun (anchored, steps, encoding) ->
-      chain_feasibility_uncached t ~anchored ~steps encoding)
-
-let axis_on_path t ~encoding ~child ~anc ~desc =
-  Bounded_cache.find_or_add t.rel_cache (encoding, child, anc, desc)
-    (fun (encoding, child, anc, desc) ->
-      Encoding_table.axis_holds
-        (Summary.encoding_table t.summary)
-        ~encoding
-        ~axis:(if child then `Child else `Descendant)
-        ~anc ~desc)
-
-(* Does the tag relation hold on some path of the descendant-side pid? *)
-let rel_ok t ~axis ~anc ~desc pid =
-  let child =
-    match (axis : Pattern.axis) with Child -> true | Descendant -> false
-  in
-  let exception Yes in
-  try
-    Bitvec.iter_set_bits pid (fun bit ->
-        if axis_on_path t ~encoding:(bit + 1) ~child ~anc ~desc then raise Yes);
-    false
-  with Yes -> true
+(* Keep the row entries flagged in [keep], in order, and count the
+   dropped ones; true iff any was dropped.  A row that loses nothing is
+   not copied. *)
+let prune counter node keep =
+  let row = node.row in
+  let kept = Array.fold_left (fun n k -> if k then n + 1 else n) 0 keep in
+  let dropped = Array.length row - kept in
+  Counters.add counter dropped;
+  if dropped > 0 then begin
+    let next = ref 0 in
+    node.row <-
+      Array.init kept (fun _ ->
+          while not keep.(!next) do incr next done;
+          incr next;
+          row.(!next - 1))
+  end;
+  dropped > 0
 
 (* Execute a compiled join spec (the chain/edge extraction happened at
    Plan compile time). *)
@@ -180,11 +200,9 @@ let run_uncached t (spec : Plan.join_spec) =
   let nodes =
     Array.map
       (fun (n : Plan.jnode) ->
-        {
-          tag = n.Plan.tag;
-          position = n.Plan.position;
-          row = Array.of_list (Summary.tag_pids t.summary n.Plan.tag);
-        })
+        let id = id_of t n.Plan.tag in
+        let row = if id < 0 then [||] else Lazy.force t.rows.(id) in
+        { tag = n.Plan.tag; position = n.Plan.position; row })
       spec.Plan.nodes
   in
   (* Chain pruning: a pid can label a witness of chain node i only if
@@ -193,23 +211,13 @@ let run_uncached t (spec : Plan.join_spec) =
   if t.chain_pruning then
     List.iter
       (fun (chain : Plan.chain) ->
+        let masks = chain_masks t chain in
         List.iteri
           (fun i id ->
             let node = nodes.(id) in
-            let before = Array.length node.row in
-            node.row <-
-              Array.of_list
-                (List.filter
-                   (fun (pid, _) ->
-                     let exception Yes in
-                     try
-                       Bitvec.iter_set_bits pid (fun bit ->
-                           if (chain_feasibility t chain (bit + 1)).(i) then
-                             raise Yes);
-                       false
-                     with Yes -> true)
-                   (Array.to_list node.row));
-            Counters.add c_chain_pruned (before - Array.length node.row))
+            ignore
+              (prune c_chain_pruned node
+                 (Array.map (fun (pid, _) -> Bitvec.intersects pid masks.(i)) node.row)))
           chain.Plan.node_ids)
       spec.Plan.chains;
   (* Anchor: a Child first step means "child of the virtual document
@@ -220,75 +228,60 @@ let run_uncached t (spec : Plan.join_spec) =
   | Pattern.Child ->
       let root_pid = Summary.root_pid t.summary in
       let head = nodes.(0) in
-      let before = Array.length head.row in
-      head.row <-
-        Array.of_list
-          (List.filter
-             (fun (pid, _) -> Bitvec.equal pid root_pid)
-             (Array.to_list head.row));
-      Counters.add c_anchor_pruned (before - Array.length head.row));
-  (* Fixpoint pruning over edges. *)
+      ignore
+        (prune c_anchor_pruned head
+           (Array.map (fun (pid, _) -> Bitvec.equal pid root_pid) head.row)));
+  (* Fixpoint pruning over edges.  Since [Pid_Y ⊆ Pid_X], the paths
+     the two pids share are [Pid_Y]'s, so the tag relation of an edge
+     only depends on the descendant-side pid. *)
+  let edges =
+    List.map
+      (fun (e : Plan.jedge) ->
+        let x = nodes.(e.Plan.parent) and y = nodes.(e.Plan.child) in
+        (x, y, edge_mask t ~axis:e.Plan.axis ~anc:x.tag ~desc:y.tag))
+      spec.Plan.edges
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun (e : Plan.jedge) ->
-        let x = nodes.(e.Plan.parent) and y = nodes.(e.Plan.child) in
-        (* Precompute the tag-relation flag per descendant-side pid. *)
-        let y_rel =
-          Array.map
-            (fun (pid, _) -> rel_ok t ~axis:e.Plan.axis ~anc:x.tag ~desc:y.tag pid)
-            y.row
-        in
+      (fun (x, y, rel) ->
         let keep_y =
-          Array.mapi
-            (fun i (py, _) ->
-              y_rel.(i)
+          Array.map
+            (fun (py, _) ->
+              Bitvec.intersects py rel
               && Array.exists (fun (px, _) -> Bitvec.contains_or_equal px py) x.row)
             y.row
         in
         let keep_x =
           Array.map
             (fun (px, _) ->
-              Array.exists
-                (fun i -> keep_y.(i) && Bitvec.contains_or_equal px (fst y.row.(i)))
-                (Array.init (Array.length y.row) Fun.id))
+              let rec partner j =
+                j < Array.length keep_y
+                && ((keep_y.(j) && Bitvec.contains_or_equal px (fst y.row.(j)))
+                   || partner (j + 1))
+              in
+              partner 0)
             x.row
         in
-        let filter node keep =
-          let kept = ref [] in
-          Array.iteri (fun i e -> if keep.(i) then kept := e :: !kept) node.row;
-          let kept = Array.of_list (List.rev !kept) in
-          if Array.length kept <> Array.length node.row then begin
-            Counters.add c_fixpoint_pruned
-              (Array.length node.row - Array.length kept);
-            node.row <- kept;
-            changed := true
-          end
-        in
-        filter y keep_y;
-        filter x keep_x)
-      spec.Plan.edges
+        let pruned_y = prune c_fixpoint_pruned y keep_y in
+        let pruned_x = prune c_fixpoint_pruned x keep_x in
+        if pruned_y || pruned_x then changed := true)
+      edges
   done;
   { nodes }
 
-let exec t (spec : Plan.join_spec) =
-  match Bounded_cache.find_opt t.run_cache spec.Plan.shape with
-  | Some r -> r
-  | None ->
-      let r = Counters.time t_run (fun () -> run_uncached t spec) in
-      Bounded_cache.add t.run_cache spec.Plan.shape r;
-      r
-
-let run t shape =
+(* Memoized on the shape; [spec] compiles the shape on a miss. *)
+let cached t shape spec =
   match Bounded_cache.find_opt t.run_cache shape with
   | Some r -> r
   | None ->
-      let r =
-        Counters.time t_run (fun () -> run_uncached t (Plan.join_of_shape shape))
-      in
+      let r = Counters.time t_run (fun () -> run_uncached t (spec ())) in
       Bounded_cache.add t.run_cache shape r;
       r
+
+let exec t (spec : Plan.join_spec) = cached t spec.Plan.shape (fun () -> spec)
+let run t shape = cached t shape (fun () -> Plan.join_of_shape shape)
 
 let find result position =
   let found = ref None in

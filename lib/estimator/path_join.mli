@@ -10,37 +10,63 @@
     in the axis's relation (parent-child adjacency for [/], ancestor
     order for [//]) on at least one shared root-to-leaf path.  Because
     [Pid_Y ⊆ Pid_X], the shared paths are exactly [Pid_Y]'s bits, so
-    (b) only depends on the descendant-side pid; the implementation
-    precomputes it per pid.
+    (b) only depends on the descendant-side pid.
 
     An anchored head step ([/n1] from the document node) keeps only
     the document root's pid on a matching tag.
 
+    {b Path masks.}  A pid is a bitvector over the document's
+    root-to-leaf paths, so every per-path test — does the chain embed
+    into this path with node i on it, does the edge's tag relation
+    hold on it — becomes a mask of the paths where it holds, and "on
+    some path of the pid" is one [Bitvec.intersects pid mask].  Each
+    join computes one mask per chain node ({!chain_masks}) and one per
+    edge ({!edge_mask}) from a read-only per-summary index: every
+    path's tags as interned ints, one bitvector per tag of the paths
+    containing it, and each tag's input row, built once on first use.
+
     The chain/edge extraction lives in the compiler
     ({!Xpest_plan.Plan.join_of_shape}); this module only executes
-    specs against a summary, memoizing results in a bounded LRU
-    ({!Xpest_plan.Plan_cache}) keyed on the spec's shape. *)
+    specs against a summary, memoizing results in a bounded run cache
+    keyed on the spec's shape. *)
 
 type t
-(** Join machinery for one summary; holds the bounded tag-relationship,
-    chain-feasibility and join-result caches shared across queries. *)
+(** Join machinery for one summary: the read-only path-mask index and
+    the bounded join-result (run) cache shared across queries. *)
 
 val create :
   ?chain_pruning:bool ->
   ?config:Xpest_plan.Cache_config.t ->
   Xpest_synopsis.Summary.t ->
   t
-(** [chain_pruning] (default true) additionally prunes each node's
-    pids by full-chain embeddability into the pid's path types before
-    the pairwise fixpoint — see DESIGN.md "known deviations"; pass
-    [false] to reproduce the paper's literal pairwise join (the A2
-    ablation).  [config] bounds each of the three LRU caches
-    individually (default {!Xpest_plan.Cache_config.default}: 4096
-    entries each). *)
+(** Builds the path-mask index of the summary.  [chain_pruning]
+    (default true) additionally prunes each node's pids by full-chain
+    embeddability into the pid's path types before the pairwise
+    fixpoint — see DESIGN.md "known deviations"; pass [false] to
+    reproduce the paper's literal pairwise join (the A2 ablation).
+    [config] bounds the run cache ([Cache_config.run]; default
+    {!Xpest_plan.Cache_config.default}: 4096 entries) and picks its
+    policy. *)
 
 val cache_stats : t -> (string * Xpest_plan.Plan_cache.stats) list
-(** Working-set report of the three join caches, as
-    [("rel" | "chain" | "run", stats)]. *)
+(** Working-set report of the run cache, as [[("run", stats)]]. *)
+
+val chain_masks : t -> Xpest_plan.Plan.chain -> Xpest_util.Bitvec.t array
+(** Per chain node i, the paths into which the whole chain embeds in
+    order with node i somewhere on them (child steps adjacent,
+    descendant steps later, an anchored head at the root).  Chain
+    pruning keeps a pid of node i iff it intersects mask i. *)
+
+val edge_mask :
+  t ->
+  axis:Xpest_xpath.Pattern.axis ->
+  anc:string ->
+  desc:string ->
+  Xpest_util.Bitvec.t
+(** The paths on which [anc] stands in [axis]'s relation to [desc]
+    (immediately above for [Child], anywhere above for [Descendant]).
+    The fixpoint keeps a descendant-side pid only if it intersects
+    this mask. *)
 
 type result
 
@@ -55,9 +81,10 @@ val run : t -> Xpest_xpath.Pattern.shape -> result
 
 val pids :
   result -> Xpest_xpath.Pattern.position -> (Xpest_util.Bitvec.t * float) list
-(** Surviving pids of a query node with their frequency estimates.
-    For [Ordered] shapes, use the original positions ([In_first] /
-    [In_second]); they are translated internally.
+(** Surviving pids of a query node with their frequency estimates, in
+    p-histogram order.  For [Ordered] shapes, use the original
+    positions ([In_first] / [In_second]); they are translated
+    internally.
     @raise Invalid_argument if the position is not in the shape. *)
 
 val frequency : result -> Xpest_xpath.Pattern.position -> float

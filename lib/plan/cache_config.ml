@@ -1,35 +1,29 @@
 type t = {
   plan : int;
-  rel : int;
-  chain : int;
   run : int;
   segmented : bool;
   resident_bytes : int option;
 }
 
-let caps plan rel chain run =
-  { plan; rel; chain; run; segmented = false; resident_bytes = None }
+let caps plan run = { plan; run; segmented = false; resident_bytes = None }
 
 let default =
   let c = Plan_cache.default_capacity in
-  caps c c c c
+  caps c c
 
 let uniform capacity =
   if capacity < 1 then invalid_arg "Cache_config.uniform: capacity must be >= 1";
-  caps capacity capacity capacity capacity
+  caps capacity capacity
 
 (* Per-dataset defaults derived from the BENCH_engine.json cache peaks
-   at scale 0.1 (next power of two above the observed peak, with
-   headroom for the chain cache, which thrashed at 4096 on every
-   dataset).  Observed peaks — SSPlays: plan 1357 / rel 227 /
-   chain 4096+19652 evictions / run 1353; DBLP: plan 2170 / rel 178 /
-   chain thrashing / run 1689; XMark: plan 1510 / rel 3471 /
-   chain 4096+320809 evictions / run 1983. *)
+   at scale 0.1 (next power of two above the observed peak).  Observed
+   peaks — SSPlays: plan 1357 / run 1353; DBLP: plan 2170 / run 1689;
+   XMark: plan 1510 / run 1983. *)
 let builtin_for_dataset dataset =
   match String.lowercase_ascii dataset with
-  | "ssplays" -> Some (caps 2048 512 8192 2048)
-  | "dblp" -> Some (caps 4096 512 8192 4096)
-  | "xmark" -> Some (caps 2048 8192 16384 4096)
+  | "ssplays" -> Some (caps 2048 2048)
+  | "dblp" -> Some (caps 4096 4096)
+  | "xmark" -> Some (caps 2048 4096)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -38,7 +32,9 @@ let builtin_for_dataset dataset =
    The container ships no JSON library, and the bench file is machine-
    written with a fixed shape, so a small string scan is enough: find
    the requested dataset's block ("dataset": "<name>" up to the next
-   "dataset":), then each cache object's "peak": <int> inside it.  Any
+   "dataset":), then the "plan" and "run" cache objects' "peak": <int>
+   inside it; other cache objects (older files also list "rel" and
+   "chain") are ignored.  Any
    deviation — missing file, missing dataset, missing cache, non-digit
    peak — yields None and the caller falls back to the built-in
    table.  Strictness over cleverness: a half-parsed file must never
@@ -114,13 +110,8 @@ let peaks_from_bench path dataset =
       match dataset_block text dataset with
       | None -> None
       | Some block -> (
-          match
-            ( cache_peak block "plan",
-              cache_peak block "rel",
-              cache_peak block "chain",
-              cache_peak block "run" )
-          with
-          | Some p, Some r, Some c, Some u -> Some (p, r, c, u)
+          match (cache_peak block "plan", cache_peak block "run") with
+          | Some p, Some u -> Some (p, u)
           | _ -> None))
 
 let for_dataset ?bench_json dataset =
@@ -130,10 +121,7 @@ let for_dataset ?bench_json dataset =
     | Some path -> (
         match peaks_from_bench path (String.lowercase_ascii dataset) with
         | None -> None
-        | Some (p, r, c, u) ->
-            Some
-              (caps (derived_capacity p) (derived_capacity r)
-                 (derived_capacity c) (derived_capacity u)))
+        | Some (p, u) -> Some (caps (derived_capacity p) (derived_capacity u)))
   in
   match from_bench with
   | Some cfg -> cfg

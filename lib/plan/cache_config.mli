@@ -1,16 +1,13 @@
 (** Capacity and policy knobs for the estimation engine's bounded
     caches.
 
-    The engine keeps four caches per estimator: the compiled-plan
-    cache and the path join's tag-relationship, chain-feasibility and
-    join-result caches.  They have very different working sets — the
-    relationship cache is keyed on (encoding, axis, tag pair) and
-    grows with the document's path diversity, while the plan and run
-    caches are keyed on query shapes and grow with the workload — so a
-    single shared capacity either wastes memory or thrashes the
-    smallest cache.  This record gives each cache its own capacity;
-    {!default} preserves the historical shared default
-    ({!Plan_cache.default_capacity} for every cache).
+    The engine keeps two caches per estimator: the compiled-plan cache
+    and the path join's join-result (run) cache.  Both are keyed on
+    queries or query shapes and grow with the workload, but they are
+    sized separately: the plan cache can be shared across a catalog's
+    estimators, the run cache never is.  {!default} preserves the
+    historical shared default ({!Plan_cache.default_capacity} for
+    both).
 
     Two policy knobs ride along for the {!Xpest_util.Bounded_cache}
     core: [segmented] switches the engine caches from plain LRU to the
@@ -22,11 +19,9 @@
 
 type t = {
   plan : int;  (** compiled-plan cache ([Estimator]) *)
-  rel : int;  (** tag-relationship cache ([Path_join]) *)
-  chain : int;  (** chain-feasibility cache ([Path_join]) *)
   run : int;  (** join-result cache ([Path_join]) *)
   segmented : bool;
-      (** segmented-LRU policy for the four engine caches (default
+      (** segmented-LRU policy for the two engine caches (default
           [false]: historical plain LRU) *)
   resident_bytes : int option;
       (** catalog resident-set byte budget; [None] (default) keeps the
@@ -38,20 +33,20 @@ val default : t
     no byte budget. *)
 
 val uniform : int -> t
-(** One capacity for all four caches — the old [?cache_capacity]
+(** One capacity for both caches — the old [?cache_capacity]
     behavior.  @raise Invalid_argument if [capacity < 1]. *)
 
 val for_dataset : ?bench_json:string -> string -> t
 (** Tuned capacities for the benchmark datasets ([ssplays], [dblp],
     [xmark]; case-insensitive), sized from the cache working-set peaks
     recorded in [BENCH_engine.json] — each capacity is the next power
-    of two above twice the observed peak (floored at 512), with extra
-    headroom for the chain cache, which thrashed at the shared default
-    on every dataset.
+    of two above twice the observed peak (floored at 512).
 
-    With [?bench_json] the peaks are read from that live bench file
-    and the capacities derived from them; when the file is missing,
-    malformed, or lacks the dataset's cache peaks, the built-in table
+    With [?bench_json] the [plan] and [run] peaks are read from that
+    live bench file and the capacities derived from them; any other
+    cache the file lists (older files also carry [rel] and [chain]) is
+    ignored.  When the file is missing, malformed, or lacks either
+    peak for the dataset, the built-in table
     (frozen from the scale-0.1 run) is the fallback — a half-parsed
     file never produces half-tuned capacities.  Unknown names get
     {!default}. *)

@@ -2,9 +2,8 @@
     {!Xpest_util.Bounded_cache} with unit cost (capacity in entries)
     and plain-LRU replacement by default.
 
-    Backs the estimator's compiled-plan cache and historically also
-    the path join's rel/chain/run caches (which now instantiate
-    [Bounded_cache] directly).  With the default policy, lookups
+    Backs the estimator's compiled-plan cache; the path join's run
+    cache instantiates [Bounded_cache] directly.  With the default policy, lookups
     promote an entry to most-recently-used and inserting past capacity
     evicts the least-recently-used entry — bit-identical to the
     standalone LRU this module used to carry.  All operations are

@@ -54,7 +54,9 @@ val contains : t -> t -> bool
     Case 2 of the paper. *)
 
 val contains_or_equal : t -> t -> bool
-(** [contains_or_equal a b] is [equal a b || contains a b]. *)
+(** [contains_or_equal a b] is [equal a b || contains a b]: every bit
+    of [b] is set in [a].  One pass over the words, no allocation.
+    @raise Invalid_argument on width mismatch. *)
 
 val intersects : t -> t -> bool
 (** [intersects a b] iff [a land b] is non-zero. *)

@@ -2,7 +2,7 @@
    recency lists, with a pluggable per-entry cost function and a
    capacity expressed in cost units.  This is the single eviction core
    behind the engine's caches — the compiled-plan cache, the path
-   join's rel/chain/run caches and the catalog's resident summary set
+   join's run cache and the catalog's resident summary set
    are all thin instantiations of it.
 
    Two replacement policies:

@@ -33,7 +33,7 @@ type t
 
 val create : string -> t
 (** Register a counter under a dotted name, e.g.
-    ["path_join.rel_cache.hit"].  Call once per site, at module
+    ["path_join.run_cache.hit"].  Call once per site, at module
     initialization. *)
 
 val incr : t -> unit

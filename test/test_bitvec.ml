@@ -76,6 +76,27 @@ let prop_containment_def =
       Bitvec.contains a b
       = ((not (Bitvec.equal a b)) && Bitvec.equal (Bitvec.logand a b) b))
 
+(* Pairs where [b] is often a subset of [a] or equal to it, so both
+   answers of the containment tests are exercised, across word
+   boundaries. *)
+let arb_nested_pair =
+  QCheck.make
+    QCheck.Gen.(
+      int_range 1 200 >>= fun w ->
+      triple (bitvec_gen w) (bitvec_gen w) (int_range 0 2) >|= fun (a, c, k) ->
+      match k with
+      | 0 -> (a, Bitvec.logand a c)
+      | 1 -> (a, a)
+      | _ -> (a, c))
+    ~print:(fun (a, b) -> Bitvec.to_string a ^ " / " ^ Bitvec.to_string b)
+
+let prop_word_loop_containment =
+  QCheck.Test.make ~name:"word-loop containment = logand/equal definitions"
+    ~count:1000 arb_nested_pair (fun (a, b) ->
+      let subset = Bitvec.equal (Bitvec.logand a b) b in
+      Bitvec.contains_or_equal a b = (Bitvec.equal a b || subset)
+      && Bitvec.contains a b = ((not (Bitvec.equal a b)) && subset))
+
 let prop_popcount_or =
   QCheck.Test.make ~name:"popcount or = pa + pb - pand" ~count:200
     arb_pair_same_width (fun (a, b) ->
@@ -142,6 +163,7 @@ let () =
             prop_or_commutative;
             prop_and_below_or;
             prop_containment_def;
+            prop_word_loop_containment;
             prop_popcount_or;
             prop_roundtrip;
             prop_packed_roundtrip;

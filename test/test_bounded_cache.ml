@@ -276,7 +276,7 @@ let test_engine_policy_differential () =
   Alcotest.(check bool) "workload is non-trivial" true (Array.length queries > 50);
   (* tiny caches so both runs actually evict, exercising the policies *)
   let small segmented =
-    { Cache_config.default with plan = 8; rel = 16; chain = 8; run = 8; segmented }
+    { Cache_config.default with plan = 8; run = 8; segmented }
   in
   let est_lru = Estimator.create ~config:(small false) summary in
   let est_seg = Estimator.create ~config:(small true) summary in

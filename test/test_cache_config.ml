@@ -1,5 +1,7 @@
 (* Cache_config.for_dataset resolution order: a live BENCH_engine.json
-   wins when it carries all four cache peaks for the dataset; anything
+   wins when it carries both the plan and run peaks for the dataset
+   (other cache objects, such as the rel/chain peaks older files
+   list, are ignored); anything
    less — missing file, malformed JSON, truncated block — falls back
    to the built-in per-dataset table, and unknown datasets to the
    shared default.  A half-parsed file must never produce half-tuned
@@ -16,7 +18,7 @@ let tmpfile contents =
   path
 
 let caps (c : Cache_config.t) =
-  [ c.Cache_config.plan; c.Cache_config.rel; c.Cache_config.chain; c.Cache_config.run ]
+  [ c.Cache_config.plan; c.Cache_config.run ]
 
 let check_caps msg expected cfg =
   Alcotest.(check (list int)) msg expected (caps cfg)
@@ -65,7 +67,7 @@ let test_malformed_file () =
       "";
       "not json at all";
       {|{ "schema": "xpest-bench-engine/5", "engine": [] }|};
-      (* dataset present but a peak is missing: all-or-nothing *)
+      (* dataset present but the run peak is missing: all-or-nothing *)
       {|{ "engine": [ { "dataset": "ssplays",
            "caches": { "plan": { "peak": 10 }, "rel": { "peak": 10 },
                        "chain": { "peak": 10 } } } ] }|};
@@ -79,12 +81,25 @@ let test_derived_capacities () =
   let path = tmpfile (bench_json ~plan:100 ~rel:200 ~chain:300 ~run:2000 ()) in
   let cfg = Cache_config.for_dataset ~bench_json:path "ssplays" in
   Sys.remove path;
-  (* next power of two above twice the peak, floored at 512 *)
-  check_caps "derived from live peaks" [ 512; 512; 1024; 4096 ] cfg
+  (* next power of two above twice the peak, floored at 512; the
+     rel/chain peaks an older file lists are ignored *)
+  check_caps "derived from live peaks" [ 512; 4096 ] cfg
+
+let test_plan_run_only_file () =
+  (* the current emitter lists only the plan and run caches *)
+  let path =
+    tmpfile
+      {|{ "engine": [ { "dataset": "xmark",
+           "caches": { "plan": { "capacity": 4096, "peak": 1500, "evictions": 0 },
+                       "run": { "capacity": 4096, "peak": 300, "evictions": 0 } } } ] }|}
+  in
+  let cfg = Cache_config.for_dataset ~bench_json:path "xmark" in
+  Sys.remove path;
+  check_caps "derived from plan/run peaks" [ 4096; 1024 ] cfg
 
 let test_other_dataset_blocks_isolated () =
-  (* the dblp block in the fixture lacks rel/chain/run peaks: dblp
-     falls back to builtin even though ssplays parses *)
+  (* the dblp block in the fixture lacks the run peak: dblp falls back
+     to builtin even though ssplays parses *)
   let path = tmpfile (bench_json ()) in
   let from_bench = Cache_config.for_dataset ~bench_json:path "dblp" in
   Sys.remove path;
@@ -107,6 +122,8 @@ let () =
           Alcotest.test_case "malformed bench file" `Quick test_malformed_file;
           Alcotest.test_case "derived capacities" `Quick
             test_derived_capacities;
+          Alcotest.test_case "plan/run-only bench file" `Quick
+            test_plan_run_only_file;
           Alcotest.test_case "per-dataset isolation" `Quick
             test_other_dataset_blocks_isolated;
           Alcotest.test_case "unknown dataset" `Quick test_unknown_dataset;

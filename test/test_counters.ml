@@ -50,7 +50,7 @@ let test_estimator_sites_fire () =
       "estimator.eq.theorem_4_1";
       "estimator.eq.equation_2";
       "path_join.run_cache.miss";
-      "path_join.rel_cache.miss";
+      "path_join.pruned.chain_rows";
     ];
   Alcotest.(check bool) "rendered" true
     (String.length (Metrics.render_counters ()) > 0);

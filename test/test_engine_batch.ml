@@ -95,7 +95,7 @@ let test_tiny_capacity (name, scale, wseed) () =
   let skewed =
     Estimator.estimate_many
       (Estimator.create
-         ~config:{ Cache_config.default with plan = 4; rel = 64; chain = 2; run = 3 }
+         ~config:{ Cache_config.default with plan = 4; run = 3 }
          summary)
       patterns
   in

@@ -6,6 +6,10 @@ module Truth = Xpest_xpath.Truth
 module Summary = Xpest_synopsis.Summary
 module Labeler = Xpest_encoding.Labeler
 module Path_join = Xpest_estimator.Path_join
+module Plan = Xpest_plan.Plan
+module Encoding_table = Xpest_encoding.Encoding_table
+module Registry = Xpest_datasets.Registry
+module Workload = Xpest_workload.Workload
 
 let doc = Paper_fixture.doc
 let summary = Summary.build doc
@@ -189,6 +193,191 @@ let test_theorem_4_1_exact_on_regular_data () =
       "//article/month";
     ]
 
+(* ---- mask oracle: the path masks must prune exactly what the
+   per-bit rules they replace prune.  The reference below is the
+   per-path-type definition, evaluated bit by bit on each pid:
+   chain feasibility by the forward/backward embedding DP over the
+   path's tag strings, the edge relation by
+   [Encoding_table.axis_holds]. *)
+
+module Reference = struct
+  (* Per chain node: does a full ordered embedding of the chain into
+     the path [encoding] place that node somewhere on it? *)
+  let chain_feasibility table ~anchored ~steps encoding =
+    let path = Array.of_list (Encoding_table.path_of_encoding table encoding) in
+    let m = Array.length path in
+    let steps = Array.of_list steps in
+    let k = Array.length steps in
+    let forward = Array.make_matrix k m false in
+    for q = 0 to m - 1 do
+      let _, tag = steps.(0) in
+      if String.equal path.(q) tag && ((not anchored) || q = 0) then
+        forward.(0).(q) <- true
+    done;
+    for i = 1 to k - 1 do
+      let axis, tag = steps.(i) in
+      for q = 0 to m - 1 do
+        if String.equal path.(q) tag then
+          forward.(i).(q) <-
+            (match axis with
+            | Pattern.Child -> q > 0 && forward.(i - 1).(q - 1)
+            | Pattern.Descendant ->
+                List.exists (fun p -> forward.(i - 1).(p)) (List.init q Fun.id))
+      done
+    done;
+    let backward = Array.make_matrix k m false in
+    for q = 0 to m - 1 do
+      let _, tag = steps.(k - 1) in
+      if String.equal path.(q) tag then backward.(k - 1).(q) <- true
+    done;
+    for i = k - 2 downto 0 do
+      let _, tag = steps.(i) in
+      let next_axis, _ = steps.(i + 1) in
+      for q = 0 to m - 1 do
+        if String.equal path.(q) tag then
+          backward.(i).(q) <-
+            (match next_axis with
+            | Pattern.Child -> q + 1 < m && backward.(i + 1).(q + 1)
+            | Pattern.Descendant ->
+                List.exists
+                  (fun p -> backward.(i + 1).(p))
+                  (List.init (m - q - 1) (fun d -> q + 1 + d)))
+      done
+    done;
+    Array.init k (fun i ->
+        List.exists
+          (fun q -> forward.(i).(q) && backward.(i).(q))
+          (List.init m Fun.id))
+
+  let some_bit pid f = List.exists (fun bit -> f (bit + 1)) (Bitvec.set_bits pid)
+
+  let chain_keeps table (c : Plan.chain) i pid =
+    some_bit pid (fun encoding ->
+        (chain_feasibility table ~anchored:c.Plan.anchored ~steps:c.Plan.steps
+           encoding).(i))
+
+  let edge_keeps table ~axis ~anc ~desc pid =
+    let axis = match (axis : Pattern.axis) with Child -> `Child | Descendant -> `Descendant in
+    some_bit pid (fun encoding ->
+        Encoding_table.axis_holds table ~encoding ~axis ~anc ~desc)
+
+  (* The whole join with per-bit pruning: chains, anchor, fixpoint. *)
+  let run summary (spec : Plan.join_spec) =
+    let table = Summary.encoding_table summary in
+    let rows =
+      Array.map (fun (n : Plan.jnode) -> Summary.tag_pids summary n.Plan.tag) spec.Plan.nodes
+    in
+    List.iter
+      (fun (c : Plan.chain) ->
+        List.iteri
+          (fun i id ->
+            rows.(id) <- List.filter (fun (pid, _) -> chain_keeps table c i pid) rows.(id))
+          c.Plan.node_ids)
+      spec.Plan.chains;
+    (match spec.Plan.first_axis with
+    | Pattern.Descendant -> ()
+    | Pattern.Child ->
+        let root = Summary.root_pid summary in
+        rows.(0) <- List.filter (fun (pid, _) -> Bitvec.equal pid root) rows.(0));
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (e : Plan.jedge) ->
+          let xs = rows.(e.Plan.parent) and ys = rows.(e.Plan.child) in
+          let keep_y (py, _) =
+            edge_keeps table ~axis:e.Plan.axis
+              ~anc:spec.Plan.nodes.(e.Plan.parent).Plan.tag
+              ~desc:spec.Plan.nodes.(e.Plan.child).Plan.tag py
+            && List.exists (fun (px, _) -> Bitvec.contains_or_equal px py) xs
+          in
+          let ys' = List.filter keep_y ys in
+          let xs' =
+            List.filter
+              (fun (px, _) ->
+                List.exists (fun (py, _) -> Bitvec.contains_or_equal px py) ys')
+              xs
+          in
+          if List.length ys' <> List.length ys || List.length xs' <> List.length xs
+          then changed := true;
+          rows.(e.Plan.child) <- ys';
+          rows.(e.Plan.parent) <- xs')
+        spec.Plan.edges
+    done;
+    rows
+end
+
+(* Every distinct join spec a workload's plans execute. *)
+let workload_specs doc =
+  let config =
+    { Workload.default_config with num_simple = 400; num_branch = 400 }
+  in
+  let specs = Hashtbl.create 256 in
+  List.iter
+    (fun (it : Workload.item) ->
+      let plan = Plan.compile it.Workload.pattern in
+      List.iter
+        (fun (spec : Plan.join_spec) -> Hashtbl.replace specs spec.Plan.shape spec)
+        (plan.Plan.join
+        :: (match plan.Plan.eq2 with Some e -> [ e.Plan.q_prime ] | None -> [])))
+    (Workload.all_items (Workload.generate ~config doc));
+  Hashtbl.fold (fun _ spec acc -> spec :: acc) specs []
+
+let bits_of_row row =
+  List.map (fun (pid, f) -> (Bitvec.to_string pid, Int64.bits_of_float f)) row
+
+let test_masks_match_per_bit_rules name () =
+  let summary = Summary.build (Registry.generate ~scale:0.05 name) in
+  let table = Summary.encoding_table summary in
+  let join = Path_join.create summary in
+  let specs = workload_specs (Summary.doc summary) in
+  Alcotest.(check bool) "workload has join specs" true (List.length specs > 50);
+  List.iter
+    (fun (spec : Plan.join_spec) ->
+      let label = Pattern.to_string (Pattern.v spec.Plan.shape (Pattern.In_trunk 0)) in
+      let row id = Summary.tag_pids summary spec.Plan.nodes.(id).Plan.tag in
+      List.iter
+        (fun (c : Plan.chain) ->
+          let masks = Path_join.chain_masks join c in
+          List.iteri
+            (fun i id ->
+              List.iter
+                (fun (pid, _) ->
+                  if Bitvec.intersects pid masks.(i) <> Reference.chain_keeps table c i pid
+                  then
+                    Alcotest.failf "%s: chain node %d, pid %s" label i
+                      (Bitvec.to_string pid))
+                (row id))
+            c.Plan.node_ids)
+        spec.Plan.chains;
+      List.iter
+        (fun (e : Plan.jedge) ->
+          let anc = spec.Plan.nodes.(e.Plan.parent).Plan.tag
+          and desc = spec.Plan.nodes.(e.Plan.child).Plan.tag in
+          let mask = Path_join.edge_mask join ~axis:e.Plan.axis ~anc ~desc in
+          List.iter
+            (fun (pid, _) ->
+              if
+                Bitvec.intersects pid mask
+                <> Reference.edge_keeps table ~axis:e.Plan.axis ~anc ~desc pid
+              then Alcotest.failf "%s: edge %s-%s, pid %s" label anc desc
+                  (Bitvec.to_string pid))
+            (row e.Plan.child))
+        spec.Plan.edges;
+      (* the whole join: same survivors, same order, bit-equal
+         frequencies *)
+      let result = Path_join.exec join spec in
+      Array.iteri
+        (fun id expected ->
+          let pos = spec.Plan.nodes.(id).Plan.position in
+          if bits_of_row (Path_join.pids result pos) <> bits_of_row expected then
+            Alcotest.failf "%s: node %d rows differ" label id;
+          let sum = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 expected in
+          if Int64.bits_of_float (Path_join.frequency result pos) <> Int64.bits_of_float sum
+          then Alcotest.failf "%s: node %d frequency differs" label id)
+        (Reference.run summary spec))
+    specs
+
 let () =
   Alcotest.run "path_join"
     [
@@ -206,4 +395,10 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_join_sound; prop_simple_frequency_upper_bound ] );
+      ( "mask oracle",
+        List.map
+          (fun name ->
+            Alcotest.test_case (Registry.to_string name) `Slow
+              (test_masks_match_per_bit_rules name))
+          [ Registry.Ssplays; Registry.Dblp; Registry.Xmark ] );
     ]
