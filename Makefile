@@ -67,7 +67,7 @@ pipeline:
 # planner's provability predicate) and the catalog-level overload
 # differentials (infinite-budget bit-identity twins, deterministic
 # shedding across domain counts 1/2/4, the degraded fallback tier,
-# breaker persistence in the v2 health file).  All seeds fixed,
+# breaker persistence in the health file).  All seeds fixed,
 # deterministic in CI.
 overload:
 	$(DUNE) exec test/test_admission.exe
@@ -77,8 +77,8 @@ overload:
 # resident-sibling Fallback -> pinned Sketch), total-blackout coverage
 # with bit-identity twins across domain counts 1/2/4, the pinned
 # region's hard byte budget, chaos twins proving every injected fault
-# lands on a rung, and the v3 health file's unknown-directive
-# skipping.  The chaos suite rides along: it shares the fault
+# lands on a rung, and the health file's unknown-directive skipping
+# and old-header rejection.  The chaos suite rides along: it shares the fault
 # machinery the ladder degrades over.  All seeds fixed, deterministic
 # in CI.
 degrade:

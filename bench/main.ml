@@ -277,29 +277,40 @@ let catalog_bench ctxs =
       pairs;
     out
   in
-  let cat = Catalog.create ~resident_capacity:capacity ~loader () in
+  let make_catalog () =
+    Catalog.create_r ~resident_capacity:capacity
+      ~loader:(fun k -> Ok (loader k))
+      ()
+  in
+  let cat = make_catalog () in
   let (routed, routed_rev), routed_s =
     Env.time (fun () ->
-        (Catalog.estimate_batch cat pairs, Catalog.estimate_batch cat rev_pairs))
+        ( Catalog.estimate_batch_r cat pairs,
+          Catalog.estimate_batch_r cat rev_pairs ))
   in
   let st : Catalog.stats = Catalog.stats cat in
   let (reference_out, _), loop_s =
     Env.time (fun () -> (reference (), reference ()))
   in
+  let same r v =
+    match r with
+    | Ok x -> Int64.bits_of_float x = Int64.bits_of_float v
+    | Error _ -> false
+  in
   let identical = ref true in
   Array.iteri
-    (fun i v ->
+    (fun i r ->
       if
-        Int64.bits_of_float v <> Int64.bits_of_float reference_out.(i)
-        || Int64.bits_of_float routed_rev.(n - 1 - i)
-           <> Int64.bits_of_float reference_out.(i)
+        not
+          (same r reference_out.(i)
+          && same routed_rev.(n - 1 - i) reference_out.(i))
       then identical := false)
     routed;
   let plan_hits, plan_misses =
     Counters.with_enabled (fun () ->
-        let cat = Catalog.create ~resident_capacity:capacity ~loader () in
-        ignore (Catalog.estimate_batch cat pairs);
-        ignore (Catalog.estimate_batch cat rev_pairs);
+        let cat = make_catalog () in
+        ignore (Catalog.estimate_batch_r cat pairs);
+        ignore (Catalog.estimate_batch_r cat rev_pairs);
         let counter name =
           match List.assoc_opt name (Counters.counters ()) with
           | Some v -> v
@@ -473,11 +484,11 @@ let parallel_bench ctxs =
     st.Catalog.plan_contention st.Catalog.plan_races !identical
 
 (* Resilience: the same routed batches served through the fault-
-   tolerant file-backed path.  Three profiles — fault-free (the
-   overhead of the result-typed machinery vs the raising wrapper),
-   1% and 10% injected storage faults (what degraded storage costs
-   and whether surviving answers stay bit-identical).  The injector
-   seed is fixed so the numbers are reproducible. *)
+   tolerant file-backed path.  Three profiles — fault-free, 1% and 10%
+   injected storage faults (what degraded storage costs and whether
+   surviving answers stay bit-identical to a fresh single-summary
+   estimator).  The injector seed is fixed so the numbers are
+   reproducible. *)
 let resilience_bench ctxs =
   Printf.printf "engine bench: resilience...\n%!";
   let cap_per_dataset = 200 in
@@ -493,10 +504,12 @@ let resilience_bench ctxs =
         (Sys.readdir dir);
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () ->
+      let estimators = Hashtbl.create 4 in
       let manifest =
         List.fold_left
           (fun m (dsname, base, _) ->
             let s = Summary.assemble ~p_variance:0.0 ~o_variance:0.0 base in
+            Hashtbl.add estimators dsname (Estimator.create s);
             Catalog.save_entry ~dir m
               { Catalog.dataset = dsname; variance = 0.0 }
               s)
@@ -517,15 +530,14 @@ let resilience_bench ctxs =
          reloads, so the storage path — where faults live — actually
          runs instead of being absorbed by the resident set *)
       let capacity = max 1 (nkeys - 1) in
-      (* raising wrapper, fault-free: the PR-3 serving path, same
-         round count as the profiles so load amortization matches *)
-      let cat = Catalog.of_manifest ~resident_capacity:capacity ~dir manifest in
-      let raising_runs, raising_s =
-        Env.time (fun () ->
-            List.init rounds (fun _ -> Catalog.estimate_batch cat pairs))
+      (* the bit-identity reference: each pair on a fresh single-summary
+         estimator, no catalog involved *)
+      let reference =
+        Array.map
+          (fun (k, q) ->
+            Estimator.estimate (Hashtbl.find estimators k.Catalog.dataset) q)
+          pairs
       in
-      let raising = List.hd raising_runs in
-      let raising_qps = qps (rounds * n) raising_s in
       (* one profile = a fresh file-backed catalog at one fault rate,
          [rounds] batches through estimate_batch_r *)
       let profile rate =
@@ -550,7 +562,9 @@ let resilience_bench ctxs =
               (fun i -> function
                 | Ok v ->
                     incr ok;
-                    if Int64.bits_of_float v <> Int64.bits_of_float raising.(i)
+                    if
+                      Int64.bits_of_float v
+                      <> Int64.bits_of_float reference.(i)
                     then identical := false
                 | Error _ -> incr errors)
               out)
@@ -578,25 +592,21 @@ let resilience_bench ctxs =
             routed_qps st.Catalog.retries st.Catalog.quarantines
             st.Catalog.failures !identical
         in
-        (entry, routed_qps)
+        entry
       in
-      let fault_free, fault_free_qps = profile 0.0 in
-      let injected = List.map (fun r -> fst (profile r)) [ 0.01; 0.10 ] in
+      let profiles = List.map profile [ 0.0; 0.01; 0.10 ] in
       Printf.sprintf
         {|  "resilience": {
     "keys": %d,
     "resident_capacity": %d,
     "queries_per_batch": %d,
     "injector_seed": %d,
-    "raising_routed_qps": %.1f,
-    "fault_free_overhead_vs_raising": %.3f,
     "profiles": [
 %s
     ]
   }|}
-        nkeys capacity n seed raising_qps
-        (raising_qps /. Float.max fault_free_qps 1e-9)
-        (String.concat ",\n" (fault_free :: injected)))
+        nkeys capacity n seed
+        (String.concat ",\n" profiles))
 
 (* S1 thrash: multi-tenant serving under a byte budget that cannot
    hold every tenant's summary.  Each round touches a small hot set
@@ -620,7 +630,9 @@ let thrash_bench ctxs =
     let v = float_of_int i in
     Hashtbl.add summaries v (Summary.assemble ~p_variance:v ~o_variance:v base)
   done;
-  let loader (k : Catalog.key) = Hashtbl.find summaries k.Catalog.variance in
+  let loader (k : Catalog.key) =
+    Ok (Hashtbl.find summaries k.Catalog.variance)
+  in
   let bytes_of i =
     Summary.size_bytes (Hashtbl.find summaries (float_of_int i))
   in
@@ -640,10 +652,10 @@ let thrash_bench ctxs =
     let config =
       { Cache_config.default with resident_bytes = Some budget }
     in
-    let cat = Catalog.create ~config ~resident_policy:policy ~loader () in
+    let cat = Catalog.create_r ~config ~resident_policy:policy ~loader () in
     let touch i =
       ignore
-        (Catalog.estimate cat
+        (Catalog.estimate_r cat
            { Catalog.dataset = dsname; variance = float_of_int i }
            q)
     in
@@ -709,7 +721,7 @@ let pipeline_bench ctxs =
      contract (reads of a frozen table, a fixed sleep) *)
   let loader (k : Catalog.key) =
     Unix.sleepf latency;
-    Hashtbl.find summaries k.Catalog.variance
+    Ok (Hashtbl.find summaries k.Catalog.variance)
   in
   (* interleave keys so routing, not input order, does the grouping *)
   let pairs =
@@ -719,7 +731,7 @@ let pipeline_bench ctxs =
   in
   let n = Array.length pairs in
   let run loads =
-    let cat = Catalog.create ~resident_capacity:nkeys ~loader () in
+    let cat = Catalog.create_r ~resident_capacity:nkeys ~loader () in
     let results, secs =
       Env.time (fun () -> Catalog.estimate_batch_r ?loads cat pairs)
     in
@@ -801,7 +813,7 @@ let overload_bench ctxs =
   done;
   let loader (k : Catalog.key) =
     Unix.sleepf latency;
-    Hashtbl.find summaries k.Catalog.variance
+    Ok (Hashtbl.find summaries k.Catalog.variance)
   in
   let pairs =
     Array.init (nkeys * per_key) (fun i ->
@@ -818,7 +830,7 @@ let overload_bench ctxs =
     }
   in
   let run ?admission ?loads () =
-    let cat = Catalog.create ?admission ~resident_capacity:4 ~loader () in
+    let cat = Catalog.create_r ?admission ~resident_capacity:4 ~loader () in
     let worst = ref 0 in
     let batches =
       Array.init rounds (fun _ ->
@@ -918,12 +930,13 @@ let degrade_bench ~scale ctxs =
     let v = float_of_int i in
     Hashtbl.add summaries v (Summary.assemble ~p_variance:v ~o_variance:v base)
   done;
-  let healthy_loader (k : Catalog.key) = Hashtbl.find summaries k.Catalog.variance in
-  let dead_loader (_ : Catalog.key) : Summary.t =
-    raise
-      (Xpest_util.Xpest_error.Error
-         (Xpest_util.Xpest_error.Io_failure
-            { path = "(blackout)"; reason = "injected: storage offline" }))
+  let healthy_loader (k : Catalog.key) =
+    Ok (Hashtbl.find summaries k.Catalog.variance)
+  in
+  let dead_loader (_ : Catalog.key) =
+    Error
+      (Xpest_util.Xpest_error.Io_failure
+         { path = "(blackout)"; reason = "injected: storage offline" })
   in
   let pairs =
     Array.init (nkeys * per_key) (fun i ->
@@ -936,12 +949,13 @@ let degrade_bench ~scale ctxs =
   in
   (* the exact tier's answers, for the accuracy cost of the last rung *)
   let exact_cat =
-    Catalog.create ~resident_capacity:nkeys ~loader:healthy_loader ()
+    Catalog.create_r ~resident_capacity:nkeys ~loader:healthy_loader ()
   in
   let exact = Catalog.estimate_batch_r exact_cat pairs in
   let run ?loads () =
     let cat =
-      Catalog.create ~admission ~resident_capacity:nkeys ~loader:dead_loader ()
+      Catalog.create_r ~admission ~resident_capacity:nkeys
+        ~loader:dead_loader ()
     in
     (match Catalog.install_sketch cat dsname sketch with
     | Ok () -> ()

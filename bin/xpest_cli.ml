@@ -640,45 +640,45 @@ let render_breaker (bv : Admission.breaker_view) =
 let catalog_info_cmd =
   let run dir health =
     let m = load_manifest dir in
+    (* one row per manifest record, synopses then sketches, each
+       checked by the serving loader's own typed verification (header
+       parse, size and body checksum against the manifest) *)
+    let rows =
+      List.map
+        (fun (e : Manifest.entry) ->
+          let key =
+            {
+              Catalog.dataset = e.Manifest.dataset;
+              variance = e.Manifest.variance;
+            }
+          in
+          ( Catalog.key_to_string key, e.Manifest.file, e.Manifest.bytes,
+            e.Manifest.checksum, Catalog.manifest_verify ~dir m key ))
+        m.Manifest.entries
+      @ List.map
+          (fun (e : Manifest.sketch_entry) ->
+            ( e.Manifest.s_dataset ^ " (sketch)", e.Manifest.s_file,
+              e.Manifest.s_bytes, e.Manifest.s_checksum,
+              Result.map ignore (Catalog.sketch_check ~dir e) ))
+          m.Manifest.sketches
+    in
+    let status = function
+      | Ok () -> "ok"
+      | Error err -> String.uppercase_ascii (E.kind err)
+    in
     if health then begin
-      (* typed verification of every entry: the same check the serving
-         loader performs, rendered per key with the error taxonomy *)
-      let unhealthy = ref 0 in
-      let rows =
-        List.map
-          (fun (e : Manifest.entry) ->
-            let key =
-              { Catalog.dataset = e.Manifest.dataset;
-                variance = e.Manifest.variance }
-            in
-            let status, detail =
-              match Catalog.manifest_verify ~dir m key with
-              | Ok () -> ("ok", "")
-              | Error err ->
-                  incr unhealthy;
-                  (String.uppercase_ascii (E.kind err), E.to_string err)
-            in
-            [ Catalog.key_to_string key; e.Manifest.file; status; detail ])
-          m.Manifest.entries
-        @ List.map
-            (fun (e : Manifest.sketch_entry) ->
-              let status, detail =
-                match Catalog.sketch_check ~dir e with
-                | Ok _ -> ("ok", "")
-                | Error err ->
-                    incr unhealthy;
-                    (String.uppercase_ascii (E.kind err), E.to_string err)
-              in
-              [ e.Manifest.s_dataset ^ " (sketch)"; e.Manifest.s_file;
-                status; detail ])
-            m.Manifest.sketches
-      in
       print_endline
         (Tablefmt.render_table
            ~header:[ "key"; "file"; "status"; "detail" ]
            ~align:
              [ Tablefmt.Left; Tablefmt.Left; Tablefmt.Left; Tablefmt.Left ]
-           rows);
+           (List.map
+              (fun (key, file, _, _, r) ->
+                let detail =
+                  match r with Ok () -> "" | Error err -> E.to_string err
+                in
+                [ key; file; status r; detail ])
+              rows));
       (* what full residency would cost: the wire bytes of every entry,
          the number to size --resident-bytes against *)
       let total_bytes =
@@ -702,81 +702,43 @@ let catalog_info_cmd =
         | Error e ->
             Printf.printf "health state: unreadable (%s)\n" (E.to_string e)
       end;
-      if !unhealthy > 0 then begin
+      let unhealthy =
+        List.length
+          (List.filter (fun (_, _, _, _, r) -> Result.is_error r) rows)
+      in
+      if unhealthy > 0 then begin
         prerr_endline
-          (Printf.sprintf "xpest: %d/%d catalog entries unhealthy" !unhealthy
-             (List.length m.Manifest.entries));
+          (Printf.sprintf "xpest: %d/%d catalog entries unhealthy" unhealthy
+             (List.length rows));
         exit 1
       end
     end
     else
-      let rows =
-        List.map
-          (fun (e : Manifest.entry) ->
-            let path = Filename.concat dir e.Manifest.file in
-            let status =
-              match Synopsis_io.info_result path with
-              | Error _ -> "MISSING"
-              | Ok i ->
-                  if
-                    i.Synopsis_io.total_bytes = e.Manifest.bytes
-                    && Int64.equal i.Synopsis_io.checksum e.Manifest.checksum
-                  then "ok"
-                  else "STALE"
-            in
-            [
-              Catalog.key_to_string
-                { Catalog.dataset = e.Manifest.dataset;
-                  variance = e.Manifest.variance };
-              e.Manifest.file;
-              Tablefmt.fmt_bytes e.Manifest.bytes;
-              Printf.sprintf "%016Lx" e.Manifest.checksum;
-              status;
-            ])
-          m.Manifest.entries
-        @ List.map
-            (fun (e : Manifest.sketch_entry) ->
-              let path = Filename.concat dir e.Manifest.s_file in
-              let status =
-                match Synopsis_io.info_result path with
-                | Error _ -> "MISSING"
-                | Ok i ->
-                    if
-                      i.Synopsis_io.total_bytes = e.Manifest.s_bytes
-                      && Int64.equal i.Synopsis_io.checksum
-                           e.Manifest.s_checksum
-                    then "ok"
-                    else "STALE"
-              in
-              [
-                e.Manifest.s_dataset ^ " (sketch)";
-                e.Manifest.s_file;
-                Tablefmt.fmt_bytes e.Manifest.s_bytes;
-                Printf.sprintf "%016Lx" e.Manifest.s_checksum;
-                status;
-              ])
-            m.Manifest.sketches
-      in
       print_endline
         (Tablefmt.render_table
            ~header:[ "key"; "file"; "size"; "checksum"; "status" ]
            ~align:
              [ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
                Tablefmt.Left ]
-           rows)
+           (List.map
+              (fun (key, file, bytes, checksum, r) ->
+                [ key; file; Tablefmt.fmt_bytes bytes;
+                  Printf.sprintf "%016Lx" checksum; status r ])
+              rows))
   in
   let health =
     Arg.(
       value & flag
       & info [ "health" ]
-          ~doc:"Run the serving loader's typed verification on every entry \
-                (header parse, size, checksum) and report per-key error \
-                kinds; exit 1 if any entry is unhealthy.")
+          ~doc:"Also print each unhealthy row's typed error, the catalog's \
+                fully-resident wire size and any persisted health state; \
+                exit 1 if any entry is unhealthy.")
   in
   Cmd.v
     (Cmd.info "info"
-       ~doc:"Show the catalog's entry table and verify each synopsis file \
-             against its manifest record.")
+       ~doc:"Show the catalog's entry table and verify each synopsis and \
+             sketch file (header, size, body checksum) against its \
+             manifest record.")
     Term.(const run $ catalog_dir_arg $ health)
 
 (* A routed query file: one `key<TAB>xpath` pair per line. *)
@@ -840,7 +802,6 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
     Option.iter (require_at_least_1 "breaker-threshold") breaker_threshold;
     let admission =
       {
-        Admission.unlimited with
         Admission.deadline;
         max_queued_loads;
         breaker_threshold;

@@ -10,7 +10,7 @@
    controlled run against an uncontrolled one outcome by outcome.
 
    The cost model mirrors the catalog's logical clock: serving a
-   resident key costs 1 tick, a cold load costs [load_cost] modeled
+   resident key costs 1 tick, a cold load costs [load_cost] (8) modeled
    ticks.  A batch gets [deadline] ticks of budget; a query whose
    modeled cost no longer fits the remaining budget is shed before any
    I/O happens.  [max_queued_loads] bounds the cold loads one batch
@@ -18,7 +18,7 @@
    only prefetches provably-admittable groups).
 
    The circuit breaker watches the loader seam: [breaker_threshold]
-   consecutive load failures — or [breaker_saturation] consecutive
+   consecutive load failures — or [breaker_saturation] (4) consecutive
    batches that hit the queue bound — open it.  While open, cold
    loads are shed immediately; after a cooldown measured on the
    logical clock a single half-open probe load is admitted, closing
@@ -33,22 +33,15 @@ module Counters = Xpest_util.Counters
 
 type policy = Reject | Degrade
 
-let policy_to_string = function Reject -> "reject" | Degrade -> "degrade"
-
-let policy_of_string = function
-  | "reject" -> Some Reject
-  | "degrade" -> Some Degrade
-  | _ -> None
-
 type config = {
   deadline : int option;
   max_queued_loads : int option;
   breaker_threshold : int option;
-  breaker_saturation : int;
-  load_cost : int;
   policy : policy;
 }
 
+let load_cost = 8
+let breaker_saturation = 4
 let breaker_cooldown_base = 16
 let breaker_cooldown_max = 256
 
@@ -57,8 +50,6 @@ let unlimited =
     deadline = None;
     max_queued_loads = None;
     breaker_threshold = None;
-    breaker_saturation = 4;
-    load_cost = 8;
     policy = Degrade;
   }
 
@@ -95,10 +86,6 @@ let c_breaker_open = Counters.create "admission.breaker_opens"
 let c_probe = Counters.create "admission.probes"
 
 let validate config =
-  if config.load_cost < 1 then
-    invalid_arg "Admission.create: load_cost must be >= 1";
-  if config.breaker_saturation < 1 then
-    invalid_arg "Admission.create: breaker_saturation must be >= 1";
   let nonneg = function Some n when n < 0 -> true | _ -> false in
   if nonneg config.deadline || nonneg config.max_queued_loads then
     invalid_arg "Admission.create: budgets must be >= 0";
@@ -125,7 +112,6 @@ let create config =
     probes = 0;
   }
 
-let config t = t.config
 let policy t = t.config.policy
 
 let active t =
@@ -160,7 +146,7 @@ let shed t e =
 let decide t ~clock ~key ~would_load =
   if not (active t) then Admit { probe = false }
   else begin
-    let cost = if would_load then t.config.load_cost else 1 in
+    let cost = if would_load then load_cost else 1 in
     (* deadline first: a query that no longer fits the batch budget is
        refused outright, breaker state untouched (no probe wasted on a
        query we could not afford anyway) *)
@@ -251,7 +237,7 @@ let batch_end t ~clock =
     if t.batch_saturated then
       t.saturated_batches <- t.saturated_batches + 1
     else t.saturated_batches <- 0;
-    if t.saturated_batches >= t.config.breaker_saturation then begin
+    if t.saturated_batches >= breaker_saturation then begin
       (match t.breaker with Closed -> open_breaker t ~clock | Open _ | Half_open -> ());
       t.saturated_batches <- 0
     end
@@ -271,7 +257,7 @@ let provable t ~groups_before =
   if not (active t) then true
   else
     groups_before >= 0
-    && t.remaining - (groups_before * t.config.load_cost) >= t.config.load_cost
+    && t.remaining - (groups_before * load_cost) >= load_cost
     && (match t.config.max_queued_loads with
        | Some m -> t.loads_admitted + groups_before < m
        | None -> true)

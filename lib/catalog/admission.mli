@@ -13,8 +13,8 @@
     {2 Cost model}
 
     Costs are modeled on the catalog's logical clock: a resident hit
-    costs 1 tick, a cold load costs {!config.load_cost} ticks
-    (default 8 — a load verifies, decodes, and possibly evicts; it is
+    costs 1 tick, a cold load costs {!load_cost} ticks
+    (8 — a load verifies, decodes, and possibly evicts; it is
     roughly an order of magnitude heavier than a cache probe).  Each
     batch gets {!config.deadline} ticks of budget; a query whose
     modeled cost exceeds the remaining budget is shed with
@@ -25,7 +25,7 @@
     {2 Circuit breaker}
 
     {!config.breaker_threshold} consecutive loader failures — or
-    {!config.breaker_saturation} consecutive batches that hit the
+    {!breaker_saturation} consecutive batches that hit the
     queue bound — open a circuit breaker over the loader seam.  While
     open, cold loads are shed ([Overloaded]) but resident keys keep
     serving.  After a cooldown measured on the logical clock (base 16
@@ -55,9 +55,6 @@ type policy =
           variance of the same dataset when one exists (answer marked
           degraded), and fail typed otherwise *)
 
-val policy_to_string : policy -> string
-val policy_of_string : string -> policy option
-
 type config = {
   deadline : int option;
       (** per-batch tick budget; [None] = unbounded *)
@@ -66,17 +63,19 @@ type config = {
   breaker_threshold : int option;
       (** consecutive loader failures that open the breaker; [None]
           disables the breaker entirely *)
-  breaker_saturation : int;
-      (** consecutive queue-saturated batches that open the breaker
-          (only meaningful when the breaker is enabled) *)
-  load_cost : int;  (** modeled ticks per cold load (>= 1) *)
   policy : policy;  (** what the catalog does with a shed query *)
 }
 
 val unlimited : config
-(** No deadline, no queue bound, breaker disabled;
-    [breaker_saturation = 4], [load_cost = 8], [policy = Degrade].
+(** No deadline, no queue bound, breaker disabled, [policy = Degrade].
     An {!active}-false controller is a guaranteed no-op. *)
+
+val load_cost : int
+(** 8 modeled ticks per cold load. *)
+
+val breaker_saturation : int
+(** 4 consecutive queue-saturated batches open the breaker (only when
+    the breaker is enabled). *)
 
 val breaker_cooldown_base : int
 val breaker_cooldown_max : int
@@ -86,10 +85,8 @@ type t
 
 val create : config -> t
 (** @raise Invalid_argument on malformed bounds (negative budgets,
-    [load_cost < 1], [breaker_threshold < 1],
-    [breaker_saturation < 1]). *)
+    [breaker_threshold < 1]). *)
 
-val config : t -> config
 val policy : t -> policy
 
 val active : t -> bool
@@ -136,8 +133,7 @@ val note_load_result : t -> clock:int -> ok:bool -> unit
 
 val batch_end : t -> clock:int -> unit
 (** Close the batch: update the consecutive-saturated-batch streak
-    and open the breaker if it reached
-    {!config.breaker_saturation}. *)
+    and open the breaker if it reached {!breaker_saturation}. *)
 
 val provable : t -> groups_before:int -> bool
 (** Would a cold load for a group with [groups_before] uncommitted

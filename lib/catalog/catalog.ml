@@ -271,7 +271,6 @@ type t = {
   loader : key -> (Summary.t, E.t) result;
   verify : key -> (unit, E.t) result;
   config : Cache_config.t;
-  chain_pruning : bool option;
   resilience : resilience;
   admission : Admission.t;
   plans : (Pattern.t, Plan.t) Plan_cache.t;  (* pool-shared *)
@@ -296,7 +295,7 @@ type t = {
       (* sketches that could not be installed: over budget, unreadable,
          corrupt, or stale against the manifest *)
   mutable skipped_directives : int;
-      (* unknown !directive lines skipped by v3 health-state loads *)
+      (* unknown !directive lines skipped by health-state loads *)
   mutable last_metrics : (key * (string * int) list) list;
   mutable last_statuses : slot_status array;
 }
@@ -308,20 +307,20 @@ let default_resident_capacity = 8
 let default_sketch_bytes = 262144
 
 let create_r ?(resident_capacity = default_resident_capacity)
-    ?(resident_policy = Bounded_cache.segmented) ?config ?chain_pruning
+    ?(resident_policy = Bounded_cache.segmented) ?config
     ?(resilience = default_resilience) ?(admission = Admission.unlimited)
     ?(sketch_bytes = default_sketch_bytes) ?(verify = fun _ -> Ok ()) ~loader
     () =
   if resident_capacity < 1 then
-    invalid_arg "Catalog.create: resident_capacity must be >= 1";
+    invalid_arg "Catalog.create_r: resident_capacity must be >= 1";
   if sketch_bytes < 1 then
-    invalid_arg "Catalog.create: sketch_bytes must be >= 1";
+    invalid_arg "Catalog.create_r: sketch_bytes must be >= 1";
   if
     resilience.max_retries < 0 || resilience.failure_threshold < 1
     || resilience.backoff_base < 1
     || resilience.backoff_max < resilience.backoff_base
     || resilience.max_tracked < 1
-  then invalid_arg "Catalog.create: malformed resilience policy";
+  then invalid_arg "Catalog.create_r: malformed resilience policy";
   let config = match config with Some c -> c | None -> Cache_config.default in
   (* [config.resident_bytes] switches the resident bound from entry
      count to a byte budget: each resident costs its exact wire size. *)
@@ -330,14 +329,24 @@ let create_r ?(resident_capacity = default_resident_capacity)
     | None -> (resident_capacity, None)
     | Some bytes ->
         if bytes < 1 then
-          invalid_arg "Catalog.create: resident_bytes must be >= 1";
+          invalid_arg "Catalog.create_r: resident_bytes must be >= 1";
         (bytes, Some (fun _ r -> Summary.size_bytes r.summary))
+  in
+  (* a loader that raises still lands in retry/quarantine: escaped
+     exceptions are classified into the typed taxonomy *)
+  let loader k =
+    match loader k with
+    | r -> r
+    | exception Sys_error reason ->
+        Error (E.Io_failure { path = key_to_string k; reason })
+    | exception E.Error e -> Error e
+    | exception Invalid_argument reason | exception Failure reason ->
+        Error (E.Internal reason)
   in
   {
     loader;
     verify;
     config;
-    chain_pruning;
     resilience;
     admission = Admission.create admission;
     (* both shared caches are synchronized: parallel batches compile
@@ -406,22 +415,6 @@ let install_sketch t dataset sketch =
 (* The ladder is armed by provisioning: a catalog holding at least one
    fallback sketch opts its failure paths into degraded answers. *)
 let ladder_armed t = Bounded_cache.length t.sketches > 0
-
-(* Raising-loader form, for in-memory sources: escaped exceptions are
-   classified so legacy loaders still flow through the typed machinery. *)
-let create ?resident_capacity ?resident_policy ?config ?chain_pruning
-    ?resilience ?admission ?sketch_bytes ~loader () =
-  let typed_loader k =
-    match loader k with
-    | s -> Ok s
-    | exception Sys_error reason ->
-        Error (E.Io_failure { path = key_to_string k; reason })
-    | exception E.Error e -> Error e
-    | exception Invalid_argument reason | exception Failure reason ->
-        Error (E.Internal reason)
-  in
-  create_r ?resident_capacity ?resident_policy ?config ?chain_pruning
-    ?resilience ?admission ?sketch_bytes ~loader:typed_loader ()
 
 (* -------------------- health bookkeeping -------------------- *)
 
@@ -589,8 +582,7 @@ let acquire_with t ~prefetched key =
             match result with
             | Ok summary ->
                 let estimator =
-                  Estimator.create ?chain_pruning:t.chain_pruning
-                    ~config:t.config ~plans:t.plans summary
+                  Estimator.create ~config:t.config ~plans:t.plans summary
                 in
                 t.loads <- t.loads + 1;
                 note_success t h;
@@ -602,11 +594,6 @@ let acquire_with t ~prefetched key =
           end)
 
 let acquire_r t key = acquire_with t ~prefetched:None key
-
-let acquire t key =
-  match acquire_r t key with
-  | Ok est -> est
-  | Error e -> invalid_arg (E.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* File-backed catalogs.                                               *)
@@ -646,11 +633,11 @@ let save_sketch ~dir manifest dataset sketch =
       s_checksum = i.Synopsis_io.checksum;
     }
 
-(* Re-verification of one manifest entry against the on-disk file:
-   shared by the lazy loader, resident re-validation and the CLI's
-   health report. *)
-let manifest_check ?io ~dir (e : Manifest.entry) =
-  let path = Filename.concat dir e.Manifest.file in
+(* Re-verification of one catalog file (synopsis or sketch) against
+   its manifest record: shared by the lazy loader, resident
+   re-validation, the eager sketch install and the CLI's info report. *)
+let check_file ?io ~dir file ~bytes ~checksum =
+  let path = Filename.concat dir file in
   match Synopsis_io.info_typed ?io path with
   | Error err -> Error err
   | Ok i ->
@@ -666,8 +653,8 @@ let manifest_check ?io ~dir (e : Manifest.entry) =
                reason = "checksum mismatch (corrupted or truncated read)";
              })
       else if
-        i.Synopsis_io.total_bytes <> e.Manifest.bytes
-        || not (Int64.equal i.Synopsis_io.checksum e.Manifest.checksum)
+        i.Synopsis_io.total_bytes <> bytes
+        || not (Int64.equal i.Synopsis_io.checksum checksum)
       then
         Error
           (E.Stale_manifest
@@ -677,73 +664,40 @@ let manifest_check ?io ~dir (e : Manifest.entry) =
                  Printf.sprintf
                    "expected %d bytes, checksum %016Lx; found %d bytes, \
                     checksum %016Lx — rebuild the catalog"
-                   e.Manifest.bytes e.Manifest.checksum
-                   i.Synopsis_io.total_bytes i.Synopsis_io.checksum;
+                   bytes checksum i.Synopsis_io.total_bytes
+                   i.Synopsis_io.checksum;
              })
       else Ok path
 
-let manifest_entry manifest key =
+let manifest_check ?io ~dir manifest key =
   match
     Manifest.find manifest ~dataset:key.dataset ~variance:key.variance
   with
   | None -> Error (E.Unknown_key (key_to_string key))
-  | Some e -> Ok e
+  | Some e ->
+      check_file ?io ~dir e.Manifest.file ~bytes:e.Manifest.bytes
+        ~checksum:e.Manifest.checksum
 
 let manifest_verify ?io ~dir manifest key =
-  match manifest_entry manifest key with
-  | Error e -> Error e
-  | Ok e -> ( match manifest_check ?io ~dir e with Error e -> Error e | Ok _ -> Ok ())
+  Result.map ignore (manifest_check ?io ~dir manifest key)
 
 let manifest_loader ?io ~dir manifest key =
-  match manifest_entry manifest key with
-  | Error e -> Error e
-  | Ok e -> (
-      match manifest_check ?io ~dir e with
-      | Error e -> Error e
-      | Ok path -> Synopsis_io.load_typed ?io path)
+  Result.bind
+    (manifest_check ?io ~dir manifest key)
+    (Synopsis_io.load_typed ?io)
 
-(* Sketch files get the same re-verification discipline as synopsis
-   files: size + body checksum against the manifest before decoding. *)
 let sketch_check ?io ~dir (e : Manifest.sketch_entry) =
-  let path = Filename.concat dir e.Manifest.s_file in
-  match Synopsis_io.info_typed ?io path with
-  | Error err -> Error err
-  | Ok i ->
-      if not i.Synopsis_io.checksum_ok then
-        Error
-          (E.Corrupt
-             {
-               path;
-               section = "body";
-               reason = "checksum mismatch (corrupted or truncated read)";
-             })
-      else if
-        i.Synopsis_io.total_bytes <> e.Manifest.s_bytes
-        || not (Int64.equal i.Synopsis_io.checksum e.Manifest.s_checksum)
-      then
-        Error
-          (E.Stale_manifest
-             {
-               path;
-               reason =
-                 Printf.sprintf
-                   "expected %d bytes, checksum %016Lx; found %d bytes, \
-                    checksum %016Lx — rebuild the catalog"
-                   e.Manifest.s_bytes e.Manifest.s_checksum
-                   i.Synopsis_io.total_bytes i.Synopsis_io.checksum;
-             })
-      else Ok path
+  check_file ?io ~dir e.Manifest.s_file ~bytes:e.Manifest.s_bytes
+    ~checksum:e.Manifest.s_checksum
 
-let load_sketch ?io ~dir (e : Manifest.sketch_entry) =
-  match sketch_check ?io ~dir e with
-  | Error e -> Error e
-  | Ok path -> Sketch.load_typed ?io path
+let load_sketch ?io ~dir e =
+  Result.bind (sketch_check ?io ~dir e) (Sketch.load_typed ?io)
 
-let of_manifest ?resident_capacity ?resident_policy ?config ?chain_pruning
-    ?resilience ?admission ?sketch_bytes ?io ~dir manifest =
+let of_manifest ?resident_capacity ?resident_policy ?config ?resilience
+    ?admission ?sketch_bytes ?io ~dir manifest =
   let t =
-    create_r ?resident_capacity ?resident_policy ?config ?chain_pruning
-      ?resilience ?admission ?sketch_bytes
+    create_r ?resident_capacity ?resident_policy ?config ?resilience
+      ?admission ?sketch_bytes
       ~verify:(manifest_verify ?io ~dir manifest)
       ~loader:(manifest_loader ?io ~dir manifest)
       ()
@@ -770,15 +724,13 @@ let estimate_r t key q =
   | Ok est -> Estimator.try_estimate est q
   | Error e -> Error e
 
-let estimate t key q = Estimator.estimate (acquire t key) q
-
 (* -------------------- admission support -------------------- *)
 
 (* Exact prediction of whether acquiring [key] right now would call
    the loader — [acquire_with]'s decision tree evaluated one tick
    ahead (acquire ticks the clock before anything else).  Admission
-   charges [load_cost] only when this is [true]; a quarantine or
-   capacity refusal costs a plain tick like a hit.  Uses only
+   charges [Admission.load_cost] only when this is [true]; a quarantine
+   or capacity refusal costs a plain tick like a hit.  Uses only
    non-mutating probes ([Bounded_cache.mem], table lookups), so a
    prediction for a group that ends up shed leaves no trace. *)
 let would_load t key =
@@ -962,8 +914,7 @@ let estimate_batch_r ?pool ?loads t pairs =
      or Internal) degrades instead of erroring, but only when the
      catalog was provisioned with sketches; an unprovisioned catalog
      keeps the historical fail-fast contract bit-for-bit. *)
-  let acquire_tiered ~prefetched k =
-    match acquire_with t ~prefetched k with
+  let descend k = function
     | Ok est -> Ok (Exact est)
     | Error e -> (
         if not (ladder_armed t && rung_eligible e) then Error e
@@ -976,7 +927,8 @@ let estimate_batch_r ?pool ?loads t pairs =
      breaker at this same single-owner point, in route order, which is
      what keeps breaker transitions deterministic at any fan-out. *)
   let commit k ~prefetched =
-    if not (Admission.active t.admission) then acquire_tiered ~prefetched k
+    if not (Admission.active t.admission) then
+      descend k (acquire_with t ~prefetched k)
     else begin
       let wl = would_load t k in
       match
@@ -988,12 +940,7 @@ let estimate_batch_r ?pool ?loads t pairs =
           if wl then
             Admission.note_load_result t.admission ~clock:t.clock
               ~ok:(Result.is_ok r);
-          (match r with
-          | Ok est -> Ok (Exact est)
-          | Error e -> (
-              if not (ladder_armed t && rung_eligible e) then Error e
-              else
-                match fallback_rung k with Some s -> Ok s | None -> Error e))
+          descend k r
       | Admission.Shed e -> (
           let n = group_size k in
           t.sheds <- t.sheds + n;
@@ -1037,28 +984,20 @@ let estimate_batch_r ?pool ?loads t pairs =
     | exception E.Error e -> Error e
     | exception exn -> Error (E.Internal (Printexc.to_string exn))
   in
-  let execute est idxs =
+  (* [pool] is given only to a lone surviving group, which chunks its
+     own plans across the pool *)
+  let execute pool est idxs =
     match est with
     | Exact est ->
         slot idxs
-          (Estimator.try_estimate_many est
-             (Array.map (fun i -> snd pairs.(i)) idxs))
-    | Via_sketch sx ->
-        slot idxs (Array.map (fun i -> sketch_one sx (snd pairs.(i))) idxs)
-  in
-  let execute_chunked pool est idxs =
-    (* one surviving group: chunk its own plans across the pool *)
-    match est with
-    | Exact est ->
-        slot idxs
-          (Estimator.try_estimate_many ~pool est
+          (Estimator.try_estimate_many ?pool est
              (Array.map (fun i -> snd pairs.(i)) idxs))
     | Via_sketch sx ->
         slot idxs (Array.map (fun i -> sketch_one sx (snd pairs.(i))) idxs)
   in
   (* one poisoned key fails its own queries, nobody else's *)
   let fail e idxs = Array.iter (fun i -> out.(i) <- Error e) idxs in
-  Pipeline.run ?pool ~loads ~ops ~fail ~execute ~execute_chunked routed;
+  Pipeline.run ?pool ~loads ~ops ~fail ~execute routed;
   Admission.batch_end t.admission ~clock:t.clock;
   t.last_metrics <- (if seq_metrics then List.rev !metrics else []);
   let statuses = Array.make (Array.length pairs) Served in
@@ -1068,11 +1007,6 @@ let estimate_batch_r ?pool ?loads t pairs =
     gstatus;
   t.last_statuses <- statuses;
   out
-
-let estimate_batch ?pool ?loads t pairs =
-  Array.map
-    (function Ok v -> v | Error e -> invalid_arg (E.to_string e))
-    (estimate_batch_r ?pool ?loads t pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Observability.                                                      *)
@@ -1192,7 +1126,6 @@ let clear_all_quarantine t =
 
 let last_batch_metrics t = t.last_metrics
 let last_batch_statuses t = t.last_statuses
-let admission_config t = Admission.config t.admission
 let admission_stats t = Admission.stats t.admission
 let breaker t = Admission.breaker t.admission ~clock:t.clock
 let keys_by_recency t = Bounded_cache.keys_by_recency t.residents
@@ -1220,21 +1153,16 @@ let pinned t key = Bounded_cache.pinned t.residents key
 
 let health_filename = "catalog.health"
 let health_magic = "xpest-catalog-health/3"
-let health_magic_v2 = "xpest-catalog-health/2"
-let health_magic_v1 = "xpest-catalog-health/1"
 
-(* v2 added one optional directive line right after the magic —
-   "!breaker<TAB>state<TAB>remaining<TAB>failures<TAB>cooldown" — for
-   the circuit breaker over the loader seam.  '!' cannot start a key
-   row (escape_dataset %-encodes it), so the directive space is
-   unambiguous.  v3 makes that space forward-compatible: an unknown
-   "!name..." directive is skipped (counted in the skipped_directives
-   stat) instead of corrupting the whole file, so a binary at this
-   version survives state written by a newer one.  A malformed
-   "!breaker" is still corruption — a directive we do understand must
-   parse.  v2 keeps its stricter all-or-nothing contract ('!' lines
-   must be well-formed !breaker directives) and v1 files load
-   unchanged (no directives, breaker starts closed). *)
+(* Lines starting with '!' are directives; '!' cannot start a key row
+   (escape_dataset %-encodes it), so the directive space is
+   unambiguous.  "!breaker<TAB>state<TAB>remaining<TAB>failures<TAB>
+   cooldown" carries the circuit breaker over the loader seam.  An
+   unknown "!name..." directive is skipped (counted in the
+   skipped_directives stat) instead of corrupting the whole file, so a
+   binary at this version survives state written by a newer one.  A
+   malformed "!breaker" is still corruption — a directive we do
+   understand must parse. *)
 let breaker_state_to_string = function
   | `Closed -> "closed"
   | `Open -> "open"
@@ -1337,20 +1265,9 @@ let load_health t path =
         (fun () ->
           match input_line ic with
           | exception End_of_file -> corrupt "empty file"
-          | magic
-            when magic <> health_magic
-                 && magic <> health_magic_v2
-                 && magic <> health_magic_v1 ->
+          | magic when magic <> health_magic ->
               corrupt (Printf.sprintf "bad magic %S (want %S)" magic health_magic)
-          | magic ->
-              (* v2/v3 add '!'-prefixed directives; under v1 no line
-                 can start with '!' (escape_dataset %-encodes it), so
-                 a directive there is plain corruption.  Under v3 an
-                 unknown directive name is skipped and counted, so
-                 newer writers don't brick older readers; a known
-                 directive ("!breaker") must still parse. *)
-              let directives_ok = magic <> health_magic_v1 in
-              let skip_unknown = magic = health_magic in
+          | _ ->
               let is_breaker line =
                 match String.index_opt line '\t' with
                 | Some i -> String.sub line 0 i = "!breaker"
@@ -1362,9 +1279,8 @@ let load_health t path =
                 match input_line ic with
                 | exception End_of_file -> Ok (List.rev acc)
                 | "" -> rows acc (lineno + 1)
-                | line when directives_ok && String.length line > 0 && line.[0] = '!'
-                  ->
-                    if skip_unknown && not (is_breaker line) then begin
+                | line when line.[0] = '!' ->
+                    if not (is_breaker line) then begin
                       incr skipped;
                       rows acc (lineno + 1)
                     end

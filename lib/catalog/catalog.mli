@@ -5,8 +5,8 @@
     many documents at once splits naturally into a {e synopsis
     catalog} (named summaries, lazily loaded, bounded resident set)
     and an {e estimator pool} (one estimator per resident summary, all
-    sharing a single compiled-plan cache).  {!estimate_batch} routes a
-    mixed batch: each distinct query is compiled once for the whole
+    sharing a single compiled-plan cache).  {!estimate_batch_r} routes
+    a mixed batch: each distinct query is compiled once for the whole
     pool, each summary's group executes against that summary's
     estimator, and every result is bit-identical to a fresh
     single-summary [Estimator.estimate] — caching, pooling, eviction
@@ -30,9 +30,9 @@
 
     Storage is allowed to fail; the serving loop is not.  All load and
     verification failures flow through the typed taxonomy
-    {!Xpest_util.Xpest_error.t}, and the [_r] entry points
-    ({!estimate_r}, {!estimate_batch_r}, {!acquire_r}) return [result]s
-    instead of raising.  Per key, the catalog runs a deterministic
+    {!Xpest_util.Xpest_error.t}, and the entry points ({!estimate_r},
+    {!estimate_batch_r}, {!acquire_r}) return [result]s instead of
+    raising.  Per key, the catalog runs a deterministic
     health state machine on a logical clock (one tick per acquire
     attempt, see {!clock}):
 
@@ -48,11 +48,6 @@
       summaries are re-verified on every hit; if verification fails
       and [stale_if_error] is set, the resident (known-good when
       loaded) copy keeps serving and the key is marked [Degraded].
-
-    The raising entry points ({!estimate}, {!estimate_batch}) are
-    thin wrappers that turn the first typed error into
-    [Invalid_argument (Xpest_error.to_string e)] — CLI and legacy
-    call sites keep working, new serving paths should use [_r].
 
     {2 Overload protection}
 
@@ -213,48 +208,10 @@ val default_resilience : resilience
 
 type t
 
-val create :
-  ?resident_capacity:int ->
-  ?resident_policy:Xpest_util.Bounded_cache.policy ->
-  ?config:Xpest_plan.Cache_config.t ->
-  ?chain_pruning:bool ->
-  ?resilience:resilience ->
-  ?admission:Admission.config ->
-  ?sketch_bytes:int ->
-  loader:(key -> Summary.t) ->
-  unit ->
-  t
-(** A catalog over an arbitrary summary source.  [loader] is called
-    once per non-resident key on demand; [resident_capacity] bounds
-    how many summaries (and their estimators) stay in memory at once
-    (default {!default_resident_capacity}) — unless
-    [config.resident_bytes] is set, which replaces the count bound
-    with a byte budget costed by each summary's exact wire size
-    ({!Summary.size_bytes}).  [resident_policy] (default
-    {!Xpest_util.Bounded_cache.segmented}) picks the resident set's
-    replacement policy; pass [Lru] to compare against plain LRU (the
-    s1_thrash bench section does).  [config] also sets the per-cache
-    capacities of the shared plan cache ([config.plan]) and of every
-    pooled estimator's join caches.  Loader escapes are
-    classified into the typed taxonomy ([Sys_error] → [Io_failure],
-    [Xpest_error.Error e] → [e], [Invalid_argument] / [Failure] →
-    [Internal]) and flow through the same retry/quarantine machinery
-    as {!create_r} loaders.
-    @raise Invalid_argument if [resident_capacity < 1] or the
-    resilience policy is malformed ([max_retries < 0],
-    [failure_threshold < 1], [backoff_base < 1],
-    [backoff_max < backoff_base], or [max_tracked < 1]), or if
-    [config.resident_bytes] is [Some b] with [b < 1], or if the
-    [admission] configuration is malformed (see
-    {!Admission.create}).  [admission] (default
-    {!Admission.unlimited}, a no-op) enables overload protection on
-    the batch entry points — see the preamble. *)
-
 val create_r :
   ?resident_capacity:int ->
   ?resident_policy:Xpest_util.Bounded_cache.policy ->
   ?config:Xpest_plan.Cache_config.t ->
-  ?chain_pruning:bool ->
   ?resilience:resilience ->
   ?admission:Admission.config ->
   ?sketch_bytes:int ->
@@ -262,13 +219,35 @@ val create_r :
   loader:(key -> (Summary.t, E.t) result) ->
   unit ->
   t
-(** Result-typed form of {!create}: the loader reports failures as
-    values, and [verify] (default: always [Ok]) re-validates a
-    resident key when [resilience.verify_resident] is set.
+(** A catalog over an arbitrary summary source.  [loader] is called
+    once per non-resident key on demand and reports failures as
+    values; a loader that raises anyway has its escape classified into
+    the typed taxonomy ([Sys_error] → [Io_failure],
+    [Xpest_error.Error e] → [e], [Invalid_argument] / [Failure] →
+    [Internal]), so it flows through the same retry/quarantine
+    machinery on any domain.  [verify] (default: always [Ok])
+    re-validates a resident key when [resilience.verify_resident] is
+    set.  [resident_capacity] bounds how many summaries (and their
+    estimators) stay in memory at once (default
+    {!default_resident_capacity}) — unless [config.resident_bytes] is
+    set, which replaces the count bound with a byte budget costed by
+    each summary's exact wire size ({!Summary.size_bytes}).
+    [resident_policy] (default {!Xpest_util.Bounded_cache.segmented})
+    picks the resident set's replacement policy; pass [Lru] to compare
+    against plain LRU (the s1_thrash bench section does).  [config]
+    also sets the per-cache capacities of the shared plan cache
+    ([config.plan]) and of every pooled estimator's join caches.
+    [admission] (default {!Admission.unlimited}, a no-op) enables
+    overload protection on the batch entry points — see the preamble.
     [sketch_bytes] (default {!default_sketch_bytes}) budgets the
     pinned fallback-sketch region; sketches are installed with
     {!install_sketch} (or automatically by {!of_manifest}).
-    @raise Invalid_argument as {!create}, or if [sketch_bytes < 1]. *)
+    @raise Invalid_argument if [resident_capacity < 1],
+    [sketch_bytes < 1], or the resilience policy is malformed
+    ([max_retries < 0], [failure_threshold < 1], [backoff_base < 1],
+    [backoff_max < backoff_base], or [max_tracked < 1]), or if
+    [config.resident_bytes] is [Some b] with [b < 1], or if the
+    [admission] configuration is malformed (see {!Admission.create}). *)
 
 val default_resident_capacity : int
 (** 8 resident summaries. *)
@@ -291,7 +270,6 @@ val of_manifest :
   ?resident_capacity:int ->
   ?resident_policy:Xpest_util.Bounded_cache.policy ->
   ?config:Xpest_plan.Cache_config.t ->
-  ?chain_pruning:bool ->
   ?resilience:resilience ->
   ?admission:Admission.config ->
   ?sketch_bytes:int ->
@@ -372,16 +350,9 @@ val acquire_r : t -> key -> (Estimator.t, E.t) result
     {!estimate_r}/{!estimate_batch_r} unless batching manually. *)
 
 val estimate_r : t -> key -> Pattern.t -> (float, E.t) result
-(** Route one query without raising.  [Ok] values are bit-identical
-    to {!estimate} (and to a fresh single-summary
-    [Estimator.estimate]). *)
-
-val estimate : t -> key -> Pattern.t -> float
 (** Route one query: estimate against [key]'s summary, loading it if
-    it is not resident.  Bit-identical to [Estimator.estimate] on a
-    fresh estimator over the same summary.
-    @raise Invalid_argument with the rendered typed error when the
-    key cannot be served. *)
+    it is not resident.  [Ok] values are bit-identical to
+    [Estimator.estimate] on a fresh estimator over the same summary. *)
 
 val estimate_batch_r :
   ?pool:Xpest_util.Domain_pool.t ->
@@ -429,16 +400,6 @@ val estimate_batch_r :
     fully sequential shape (see the preamble); the shared plan cache's
     own hit/miss/eviction trace may differ, its contents never affect
     values. *)
-
-val estimate_batch :
-  ?pool:Xpest_util.Domain_pool.t ->
-  ?loads:Xpest_util.Loader_pool.t ->
-  t ->
-  (key * Pattern.t) array ->
-  float array
-(** {!estimate_batch_r} for callers that treat any failure as fatal.
-    @raise Invalid_argument with the first failed query's rendered
-    typed error. *)
 
 (** {1 Observability} *)
 
@@ -491,8 +452,8 @@ type stats = {
       (** sketches that could not be installed: over budget,
           unreadable, corrupt, or stale against the manifest *)
   skipped_directives : int;
-      (** unknown [!directive] lines skipped by {!load_health} from v3
-          health files (forward compatibility with newer writers) *)
+      (** unknown [!directive] lines skipped by {!load_health}
+          (forward compatibility with newer writers) *)
   plan_cache : Xpest_plan.Plan_cache.stats;
       (** the pool-shared compiled-plan cache *)
   plan_contention : int;
@@ -570,7 +531,6 @@ val last_batch_statuses : t -> slot_status array
     or nothing shed, and no eligible acquire failure on a
     sketch-armed catalog). *)
 
-val admission_config : t -> Admission.config
 val admission_stats : t -> Admission.stats
 (** Lifetime shed/breaker counters of the catalog's admission
     controller (all zero when admission is inactive). *)
@@ -608,8 +568,8 @@ val load_health : t -> string -> (int, E.t) result
 (** Merge the health file at [path] into the catalog
     ([Hashtbl.replace] per key — on-file state wins; a persisted
     breaker state is re-anchored on this catalog's {!clock}) and
-    return how many keys were loaded.  Accepts v2 and v1 files (v1:
-    no breaker line).  Forward compatibility (v3 files only): an
+    return how many keys were loaded.  Only the current (v3) format is
+    accepted; any other header is corrupt.  Forward compatibility: an
     unknown [!directive] line — one whose first tab-field is not
     [!breaker] — is skipped and counted in
     [stats.skipped_directives], so state written by a newer binary
@@ -627,7 +587,7 @@ val clock : t -> int
 
 val last_batch_metrics : t -> (key * (string * int) list) list
 (** Per-key observability-counter deltas of the most recent
-    {!estimate_batch_r} (or {!estimate_batch}) call, in the batch's
+    {!estimate_batch_r} call, in the batch's
     group order: each group is bracketed by
     {!Xpest_util.Counters.snapshot}, so the rows are attributable per
     summary even though counters are process-global (see the caveat

@@ -75,7 +75,7 @@ type ('k, 'load, 'est, 'err) ops = {
   group_end : 'k -> unit;
 }
 
-let run ?pool ~loads ~ops ~fail ~execute ~execute_chunked routed =
+let run ?pool ~loads ~ops ~fail ~execute routed =
   (* load stage: start provable-miss loads before their acquire turn *)
   let futures : ('k, 'load Loader_pool.future) Hashtbl.t = Hashtbl.create 8 in
   if Loader_pool.concurrent loads then
@@ -98,7 +98,7 @@ let run ?pool ~loads ~ops ~fail ~execute ~execute_chunked routed =
           let idxs = group_indices routed k in
           ops.group_begin k;
           (match ops.commit k ~prefetched:(Hashtbl.find_opt futures k) with
-          | Ok est -> execute est idxs
+          | Ok est -> execute None est idxs
           | Error e -> fail e idxs);
           ops.group_end k)
         routed.order
@@ -118,8 +118,10 @@ let run ?pool ~loads ~ops ~fail ~execute ~execute_chunked routed =
       match acquired with
       | [ (est, idxs) ] ->
           (* one group: chunk its own plans across the pool instead *)
-          execute_chunked pool est idxs
+          execute (Some pool) est idxs
       | acquired ->
           Domain_pool.run_all pool
             (Array.of_list
-               (List.map (fun (est, idxs) () -> execute est idxs) acquired)))
+               (List.map
+                  (fun (est, idxs) () -> execute None est idxs)
+                  acquired)))

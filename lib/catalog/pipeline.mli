@@ -80,13 +80,13 @@ val run :
   loads:Xpest_util.Loader_pool.t ->
   ops:('k, 'load, 'est, 'err) ops ->
   fail:('err -> int array -> unit) ->
-  execute:('est -> int array -> unit) ->
-  execute_chunked:(Xpest_util.Domain_pool.t -> 'est -> int array -> unit) ->
+  execute:(Xpest_util.Domain_pool.t option -> 'est -> int array -> unit) ->
   ('k, 'q) routed ->
   unit
 (** Drive the stages over one routed batch.  [fail] marks a group's
     output slots with its acquire error; [execute] runs one group's
-    queries; [execute_chunked] is the one-surviving-group case where
-    the group's own plans chunk across the execute pool.  With a
+    queries, and is handed the execute pool only in the
+    one-surviving-group case, where the group's own plans chunk across
+    it.  With a
     blocking loader policy and no execute pool (or size 1) this is
     observationally the sequential serving loop. *)

@@ -522,22 +522,30 @@ let serving envs =
       pairs;
     out
   in
+  let make_catalog () =
+    Catalog.create_r ~resident_capacity:capacity
+      ~loader:(fun k -> Ok (loader k))
+      ()
+  in
   (* timed passes, counters off *)
-  let cat = Catalog.create ~resident_capacity:capacity ~loader () in
+  let cat = make_catalog () in
   let (routed, routed_rev), routed_s =
     Env.time (fun () ->
-        (Catalog.estimate_batch cat pairs, Catalog.estimate_batch cat rev_pairs))
+        ( Catalog.estimate_batch_r cat pairs,
+          Catalog.estimate_batch_r cat rev_pairs ))
   in
   let cstats : Catalog.stats = Catalog.stats cat in
   let (loop, _), loop_s = Env.time (fun () -> (reference (), reference ())) in
+  let same r v =
+    match r with
+    | Ok x -> Int64.bits_of_float x = Int64.bits_of_float v
+    | Error _ -> false
+  in
   let identical = ref true in
   Array.iteri
-    (fun i v ->
-      if
-        Int64.bits_of_float v <> Int64.bits_of_float loop.(i)
-        || Int64.bits_of_float routed_rev.(n - 1 - i)
-           <> Int64.bits_of_float loop.(i)
-      then identical := false)
+    (fun i r ->
+      if not (same r loop.(i) && same routed_rev.(n - 1 - i) loop.(i)) then
+        identical := false)
     routed;
   (* metrics passes, counters on: the pool-shared plan cache turns the
      second variance of each dataset into pure plan hits *)
@@ -553,9 +561,9 @@ let serving envs =
   in
   let routed_hits, routed_misses =
     plan_counts (fun () ->
-        let cat = Catalog.create ~resident_capacity:capacity ~loader () in
-        ignore (Catalog.estimate_batch cat pairs);
-        ignore (Catalog.estimate_batch cat rev_pairs))
+        let cat = make_catalog () in
+        ignore (Catalog.estimate_batch_r cat pairs);
+        ignore (Catalog.estimate_batch_r cat rev_pairs))
   in
   let loop_hits, loop_misses =
     plan_counts (fun () ->

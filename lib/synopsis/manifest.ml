@@ -135,5 +135,3 @@ let load_typed ?(io = Fault.Io.default) path =
   | exception Invalid_argument reason ->
       Error (E.Corrupt { path; section = section_name; reason })
   | exception E.Error e -> Error e
-
-let load_result path = Result.map_error E.to_string (load_typed path)

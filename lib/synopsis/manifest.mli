@@ -75,6 +75,3 @@ val load_typed :
 (** Typed-error load for the serving stack: [Io_failure] when the
     file cannot be read, [Corrupt] when it is not a well-formed
     manifest.  Reads through [?io] (fault-injectable); never raises. *)
-
-val load_result : string -> (t, string) result
-(** {!load_typed} with the error rendered. *)

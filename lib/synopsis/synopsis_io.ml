@@ -89,6 +89,3 @@ let info_typed ?io path = typed path (fun () -> info ?io path)
 
 let load_typed ?(io = Fault.Io.default) path =
   typed path (fun () -> Summary.decode (io.Fault.Io.read_file path))
-
-let info_result path = Result.map_error E.to_string (info_typed path)
-let load_result path = Result.map_error E.to_string (load_typed path)

@@ -63,8 +63,3 @@ val load_typed :
     [Error (Corrupt _)] — the container checksum vouches for every
     section before any payload is decoded, so a damaged file can never
     decode to a synopsis that estimates differently. *)
-
-val info_result : string -> (info, string) result
-val load_result : string -> (Summary.t, string) result
-(** {!info_typed}/{!load_typed} with the error rendered
-    ({!Xpest_util.Xpest_error.to_string}). *)

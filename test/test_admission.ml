@@ -9,16 +9,8 @@ module Admission = Xpest_catalog.Admission
 module E = Xpest_util.Xpest_error
 
 let cfg ?deadline ?max_queued_loads ?breaker_threshold
-    ?(breaker_saturation = 4) ?(load_cost = 8) ?(policy = Admission.Degrade)
-    () =
-  {
-    Admission.deadline;
-    max_queued_loads;
-    breaker_threshold;
-    breaker_saturation;
-    load_cost;
-    policy;
-  }
+    ?(policy = Admission.Degrade) () =
+  { Admission.deadline; max_queued_loads; breaker_threshold; policy }
 
 let admit ?(label = "admitted") t ~clock ~key ~would_load =
   match Admission.decide t ~clock ~key ~would_load with
@@ -64,21 +56,7 @@ let test_create_validates () =
   in
   raises (cfg ~deadline:(-1) ());
   raises (cfg ~max_queued_loads:(-1) ());
-  raises (cfg ~breaker_threshold:0 ());
-  raises (cfg ~load_cost:0 ());
-  raises (cfg ~breaker_saturation:0 ())
-
-let test_policy_strings () =
-  List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        (Admission.policy_to_string p ^ " round-trips")
-        true
-        (Admission.policy_of_string (Admission.policy_to_string p) = Some p))
-    [ Admission.Reject; Admission.Degrade ];
-  Alcotest.(check bool)
-    "unknown policy rejected" true
-    (Admission.policy_of_string "bogus" = None)
+  raises (cfg ~breaker_threshold:0 ())
 
 (* ------------------------------------------------------------------ *)
 (* Deadline budget.                                                    *)
@@ -249,32 +227,42 @@ let test_breaker_probe_failure_doubles_cooldown () =
 
 let test_breaker_saturation_opens () =
   let t =
-    Admission.create (cfg ~max_queued_loads:1 ~breaker_threshold:5
-                        ~breaker_saturation:2 ())
+    Admission.create (cfg ~max_queued_loads:1 ~breaker_threshold:5 ())
   in
-  let saturated_batch ~clock =
+  let clock = ref 0 in
+  let saturated_batch () =
+    let c = !clock in
     Admission.batch_begin t;
-    ignore (admit t ~clock ~key:"a" ~would_load:true ~label:"fills the queue");
-    ignore (shed t ~clock:(clock + 1) ~key:"b" ~would_load:true ~label:"sat");
-    Admission.note_load_result t ~clock:(clock + 1) ~ok:true;
-    Admission.batch_end t ~clock:(clock + 2)
+    ignore
+      (admit t ~clock:c ~key:"a" ~would_load:true ~label:"fills the queue");
+    ignore (shed t ~clock:(c + 1) ~key:"b" ~would_load:true ~label:"sat");
+    Admission.note_load_result t ~clock:(c + 1) ~ok:true;
+    Admission.batch_end t ~clock:(c + 2);
+    clock := c + 3
   in
-  saturated_batch ~clock:0;
+  (* one batch short of the streak *)
+  let almost () =
+    for _ = 2 to Admission.breaker_saturation do
+      saturated_batch ()
+    done
+  in
+  almost ();
   Alcotest.(check bool)
-    "one saturated batch is not enough" true
-    (breaker_state t ~clock:3 = `Closed);
+    "one batch short is not enough" true
+    (breaker_state t ~clock:!clock = `Closed);
   (* an unsaturated batch resets the streak *)
   Admission.batch_begin t;
-  ignore (admit t ~clock:4 ~key:"a" ~would_load:false ~label:"calm batch");
-  Admission.batch_end t ~clock:5;
-  saturated_batch ~clock:6;
+  ignore (admit t ~clock:!clock ~key:"a" ~would_load:false ~label:"calm batch");
+  Admission.batch_end t ~clock:(!clock + 1);
+  clock := !clock + 2;
+  almost ();
   Alcotest.(check bool)
     "streak was reset" true
-    (breaker_state t ~clock:9 = `Closed);
-  saturated_batch ~clock:10;
+    (breaker_state t ~clock:!clock = `Closed);
+  saturated_batch ();
   Alcotest.(check bool)
-    "two consecutive saturated batches open" true
-    (breaker_state t ~clock:13 = `Open)
+    "breaker_saturation consecutive saturated batches open" true
+    (breaker_state t ~clock:!clock = `Open)
 
 (* ------------------------------------------------------------------ *)
 (* Provability (the prefetch planner's worst-case gate).               *)
@@ -431,8 +419,6 @@ let () =
           Alcotest.test_case "any limit activates" `Quick
             test_any_limit_activates;
           Alcotest.test_case "create validates" `Quick test_create_validates;
-          Alcotest.test_case "policy strings round-trip" `Quick
-            test_policy_strings;
         ] );
       ( "deadline",
         [

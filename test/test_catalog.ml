@@ -43,6 +43,16 @@ let summary_for (k : Catalog.key) =
       Hashtbl.add summaries (k.Catalog.dataset, k.Catalog.variance) s;
       s
 
+let loader k = Ok (summary_for k)
+
+(* Route one query; any typed error fails the test. *)
+let estimate cat k q =
+  match Catalog.estimate_r cat k q with
+  | Ok v -> v
+  | Error e ->
+      Alcotest.failf "%s: %s" (Catalog.key_to_string k)
+        (Xpest_util.Xpest_error.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Keys.                                                               *)
 
@@ -125,7 +135,7 @@ let test_manifest_roundtrip () =
     (fun k ->
       Alcotest.(check (float 0.0))
         (Catalog.key_to_string k)
-        (expect k) (Catalog.estimate cat k q))
+        (expect k) (estimate cat k q))
     [ k0; k2 ]
 
 let test_manifest_corruption () =
@@ -148,7 +158,7 @@ let test_manifest_corruption () =
   let oc = open_out_bin corrupt in
   output_bytes oc bytes;
   close_out oc;
-  (match Manifest.load_result corrupt with
+  (match Manifest.load_typed corrupt with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupted manifest loaded");
   (* rebuild the synopsis behind the manifest's back: the loader must
@@ -159,17 +169,50 @@ let test_manifest_corruption () =
   Summary.save other (Filename.concat dir (Catalog.key_filename k));
   let cat = Catalog.of_manifest ~dir (Manifest.load mpath) in
   (match
-     Catalog.estimate cat k (Pattern.of_string "//inproceedings/title")
+     Catalog.estimate_r cat k (Pattern.of_string "//inproceedings/title")
    with
-  | exception Invalid_argument _ -> ()
+  | Error (Xpest_util.Xpest_error.Stale_manifest _) -> ()
   | _ -> Alcotest.fail "stale synopsis served despite manifest mismatch");
   (* an unknown key is an error, not a crash *)
   match
-    Catalog.estimate cat (key "nosuch" 0.0)
+    Catalog.estimate_r cat (key "nosuch" 0.0)
       (Pattern.of_string "//inproceedings/title")
   with
-  | exception Invalid_argument _ -> ()
+  | Error (Xpest_util.Xpest_error.Unknown_key _) -> ()
   | _ -> Alcotest.fail "unknown key served"
+
+(* A flipped body byte leaves the header's stored size and checksum
+   untouched, so they still equal the manifest row; verification must
+   recompute the body checksum and call the file corrupt. *)
+let test_body_flip_is_corrupt () =
+  let dir = tmpdir () in
+  let k = key "ssplays" 0.0 in
+  let m = Catalog.save_entry ~dir Manifest.empty k (summary_for k) in
+  let path = Filename.concat dir (Catalog.key_filename k) in
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  let flipped = Bytes.of_string body in
+  let off = Bytes.length flipped - 1 in
+  Bytes.set flipped off
+    (Char.chr (Char.code (Bytes.get flipped off) lxor 0x01));
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_bytes oc flipped);
+  let e =
+    match
+      Manifest.find m ~dataset:k.Catalog.dataset ~variance:k.Catalog.variance
+    with
+    | Some e -> e
+    | None -> Alcotest.fail "entry missing from the manifest"
+  in
+  let i = Synopsis_io.info path in
+  Alcotest.(check int) "stored size equals the manifest row" e.Manifest.bytes
+    i.Synopsis_io.total_bytes;
+  Alcotest.(check int64) "stored checksum equals the manifest row"
+    e.Manifest.checksum i.Synopsis_io.checksum;
+  match Catalog.manifest_verify ~dir m k with
+  | Error (Xpest_util.Xpest_error.Corrupt _) -> ()
+  | Error e ->
+      Alcotest.failf "wrong error kind: %s" (Xpest_util.Xpest_error.to_string e)
+  | Ok () -> Alcotest.fail "flipped body byte verified ok"
 
 (* ------------------------------------------------------------------ *)
 (* Resident-set eviction behavior (segmented policy, the default).     *)
@@ -178,18 +221,18 @@ let test_lru_behavior () =
   let loads = ref [] in
   let loader k =
     loads := Catalog.key_to_string k :: !loads;
-    summary_for k
+    Ok (summary_for k)
   in
   let k1 = key "ssplays" 0.0
   and k2 = key "ssplays" 2.0
   and k3 = key "dblp" 0.0 in
-  let cat = Catalog.create ~resident_capacity:2 ~loader () in
+  let cat = Catalog.create_r ~resident_capacity:2 ~loader () in
   let q = Pattern.of_string "//SPEECH" in
-  ignore (Catalog.estimate cat k1 q);
-  ignore (Catalog.estimate cat k2 q);
-  ignore (Catalog.estimate cat k1 q) (* hit: promotes k1 to protected *);
-  ignore (Catalog.estimate cat k3 q) (* evicts k2, the probationary LRU *);
-  ignore (Catalog.estimate cat k2 q) (* reload; evicts one-shot k3 *);
+  ignore (estimate cat k1 q);
+  ignore (estimate cat k2 q);
+  ignore (estimate cat k1 q) (* hit: promotes k1 to protected *);
+  ignore (estimate cat k3 q) (* evicts k2, the probationary LRU *);
+  ignore (estimate cat k2 q) (* reload; evicts one-shot k3 *);
   let st : Catalog.stats = Catalog.stats cat in
   Alcotest.(check int) "loads" 4 st.Catalog.loads;
   Alcotest.(check int) "hits" 1 st.Catalog.hits;
@@ -212,7 +255,7 @@ let test_lru_behavior () =
      compiled exactly once across all five estimates *)
   Alcotest.(check int) "one compiled plan" 1
     st.Catalog.plan_cache.Plan_cache.s_length;
-  match Catalog.create ~resident_capacity:0 ~loader () with
+  match Catalog.create_r ~resident_capacity:0 ~loader () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "resident_capacity 0 accepted"
 
@@ -224,11 +267,11 @@ let test_lru_policy_knob () =
   and k2 = key "ssplays" 2.0
   and k3 = key "dblp" 0.0 in
   let cat =
-    Catalog.create ~resident_capacity:2
-      ~resident_policy:Xpest_util.Bounded_cache.Lru ~loader:summary_for ()
+    Catalog.create_r ~resident_capacity:2
+      ~resident_policy:Xpest_util.Bounded_cache.Lru ~loader ()
   in
   let q = Pattern.of_string "//SPEECH" in
-  List.iter (fun k -> ignore (Catalog.estimate cat k q)) [ k1; k2; k1; k3; k2 ];
+  List.iter (fun k -> ignore (estimate cat k q)) [ k1; k2; k1; k3; k2 ];
   let st : Catalog.stats = Catalog.stats cat in
   Alcotest.(check int) "loads" 4 st.Catalog.loads;
   Alcotest.(check int) "hits" 1 st.Catalog.hits;
@@ -247,7 +290,7 @@ let test_lru_policy_knob () =
    fresh estimator serving the same floats. *)
 let test_retired_estimator_still_serves () =
   let k1 = key "ssplays" 0.0 and k2 = key "dblp" 0.0 in
-  let cat = Catalog.create ~resident_capacity:1 ~loader:summary_for () in
+  let cat = Catalog.create_r ~resident_capacity:1 ~loader () in
   let q = Pattern.of_string "//SPEECH/LINE" in
   let acquire k =
     match Catalog.acquire_r cat k with
@@ -299,9 +342,9 @@ let test_byte_budget () =
   let config =
     { Xpest_plan.Cache_config.default with resident_bytes = Some budget }
   in
-  let cat = Catalog.create ~config ~loader:summary_for () in
+  let cat = Catalog.create_r ~config ~loader () in
   let q = Pattern.of_string "//SPEECH" in
-  List.iter (fun k -> ignore (Catalog.estimate cat k q)) [ k1; k2; k3 ];
+  List.iter (fun k -> ignore (estimate cat k q)) [ k1; k2; k3 ];
   let st : Catalog.stats = Catalog.stats cat in
   Alcotest.(check int) "budget reported as capacity" budget
     st.Catalog.resident_capacity;
@@ -312,9 +355,9 @@ let test_byte_budget () =
   Alcotest.(check int) "resident_bytes equals cost" st.Catalog.resident_cost
     st.Catalog.resident_bytes;
   match
-    Catalog.create
+    Catalog.create_r
       ~config:{ config with resident_bytes = Some 0 }
-      ~loader:summary_for ()
+      ~loader ()
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "resident_bytes 0 accepted"
@@ -326,26 +369,26 @@ let test_pinning () =
   let k1 = key "ssplays" 0.0
   and k2 = key "ssplays" 2.0
   and k3 = key "dblp" 0.0 in
-  let cat = Catalog.create ~resident_capacity:1 ~loader:summary_for () in
+  let cat = Catalog.create_r ~resident_capacity:1 ~loader () in
   let q = Pattern.of_string "//SPEECH" in
   (* pin before the key is even resident: pins stick to the key *)
   Catalog.pin cat k1;
   Alcotest.(check bool) "pinned before load" true (Catalog.pinned cat k1);
-  ignore (Catalog.estimate cat k1 q);
-  ignore (Catalog.estimate cat k2 q);
+  ignore (estimate cat k1 q);
+  ignore (estimate cat k2 q);
   let st : Catalog.stats = Catalog.stats cat in
   (* nothing evictable: the pinned k1 is admitted alongside k2, over
      budget rather than dropped *)
   Alcotest.(check int) "pinned entry never evicted" 0 st.Catalog.evictions;
   Alcotest.(check int) "both resident (over budget)" 2 st.Catalog.resident;
   Alcotest.(check int) "one resident pin" 1 st.Catalog.resident_pinned;
-  ignore (Catalog.estimate cat k1 q);
+  ignore (estimate cat k1 q);
   let st = Catalog.stats cat in
   Alcotest.(check int) "pinned key hits, no reload" 2 st.Catalog.loads;
   (* unpin: the next insert pressure evicts k1 like anyone else *)
   Catalog.unpin cat k1;
-  ignore (Catalog.estimate cat k3 q);
-  ignore (Catalog.estimate cat k1 q);
+  ignore (estimate cat k3 q);
+  ignore (estimate cat k1 q);
   let st = Catalog.stats cat in
   Alcotest.(check bool) "unpinned key evicts again" true
     (st.Catalog.evictions > 0);
@@ -355,7 +398,7 @@ let test_pinning () =
 (* Per-key metric attribution.                                         *)
 
 let test_batch_metrics () =
-  let cat = Catalog.create ~loader:summary_for () in
+  let cat = Catalog.create_r ~loader () in
   let qa = Pattern.of_string "//SPEECH/LINE" in
   let qb = Pattern.of_string "//inproceedings/title" in
   let k1 = key "ssplays" 0.0 and k2 = key "dblp" 0.0 in
@@ -365,7 +408,7 @@ let test_batch_metrics () =
     (List.map
        (fun (k, d) -> (Catalog.key_to_string k, d))
        (Catalog.last_batch_metrics cat));
-  Counters.with_enabled (fun () -> ignore (Catalog.estimate_batch cat pairs));
+  Counters.with_enabled (fun () -> ignore (Catalog.estimate_batch_r cat pairs));
   let metrics = Catalog.last_batch_metrics cat in
   Alcotest.(check (list string))
     "one row per group, in first-appearance order" [ "ssplays@0"; "dblp@0" ]
@@ -387,7 +430,7 @@ let test_batch_metrics () =
   Alcotest.(check int) "cross-summary plan hit" 1
     (delta k2 "estimator.plan_cache.hit");
   (* counters off: the batch still works, metrics are just empty *)
-  ignore (Catalog.estimate_batch cat pairs);
+  ignore (Catalog.estimate_batch_r cat pairs);
   Alcotest.(check int) "no metrics when counters are off" 0
     (List.length (Catalog.last_batch_metrics cat))
 
@@ -402,6 +445,8 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "corruption + staleness" `Quick
             test_manifest_corruption;
+          Alcotest.test_case "flipped body byte is corrupt" `Quick
+            test_body_flip_is_corrupt;
         ] );
       ( "resident_set",
         [

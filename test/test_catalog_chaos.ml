@@ -366,18 +366,13 @@ let test_per_query_isolation () =
   (match results.(1) with
   | Error (E.Io_failure _) -> ()
   | _ -> Alcotest.fail "query 1 should carry the poisoned key's error");
-  (match results.(3) with
+  match results.(3) with
   | Error (E.Io_failure _) -> ()
-  | _ -> Alcotest.fail "query 3 should carry the poisoned key's error");
-  (* the raising wrapper reports the first failure as Invalid_argument
-     (the legacy contract) *)
-  match Catalog.estimate_batch cat pairs with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "estimate_batch should raise on a failed key"
+  | _ -> Alcotest.fail "query 3 should carry the poisoned key's error"
 
 (* A loader that *raises* mid-flight — not returns Error — now runs on
    a loader-pool domain.  The raise must surface as exactly the typed
-   error the blocking path produces (Catalog.create classifies escaped
+   error the blocking path produces (Catalog.create_r classifies escaped
    exceptions before the pool ever sees them), attributed to the
    raising key's queries only: healthy keys loaded concurrently with
    the raising one stay Ok and bit-identical, with identical stats. *)
@@ -396,7 +391,9 @@ let test_raising_loader_through_pipeline () =
     else summary_for k
   in
   let pairs = routed_pairs () in
-  let make () = Catalog.create ~resident_capacity:2 ~loader () in
+  let make () =
+    Catalog.create_r ~resident_capacity:2 ~loader:(fun k -> Ok (loader k)) ()
+  in
   let seq_cat = make () in
   let reference = Catalog.estimate_batch_r seq_cat pairs in
   List.iter

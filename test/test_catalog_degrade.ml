@@ -611,7 +611,7 @@ let test_sketch_roundtrip_and_kind () =
   | Ok _ -> Alcotest.fail "corrupted sketch decoded"
 
 (* ------------------------------------------------------------------ *)
-(* Health file v3: unknown directives skip, v2 stays strict.           *)
+(* Health file v3: unknown directives skip, old versions are corrupt.  *)
 
 let health_path name =
   Filename.concat (Lazy.force catalog_dir) (name ^ ".health")
@@ -638,16 +638,26 @@ let test_health_v3_skips_unknown_directives () =
     "skipped directives counted" 2
     (Catalog.stats cat).Catalog.skipped_directives
 
-let test_health_v2_unknown_directive_still_corrupt () =
-  let path = health_path "v2_unknown" in
+(* Only the current format loads: an older version header is corrupt
+   and applies nothing, even when every line after it would parse. *)
+let test_health_old_version_rejected () =
+  let path = health_path "v2_header" in
   let oc = open_out path in
-  output_string oc "xpest-catalog-health/2\n!sketch-epoch\t7\tfe3a\n";
+  output_string oc "xpest-catalog-health/2\n!breaker\topen\t5\t2\t16\n";
+  output_string oc "!sketch-epoch\t7\tfe3a\n";
+  output_string oc "ssplays%400\t1\t1\t0\t0\t0\t4\t0\t0\n";
   close_out oc;
   let cat = make_plain ~admission:breaker_cfg () in
   match Catalog.load_health cat path with
-  | Ok _ -> Alcotest.fail "v2 accepted an unknown directive"
+  | Ok _ -> Alcotest.fail "old health-file version accepted"
   | Error e ->
       Alcotest.(check string) "typed corrupt error" "corrupt" (E.kind e);
+      Alcotest.(check int)
+        "no rows applied" 0
+        (List.length (Catalog.health cat));
+      Alcotest.(check bool)
+        "breaker unchanged" true
+        ((Catalog.breaker cat).Admission.state = `Closed);
       Alcotest.(check int)
         "nothing skipped on a failed load" 0
         (Catalog.stats cat).Catalog.skipped_directives
@@ -697,7 +707,7 @@ let () =
         [
           Alcotest.test_case "v3 skips unknown directives" `Quick
             test_health_v3_skips_unknown_directives;
-          Alcotest.test_case "v2 unknown directive stays corrupt" `Quick
-            test_health_v2_unknown_directive_still_corrupt;
+          Alcotest.test_case "old version header is corrupt" `Quick
+            test_health_old_version_rejected;
         ] );
     ]

@@ -251,7 +251,7 @@ let tight =
 let test_shedding_deterministic_across_domains () =
   let pairs = routed_pairs () in
   List.iter
-    (fun policy ->
+    (fun (policy_name, policy) ->
       let admission = { tight with Admission.policy } in
       (* sequential reference: fresh catalog, 3 rounds *)
       let seq_cat = make_cat ~admission () in
@@ -280,7 +280,7 @@ let test_shedding_deterministic_across_domains () =
           Domain_pool.with_pool ~domains (fun pool ->
               check_twin
                 (Printf.sprintf "policy %s, %d domains"
-                   (Admission.policy_to_string policy)
+                   policy_name
                    domains)
                 (Array.init 3 (fun _ ->
                      Catalog.estimate_batch_r ~pool cat pairs))
@@ -293,13 +293,13 @@ let test_shedding_deterministic_across_domains () =
               let loads = Loader_pool.over lp in
               check_twin
                 (Printf.sprintf "policy %s, %d load domains"
-                   (Admission.policy_to_string policy)
+                   policy_name
                    load_domains)
                 (Array.init 3 (fun _ ->
                      Catalog.estimate_batch_r ~loads cat pairs))
                 cat))
         load_domain_counts)
-    [ Admission.Reject; Admission.Degrade ]
+    [ ("reject", Admission.Reject); ("degrade", Admission.Degrade) ]
 
 (* Shed groups must not tick the clock: an admission-controlled batch
    on a saturating workload advances the logical clock strictly less
@@ -509,51 +509,11 @@ let test_health_v2_roundtrip_with_breaker () =
   Alcotest.(check int)
     "cooldown carried" v.Admission.cooldown v2.Admission.cooldown
 
-let test_health_v1_still_accepted () =
-  let io =
-    Fault.io (Fault.create_keyed (Fault.uniform ~seed:11 ~rate:1.0))
-      Fault.Io.default
-  in
-  let p = Pattern.of_string in
-  let pairs =
-    [| (k_ss0, p "//SPEECH/LINE"); (k_dblp, p "//article/{author}") |]
-  in
-  let cat = make_cat ~admission:breaker_cfg ~io () in
-  ignore (Catalog.estimate_batch_r cat pairs);
-  let path = health_path "v1" in
-  Catalog.save_health cat path;
-  (* rewrite as a v1 file: old magic, no directive lines *)
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let rows =
-    List.rev !lines
-    |> List.filter (fun l ->
-           l <> "xpest-catalog-health/2"
-           && l <> "xpest-catalog-health/3"
-           && (String.length l = 0 || l.[0] <> '!'))
-  in
-  let oc = open_out path in
-  output_string oc "xpest-catalog-health/1\n";
-  List.iter (fun l -> output_string oc (l ^ "\n")) rows;
-  close_out oc;
-  let cat2 = make_cat ~admission:breaker_cfg () in
-  (match Catalog.load_health cat2 path with
-  | Ok n -> Alcotest.(check int) "v1 rows restored" 2 n
-  | Error e -> Alcotest.failf "v1 load failed: %s" (E.to_string e));
-  Alcotest.(check bool)
-    "no breaker state in a v1 file" true
-    ((Catalog.breaker cat2).Admission.state = `Closed)
-
-let test_health_v2_corrupt_directive_rejected () =
+let test_health_corrupt_directive_rejected () =
   let path = health_path "corrupt" in
   let oc = open_out path in
   output_string oc
-    "xpest-catalog-health/2\n!breaker\topen\tnot-a-number\t0\t16\n";
+    "xpest-catalog-health/3\n!breaker\topen\tnot-a-number\t0\t16\n";
   close_out oc;
   let cat = make_cat ~admission:breaker_cfg () in
   match Catalog.load_health cat path with
@@ -629,10 +589,8 @@ let () =
         [
           Alcotest.test_case "v3 round-trips the breaker" `Quick
             test_health_v2_roundtrip_with_breaker;
-          Alcotest.test_case "v1 files still load" `Quick
-            test_health_v1_still_accepted;
           Alcotest.test_case "corrupt directives rejected" `Quick
-            test_health_v2_corrupt_directive_rejected;
+            test_health_corrupt_directive_rejected;
         ] );
       ( "operator",
         [

@@ -108,6 +108,16 @@ let reference pairs =
       Estimator.estimate est q)
     pairs
 
+(* Unwrap routed results; no fixture key may fail. *)
+let values ~label routed =
+  Array.mapi
+    (fun i -> function
+      | Ok v -> v
+      | Error e ->
+          Alcotest.failf "%s: pair %d: %s" label i
+            (Xpest_util.Xpest_error.to_string e))
+    routed
+
 let check_bit_identical ~label expected routed =
   Alcotest.(check int)
     (label ^ ": lengths")
@@ -125,8 +135,12 @@ let test_routing ~resident_capacity () =
     Alcotest.failf "only %d routed pairs (need >= %d)" (Array.length pairs)
       min_cases;
   let expected = reference pairs in
-  let cat = Catalog.create ~resident_capacity ~loader () in
-  let routed = Catalog.estimate_batch cat pairs in
+  let cat =
+    Catalog.create_r ~resident_capacity ~loader:(fun k -> Ok (loader k)) ()
+  in
+  let routed =
+    values ~label:"first pass" (Catalog.estimate_batch_r cat pairs)
+  in
   check_bit_identical ~label:"routed vs fresh" expected routed;
   let st : Catalog.stats = Catalog.stats cat in
   let nkeys = List.length profiles * List.length variances in
@@ -138,7 +152,9 @@ let test_routing ~resident_capacity () =
   Alcotest.(check int) "one load per key in one pass" nkeys st.Catalog.loads;
   (* ... the second identical batch then reloads the evicted summaries
      — and must agree bitwise with the first *)
-  let again = Catalog.estimate_batch cat pairs in
+  let again =
+    values ~label:"second pass" (Catalog.estimate_batch_r cat pairs)
+  in
   check_bit_identical ~label:"second pass vs first" routed again;
   let st : Catalog.stats = Catalog.stats cat in
   if resident_capacity < nkeys then begin
@@ -153,7 +169,11 @@ let test_routing ~resident_capacity () =
   let scalar_spot =
     Array.init 50 (fun i ->
         let k, q = pairs.(i * Array.length pairs / 50) in
-        Catalog.estimate cat k q)
+        match Catalog.estimate_r cat k q with
+        | Ok v -> v
+        | Error e ->
+            Alcotest.failf "scalar route, pair %d: %s" i
+              (Xpest_util.Xpest_error.to_string e))
   in
   Array.iteri
     (fun i v ->

@@ -329,10 +329,10 @@ let test_pipeline_latency_differential () =
   List.iter (fun k -> ignore (summary_for k)) keys;
   let loader (k : Catalog.key) =
     Unix.sleepf (0.001 *. (1.0 +. k.Catalog.variance));
-    summary_for k
+    Ok (summary_for k)
   in
   let pairs = routed_pairs () in
-  let make () = Catalog.create ~resident_capacity:2 ~loader () in
+  let make () = Catalog.create_r ~resident_capacity:2 ~loader () in
   List.iter
     (fun load_domains ->
       let seq_cat = make () in
@@ -361,10 +361,10 @@ let test_pipeline_with_execute_pool_differential () =
   List.iter (fun k -> ignore (summary_for k)) keys;
   let loader (k : Catalog.key) =
     Unix.sleepf (0.001 *. (1.0 +. k.Catalog.variance));
-    summary_for k
+    Ok (summary_for k)
   in
   let pairs = routed_pairs () in
-  let make () = Catalog.create ~resident_capacity:2 ~loader () in
+  let make () = Catalog.create_r ~resident_capacity:2 ~loader () in
   List.iter
     (fun load_domains ->
       let seq_cat = make () in

@@ -27,9 +27,9 @@ let with_file bytes f =
 
 let load_error bytes =
   with_file bytes (fun path ->
-      match Synopsis_io.load_result path with
+      match Synopsis_io.load_typed path with
       | Ok _ -> Alcotest.fail "malformed synopsis accepted"
-      | Error msg -> msg)
+      | Error e -> Xpest_util.Xpest_error.to_string e)
 
 let small_doc = lazy (Registry.generate ~scale:0.02 ~seed:11 Registry.Xmark)
 
