@@ -21,9 +21,20 @@
     hold on it — becomes a mask of the paths where it holds, and "on
     some path of the pid" is one [Bitvec.intersects pid mask].  Each
     join computes one mask per chain node ({!chain_masks}) and one per
-    edge ({!edge_mask}) from a read-only per-summary index: every
-    path's tags as interned ints, one bitvector per tag of the paths
-    containing it, and each tag's input row, built once on first use.
+    edge ({!edge_mask}), bit-parallel over all paths at once, from a
+    read-only per-summary depth index: for each tag and depth, the
+    paths carrying that tag at that depth.  The chain masks run the
+    forward/backward embedding recurrence over depths, one path set
+    per (node, depth); an edge mask is one scan over depths.
+
+    {b Path-sliced fixpoint.}  The fixpoint does not test pid pairs.
+    For an edge (X, Y) it transposes X's row into one slice per path,
+    the row entries whose pid holds the path.  A Y pid's partners
+    (the X pids containing it) are the AND of its paths' slices; it
+    survives iff they are not empty and it meets the edge mask, and
+    an X pid survives iff it is a partner of a surviving Y pid.  Row
+    entries carry their pids' set bits, listed once per summary when
+    a tag's row is first used.
 
     The chain/edge extraction lives in the compiler
     ({!Xpest_plan.Plan.join_of_shape}); this module only executes

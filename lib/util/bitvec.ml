@@ -80,19 +80,34 @@ let intersects a b =
   check_same_width a b "intersects";
   words_meet a.words b.words (Array.length a.words - 1)
 
+(* Index of the only set bit of [b], a power of two below 2^62, found
+   by halving the candidate range. *)
+let bit_index b =
+  let b = ref b and i = ref 0 in
+  if !b land 0xFFFF_FFFF = 0 then (b := !b lsr 32; i := 32);
+  if !b land 0xFFFF = 0 then (b := !b lsr 16; i := !i + 16);
+  if !b land 0xFF = 0 then (b := !b lsr 8; i := !i + 8);
+  if !b land 0xF = 0 then (b := !b lsr 4; i := !i + 4);
+  if !b land 0x3 = 0 then (b := !b lsr 2; i := !i + 2);
+  if !b land 0x1 = 0 then !i + 1 else !i
+
+(* One step per set bit: [w land (w - 1)] clears the lowest. *)
 let popcount_word w =
-  let rec loop w acc = if w = 0 then acc else loop (w lsr 1) (acc + (w land 1)) in
+  let rec loop w acc = if w = 0 then acc else loop (w land (w - 1)) (acc + 1) in
   loop w 0
 
 let popcount v = Array.fold_left (fun acc w -> acc + popcount_word w) 0 v.words
 
+(* Words hold at most [bits_per_word] = 62 bits, so they are
+   non-negative and [w land (-w)] isolates the lowest set bit. *)
 let iter_set_bits v f =
   for wi = 0 to Array.length v.words - 1 do
-    let w = v.words.(wi) in
-    if w <> 0 then
-      for bi = 0 to bits_per_word - 1 do
-        if w land (1 lsl bi) <> 0 then f ((wi * bits_per_word) + bi)
-      done
+    let w = ref v.words.(wi) in
+    while !w <> 0 do
+      let low = !w land (- !w) in
+      f ((wi * bits_per_word) + bit_index low);
+      w := !w lxor low
+    done
   done
 
 let set_bits v =

@@ -144,6 +144,27 @@ let prop_set_bits_sorted =
       && List.length bits = Bitvec.popcount v
       && List.for_all (Bitvec.get v) bits)
 
+(* The word-by-word set-bit walk against a [get]-based reference, at
+   every width up to 200 and at the word boundaries in particular
+   (62 bits per word), over sparse to dense vectors. *)
+let prop_set_bit_walk =
+  QCheck.Test.make ~name:"set-bit walk = get-based reference" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         oneof [ int_range 0 200; oneofl [ 0; 61; 62; 63; 124 ] ] >>= fun w ->
+         float_range 0.0 1.0 >>= fun density ->
+         array_size (return w) (float_bound_exclusive 1.0 >|= fun x -> x < density)
+         >|= Bitvec.of_bits)
+       ~print:Bitvec.to_string)
+    (fun v ->
+      let expected = List.filter (Bitvec.get v) (List.init (Bitvec.width v) Fun.id) in
+      let walked = ref [] in
+      Bitvec.iter_set_bits v (fun i -> walked := i :: !walked);
+      List.rev !walked = expected
+      && Bitvec.set_bits v = expected
+      && Bitvec.first_set_bit v = List.nth_opt expected 0
+      && Bitvec.popcount v = List.length expected)
+
 let () =
   Alcotest.run "bitvec"
     [
@@ -168,5 +189,6 @@ let () =
             prop_roundtrip;
             prop_packed_roundtrip;
             prop_set_bits_sorted;
+            prop_set_bit_walk;
           ] );
     ]

@@ -59,6 +59,25 @@ let test_estimator_sites_fire () =
     (fun row -> Alcotest.(check int) "two columns" 2 (List.length row))
     (Metrics.counter_rows ())
 
+(* The join's phase timers nest inside its total: both fire on an
+   uncached join, and they never add up to more than it. *)
+let test_join_phase_timers () =
+  let summary = Summary.build Paper_fixture.doc in
+  Metrics.with_counters (fun () ->
+      let est = Estimator.create summary in
+      ignore (Estimator.estimate est (Pattern.of_string "//A[/C/F]/B/{D}")));
+  let timer name =
+    match List.find_opt (fun (n, _, _) -> n = name) (Counters.timers ()) with
+    | Some (_, calls, seconds) -> (calls, seconds)
+    | None -> Alcotest.failf "%s did not fire" name
+  in
+  let run_calls, run_s = timer "path_join.run_uncached" in
+  let mask_calls, masks_s = timer "path_join.masks" in
+  let fix_calls, fixpoint_s = timer "path_join.fixpoint" in
+  Alcotest.(check int) "masks once per join" run_calls mask_calls;
+  Alcotest.(check int) "fixpoint once per join" run_calls fix_calls;
+  Alcotest.(check bool) "phases within the join" true (masks_s +. fixpoint_s <= run_s)
+
 (* --- concurrency: counters are atomic and timers mutex-guarded, so
    totals recorded from several domains at once must be exact, not
    merely approximate *)
@@ -178,5 +197,6 @@ let () =
             test_estimator_sites_fire;
           Alcotest.test_case "estimates unchanged by counting" `Quick
             test_estimates_unchanged_by_counting;
+          Alcotest.test_case "join phase timers" `Quick test_join_phase_timers;
         ] );
     ]
