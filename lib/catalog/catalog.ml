@@ -634,57 +634,31 @@ let save_sketch ~dir manifest dataset sketch =
     }
 
 (* Re-verification of one catalog file (synopsis or sketch) against
-   its manifest record: shared by the lazy loader, resident
-   re-validation, the eager sketch install and the CLI's info report. *)
+   its manifest record: shared by resident re-validation, the eager
+   sketch install and the CLI's info report.  The lazy loader checks
+   and decodes on one read instead ([Synopsis_io.load_verified]). *)
 let check_file ?io ~dir file ~bytes ~checksum =
   let path = Filename.concat dir file in
-  match Synopsis_io.info_typed ?io path with
-  | Error err -> Error err
-  | Ok i ->
-      if not i.Synopsis_io.checksum_ok then
-        (* the read itself is damaged, so the size/checksum comparison
-           below would misdiagnose a transient fault as staleness —
-           report corruption (retryable) instead *)
-        Error
-          (E.Corrupt
-             {
-               path;
-               section = "body";
-               reason = "checksum mismatch (corrupted or truncated read)";
-             })
-      else if
-        i.Synopsis_io.total_bytes <> bytes
-        || not (Int64.equal i.Synopsis_io.checksum checksum)
-      then
-        Error
-          (E.Stale_manifest
-             {
-               path;
-               reason =
-                 Printf.sprintf
-                   "expected %d bytes, checksum %016Lx; found %d bytes, \
-                    checksum %016Lx — rebuild the catalog"
-                   bytes checksum i.Synopsis_io.total_bytes
-                   i.Synopsis_io.checksum;
-             })
-      else Ok path
+  Result.map (fun () -> path) (Synopsis_io.verify ?io ~bytes ~checksum path)
 
-let manifest_check ?io ~dir manifest key =
+let manifest_entry manifest key =
   match
     Manifest.find manifest ~dataset:key.dataset ~variance:key.variance
   with
   | None -> Error (E.Unknown_key (key_to_string key))
-  | Some e ->
-      check_file ?io ~dir e.Manifest.file ~bytes:e.Manifest.bytes
-        ~checksum:e.Manifest.checksum
+  | Some e -> Ok e
 
 let manifest_verify ?io ~dir manifest key =
-  Result.map ignore (manifest_check ?io ~dir manifest key)
+  Result.bind (manifest_entry manifest key) (fun e ->
+      Result.map ignore
+        (check_file ?io ~dir e.Manifest.file ~bytes:e.Manifest.bytes
+           ~checksum:e.Manifest.checksum))
 
 let manifest_loader ?io ~dir manifest key =
-  Result.bind
-    (manifest_check ?io ~dir manifest key)
-    (Synopsis_io.load_typed ?io)
+  Result.bind (manifest_entry manifest key) (fun e ->
+      Synopsis_io.load_verified ?io ~bytes:e.Manifest.bytes
+        ~checksum:e.Manifest.checksum
+        (Filename.concat dir e.Manifest.file))
 
 let sketch_check ?io ~dir (e : Manifest.sketch_entry) =
   check_file ?io ~dir e.Manifest.s_file ~bytes:e.Manifest.s_bytes

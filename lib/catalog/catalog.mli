@@ -279,8 +279,9 @@ val of_manifest :
   t
 (** The file-backed instantiation: keys resolve through the manifest
     to synopsis files under [dir], loaded with
-    {!Xpest_synopsis.Synopsis_io.load_typed}.  The loader re-verifies
-    each file's size and stored checksum against the manifest entry —
+    {!Xpest_synopsis.Synopsis_io.load_verified}: one read, one body
+    checksum.  The loader re-verifies each file's size and stored
+    checksum against the manifest entry —
     a mismatch (a synopsis rebuilt behind the manifest's back) is
     [Stale_manifest], an absent manifest row is [Unknown_key], and
     file damage surfaces as [Io_failure] or [Corrupt].  [io]

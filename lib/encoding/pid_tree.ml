@@ -16,64 +16,70 @@ type t = {
   compressed_nodes : int;
 }
 
-(* Lexicographic bit-string order: 0 before 1, position 0 first. *)
-let lex_compare a b = String.compare (Bitvec.to_string a) (Bitvec.to_string b)
-
-let rec build_trie ~width ~depth items =
-  match items with
-  | [] -> Absent
-  | [ (pid, id) ] when depth = width ->
-      ignore pid;
-      Leaf id
-  | _ when depth >= width ->
-      invalid_arg "Pid_tree.build: duplicate bit sequences"
-  | _ ->
-      let zeros, ones =
-        List.partition (fun (pid, _) -> not (Bitvec.get pid depth)) items
-      in
-      let left = build_trie ~width ~depth:(depth + 1) zeros in
-      let right = build_trie ~width ~depth:(depth + 1) ones in
-      let id =
-        match List.rev zeros with
-        | (_, last_zero_id) :: _ -> last_zero_id
-        | [] -> (
-            match ones with
-            | (_, first_one_id) :: _ -> first_one_id - 1
-            | [] -> assert false (* items is non-empty *))
-      in
-      Node { id; left; right }
-
-let rec count_nodes = function
-  | Leaf _ -> 1
-  | Node { left; right; _ } -> 1 + count_nodes left + count_nodes right
-  | Absent | Zeros _ | Ones _ -> 0
-
-(* Replace pure-left (pure-right) chains by markers, bottom-up. *)
-let rec compress = function
-  | (Leaf _ | Absent | Zeros _ | Ones _) as n -> n
-  | Node { id; left; right } -> (
-      let left = compress left and right = compress right in
-      match (left, right) with
-      | Leaf lid, Absent | Zeros lid, Absent -> Zeros lid
-      | Absent, Leaf lid | Absent, Ones lid -> Ones lid
-      | _, _ -> Node { id; left; right })
-
+(* The distinct pids sorted in lexicographic bit order, so every trie
+   node covers a contiguous index range [lo, hi) whose pids share their
+   first [depth] bits: the zeros at bit [depth] come first, then the
+   ones.  A node's id is the split index [m] (id [m] is the last zero's
+   id, and one less than the first one's), and a single-pid range is
+   its remaining bits, emitted already compressed. *)
 let build pid_list =
-  let distinct =
-    List.sort_uniq Bitvec.compare pid_list |> List.sort lex_compare
-  in
-  (match distinct with
+  (match pid_list with
   | [] -> invalid_arg "Pid_tree.build: no path ids"
   | first :: rest ->
-      if Bitvec.width first = 0 then
+      if List.exists (fun v -> Bitvec.width v = 0) pid_list then
         invalid_arg "Pid_tree.build: zero-width path id";
       if List.exists (fun v -> Bitvec.width v <> Bitvec.width first) rest then
         invalid_arg "Pid_tree.build: mixed widths");
-  let width = Bitvec.width (List.hd distinct) in
-  let items = List.mapi (fun i pid -> (pid, i + 1)) distinct in
-  let trie = build_trie ~width ~depth:0 items in
-  let root = compress trie in
-  let pids = Array.of_list distinct in
+  let pids = Array.of_list (List.sort_uniq Bitvec.lex_compare pid_list) in
+  let width = Bitvec.width pids.(0) in
+  let uncompressed = ref 0 and compressed = ref 0 in
+  (* first index of [lo, hi) with bit [depth] set *)
+  let rec split lo hi depth =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Bitvec.get pids.(mid) depth then split lo mid depth
+      else split (mid + 1) hi depth
+  in
+  (* Uncompressed, pid [i]'s bits from [depth] on are a chain of
+     [width - depth] nodes and a leaf.  Compression folds the trailing
+     run of equal bits, leaf included, into one [Zeros]/[Ones] marker
+     and keeps the nodes above it. *)
+  let suffix i depth =
+    uncompressed := !uncompressed + (width - depth + 1);
+    if depth = width then begin
+      incr compressed;
+      Leaf (i + 1)
+    end
+    else begin
+      let pid = pids.(i) in
+      let last = Bitvec.get pid (width - 1) in
+      let run = ref (width - 1) in
+      while !run > depth && Bitvec.get pid (!run - 1) = last do
+        decr run
+      done;
+      compressed := !compressed + (!run - depth);
+      let node = ref (if last then Ones (i + 1) else Zeros (i + 1)) in
+      for d = !run - 1 downto depth do
+        node :=
+          if Bitvec.get pid d then Node { id = i; left = Absent; right = !node }
+          else Node { id = i + 1; left = !node; right = Absent }
+      done;
+      !node
+    end
+  in
+  let rec go lo hi depth =
+    if hi - lo = 1 then suffix lo depth
+    else begin
+      let m = split lo hi depth in
+      incr uncompressed;
+      incr compressed;
+      let left = if m > lo then go lo m (depth + 1) else Absent in
+      let right = if hi > m then go m hi (depth + 1) else Absent in
+      Node { id = m; left; right }
+    end
+  in
+  let root = go 0 (Array.length pids) 0 in
   let ids = Hashtbl.create (Array.length pids) in
   Array.iteri (fun i pid -> Hashtbl.replace ids pid (i + 1)) pids;
   {
@@ -81,10 +87,11 @@ let build pid_list =
     width;
     pids;
     ids;
-    uncompressed_nodes = count_nodes trie;
-    compressed_nodes = count_nodes root;
+    uncompressed_nodes = !uncompressed;
+    compressed_nodes = !compressed;
   }
 
+let root t = t.root
 let num_pids t = Array.length t.pids
 let bit_width t = t.width
 

@@ -14,12 +14,23 @@
     suffix, so it is replaced by a marker; lookups reconstruct the
     suffix by padding. *)
 
+type node =
+  | Leaf of int  (** uncompressed leaf: the pid with this integer id *)
+  | Node of { id : int; left : node; right : node }
+  | Absent  (** no pid below this edge *)
+  | Zeros of int  (** compressed all-0 suffix leading to this leaf id *)
+  | Ones of int  (** compressed all-1 suffix leading to this leaf id *)
+
 type t
 
 val build : Xpest_util.Bitvec.t list -> t
-(** Build from the distinct path ids (duplicates ignored).
+(** Build from the distinct path ids (duplicates ignored): one sort
+    in lexicographic bit order, then one pass over index ranges.
     @raise Invalid_argument on empty input, zero-width vectors, or
     mixed widths. *)
+
+val root : t -> node
+(** The compressed tree. *)
 
 val num_pids : t -> int
 val bit_width : t -> int

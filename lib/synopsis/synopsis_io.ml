@@ -89,3 +89,42 @@ let info_typed ?io path = typed path (fun () -> info ?io path)
 
 let load_typed ?(io = Fault.Io.default) path =
   typed path (fun () -> Summary.decode (io.Fault.Io.read_file path))
+
+(* A file against the size and checksum a catalog manifest recorded for
+   it.  A read whose body fails its own checksum is damaged, so
+   comparing it with the record would misdiagnose a transient fault as
+   staleness: that is [Corrupt] (retryable).  A sound file that differs
+   from its record is [Stale_manifest]. *)
+let expect_record path ~bytes ~checksum (h : Wire.header) =
+  if not h.Wire.checksum_ok then
+    raise
+      (E.Error
+         (E.Corrupt
+            {
+              path;
+              section = "body";
+              reason = "checksum mismatch (corrupted or truncated read)";
+            }))
+  else if h.Wire.total_bytes <> bytes || not (Int64.equal h.Wire.checksum checksum)
+  then
+    raise
+      (E.Error
+         (E.Stale_manifest
+            {
+              path;
+              reason =
+                Printf.sprintf
+                  "expected %d bytes, checksum %016Lx; found %d bytes, \
+                   checksum %016Lx — rebuild the catalog"
+                  bytes checksum h.Wire.total_bytes h.Wire.checksum;
+            }))
+
+let verify ?(io = Fault.Io.default) ~bytes ~checksum path =
+  typed path (fun () ->
+      expect_record path ~bytes ~checksum (Wire.read_header (io.Fault.Io.read_file path)))
+
+let load_verified ?(io = Fault.Io.default) ~bytes ~checksum path =
+  typed path (fun () ->
+      Summary.decode
+        ~expect:(expect_record path ~bytes ~checksum)
+        (io.Fault.Io.read_file path))

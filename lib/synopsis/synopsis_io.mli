@@ -63,3 +63,27 @@ val load_typed :
     [Error (Corrupt _)] — the container checksum vouches for every
     section before any payload is decoded, so a damaged file can never
     decode to a synopsis that estimates differently. *)
+
+val verify :
+  ?io:Xpest_util.Fault.Io.t ->
+  bytes:int ->
+  checksum:int64 ->
+  string ->
+  (unit, Xpest_util.Xpest_error.t) result
+(** Check a file against the size and checksum a catalog manifest
+    recorded for it, without decoding any section: the header errors
+    of {!info_typed}; [Corrupt] (section ["body"]) when the read fails
+    its own checksum, since a damaged read proves nothing about
+    staleness; [Stale_manifest] when a sound file's size or checksum
+    differs from the record. *)
+
+val load_verified :
+  ?io:Xpest_util.Fault.Io.t ->
+  bytes:int ->
+  checksum:int64 ->
+  string ->
+  (Summary.t, Xpest_util.Xpest_error.t) result
+(** {!verify} then {!load_typed} on one read: the file is read once,
+    its body hashed once, and the bytes that passed the check are the
+    bytes decoded.  Errors are exactly those of {!verify} followed by
+    {!load_typed}. *)

@@ -4,6 +4,7 @@
    the raw words. *)
 
 let bits_per_word = 62
+let word_mask = (1 lsl bits_per_word) - 1
 
 type t = { width : int; words : int array }
 
@@ -59,6 +60,18 @@ let compare a b =
   if c <> 0 then c else Stdlib.compare a.words b.words
 
 let hash v = Hashtbl.hash (v.width, v.words)
+
+(* The first differing bit is the lowest set bit of the first non-zero
+   word xor; the vector holding a 0 there comes first. *)
+let lex_compare a b =
+  check_same_width a b "lex_compare";
+  let rec go i =
+    if i = Array.length a.words then 0
+    else
+      let x = a.words.(i) lxor b.words.(i) in
+      if x = 0 then go (i + 1) else if a.words.(i) land (x land -x) = 0 then -1 else 1
+  in
+  go 0
 
 (* The word loops behind the containment and intersection tests are
    top-level so that a call allocates no closure: the path join makes
@@ -152,21 +165,29 @@ let to_packed_string v =
       done;
       Char.chr !acc)
 
+(* One pass over the bytes, each ORed straight into its word: byte
+   [k] holds bits [8k .. 8k+7], which start at bit [8k mod 62] of word
+   [8k / 62] and spill into the next word when that offset is past 54.
+   Checking the padding first keeps every spilled bit below [width],
+   so the next word exists whenever the spill is non-zero. *)
 let of_packed_string ~width s =
   let nbytes = (width + 7) / 8 in
   if String.length s <> nbytes then
     invalid_arg "Bitvec.of_packed_string: length mismatch";
-  let v =
-    of_bits
-      (Array.init width (fun i ->
-           Char.code s.[i / 8] land (1 lsl (i mod 8)) <> 0))
-  in
   (* padding bits beyond [width] must be clear *)
-  if width mod 8 <> 0 then begin
-    let last = Char.code s.[nbytes - 1] in
-    if last lsr (width mod 8) <> 0 then
-      invalid_arg "Bitvec.of_packed_string: nonzero padding bits"
-  end;
+  if width mod 8 <> 0 && Char.code s.[nbytes - 1] lsr (width mod 8) <> 0 then
+    invalid_arg "Bitvec.of_packed_string: nonzero padding bits";
+  let v = zero width in
+  let words = v.words in
+  for byte = 0 to nbytes - 1 do
+    let b = Char.code (String.unsafe_get s byte) in
+    if b <> 0 then begin
+      let w = byte * 8 / bits_per_word and off = byte * 8 mod bits_per_word in
+      words.(w) <- words.(w) lor ((b lsl off) land word_mask);
+      let spill = b lsr (bits_per_word - off) in
+      if spill <> 0 then words.(w + 1) <- words.(w + 1) lor spill
+    end
+  done;
   v
 
 let byte_size v = max 1 ((v.width + 7) / 8)

@@ -48,6 +48,11 @@ val compare : t -> t -> int
 
 val hash : t -> int
 
+val lex_compare : t -> t -> int
+(** Lexicographic order of the bit strings ({!to_string}): bit 0 is
+    most significant and 0 sorts before 1.  One pass over the words.
+    @raise Invalid_argument on width mismatch. *)
+
 val contains : t -> t -> bool
 (** [contains a b] is the paper's path-id containment: [a] strictly
     contains [b], i.e. [a <> b && (a land b) = b].  See Section 2,

@@ -121,6 +121,43 @@ let prop_packed_roundtrip =
         (Bitvec.of_packed_string ~width:(Bitvec.width v)
            (Bitvec.to_packed_string v)))
 
+(* The word-wise decoder against a [get]-based reference: every byte
+   string that is a valid encoding (padding clear) decodes to the
+   vector whose bit [i] is bit [i mod 8] of byte [i / 8].  [equal]
+   compares raw words, so a bit ORed into the wrong word, or past the
+   width, shows too.  Widths 1-200, with the word boundaries (62 bits
+   per word) and XMark's 222 pinned. *)
+let prop_packed_decode =
+  QCheck.Test.make ~name:"packed decode = get-based reference" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         oneof [ int_range 1 200; oneofl [ 61; 62; 63; 64; 124; 222 ] ] >>= fun w ->
+         let nbytes = (w + 7) / 8 in
+         string_size ~gen:char (return nbytes) >|= fun s ->
+         let b = Bytes.of_string s in
+         if w mod 8 <> 0 then
+           Bytes.set b (nbytes - 1)
+             (Char.chr (Char.code s.[nbytes - 1] land ((1 lsl (w mod 8)) - 1)));
+         (w, Bytes.to_string b))
+       ~print:(fun (w, s) -> Printf.sprintf "width %d, %S" w s))
+    (fun (width, s) ->
+      let v = Bitvec.of_packed_string ~width s in
+      let expected =
+        Bitvec.of_bits
+          (Array.init width (fun i -> Char.code s.[i / 8] land (1 lsl (i mod 8)) <> 0))
+      in
+      Bitvec.equal v expected
+      && List.for_all
+           (fun i -> Bitvec.get v i = Bitvec.get expected i)
+           (List.init width Fun.id)
+      && Bitvec.to_packed_string v = s)
+
+let prop_lex_compare =
+  QCheck.Test.make ~name:"lex_compare = bit-string order" ~count:500
+    arb_pair_same_width (fun (a, b) ->
+      Int.compare (Bitvec.lex_compare a b) 0
+      = Int.compare (String.compare (Bitvec.to_string a) (Bitvec.to_string b)) 0)
+
 let test_packed_validation () =
   Alcotest.(check bool) "length mismatch rejected" true
     (match Bitvec.of_packed_string ~width:9 "x" with
@@ -130,6 +167,14 @@ let test_packed_validation () =
     (match Bitvec.of_packed_string ~width:4 "\xf0" with
     | exception Invalid_argument _ -> true
     | _ -> false);
+  (* one set padding bit past a word boundary: width 63 is 8 bytes,
+     the last holding bits 56-62 and one padding bit *)
+  Alcotest.check_raises "padding message"
+    (Invalid_argument "Bitvec.of_packed_string: nonzero padding bits")
+    (fun () -> ignore (Bitvec.of_packed_string ~width:63 "\x00\x00\x00\x00\x00\x00\x00\x80"));
+  Alcotest.check_raises "length message"
+    (Invalid_argument "Bitvec.of_packed_string: length mismatch")
+    (fun () -> ignore (Bitvec.of_packed_string ~width:63 "\x00"));
   Alcotest.(check int) "packed length" 2
     (String.length (Bitvec.to_packed_string (Bitvec.zero 9)))
 
@@ -188,6 +233,8 @@ let () =
             prop_popcount_or;
             prop_roundtrip;
             prop_packed_roundtrip;
+            prop_packed_decode;
+            prop_lex_compare;
             prop_set_bits_sorted;
             prop_set_bit_walk;
           ] );

@@ -88,6 +88,76 @@ let test_core_accessors_survive () =
            ~pid:(Paper_fixture.bv Paper_fixture.p5)
            ~other:"C" ~region:Po_table.After))
 
+(* ------------------------------------------------------------------ *)
+(* Checksums and memory accounting, pinned.                            *)
+
+module Wire = Xpest_synopsis.Wire
+module Registry = Xpest_datasets.Registry
+module Pid_tree = Xpest_encoding.Pid_tree
+module Labeler = Xpest_encoding.Labeler
+
+let test_fnv_known_answers () =
+  Alcotest.(check int64) "FNV-1a 64 of \"\"" 0xcbf29ce484222325L (Wire.fnv1a64 "");
+  Alcotest.(check int64) "FNV-1a 64 of \"a\"" 0xaf63dc4c8601ec8cL (Wire.fnv1a64 "a")
+
+(* The wire size, stored body checksum, [total_bytes] and
+   [pid_tree_bytes] of fixed synopses, as the format and the paper's
+   accounting define them.  Any change to an encoded byte, to the
+   checksum or to the modeled sizes shows here. *)
+let pinned =
+  [
+    (* source, variance, wire bytes, checksum, total_bytes, pid_tree_bytes *)
+    ("paper", 0.0, 442, 0x53a6b6c09a7b31bfL, 198, 60);
+    ("ssplays", 0.0, 4938, 0x37171f9fc4c429ffL, 1994, 405);
+    ("ssplays", 2.0, 4432, 0xb8d459ee1eb801a0L, 1916, 405);
+    ("dblp", 0.0, 24799, 0x2253b69b27ecee57L, 5776, 2490);
+    ("dblp", 2.0, 21172, 0xa6d48b6b8fcba584L, 5662, 2490);
+    ("xmark", 0.0, 59254, 0xfd9d671866e94650L, 31825, 14780);
+    ("xmark", 2.0, 52626, 0x5adc6bf5e57c691aL, 31045, 14780);
+  ]
+
+let base_of =
+  let memo = Hashtbl.create 4 in
+  fun source ->
+    match Hashtbl.find_opt memo source with
+    | Some b -> b
+    | None ->
+        let doc =
+          match Registry.of_string source with
+          | Some name -> Registry.generate ~scale:0.02 name
+          | None -> Paper_fixture.doc
+        in
+        let b = Summary.collect doc in
+        Hashtbl.replace memo source b;
+        b
+
+let test_pinned_accounting () =
+  List.iter
+    (fun (source, v, wire_bytes, checksum, total, tree) ->
+      let label what = Printf.sprintf "%s v=%g: %s" source v what in
+      let built = Summary.assemble ~p_variance:v ~o_variance:v (base_of source) in
+      let data = Summary.encode built in
+      Alcotest.(check int) (label "wire bytes") wire_bytes (String.length data);
+      Alcotest.(check int64) (label "stored checksum") checksum
+        (Wire.read_header data).Wire.checksum;
+      Alcotest.(check int64) (label "checksum is FNV-1a 64 of the body") checksum
+        (Wire.fnv1a64
+           (String.sub data Wire.header_bytes (String.length data - Wire.header_bytes)));
+      let loaded = Summary.decode data in
+      Alcotest.(check string) (label "re-encodes byte-identical") data
+        (Summary.encode loaded);
+      let pids = Array.to_list (Labeler.distinct_pids (Summary.labeler built)) in
+      Alcotest.(check int) (label "pid_tree_bytes, built") tree
+        (Summary.pid_tree_bytes built);
+      Alcotest.(check int) (label "pid_tree_bytes, loaded") tree
+        (Summary.pid_tree_bytes loaded);
+      Alcotest.(check int) (label "pid_tree_bytes = tree over the pids") tree
+        (Pid_tree.byte_size (Pid_tree.build pids));
+      Alcotest.(check int) (label "total_bytes, built") total (Summary.total_bytes built);
+      Alcotest.(check int) (label "total_bytes, loaded") total
+        (Summary.total_bytes loaded))
+    pinned
+
 let test_document_accessors_raise () =
   let summary = Summary.build Paper_fixture.doc in
   with_roundtrip summary (fun loaded ->
@@ -164,6 +234,10 @@ let () =
             test_core_accessors_survive;
           Alcotest.test_case "generated dataset" `Quick
             test_roundtrip_on_generated_dataset;
+          Alcotest.test_case "FNV-1a 64 known answers" `Quick
+            test_fnv_known_answers;
+          Alcotest.test_case "pinned checksums and accounting" `Quick
+            test_pinned_accounting;
         ] );
       ( "errors",
         [

@@ -172,6 +172,57 @@ let test_estimates_unchanged_by_counting () =
   in
   Alcotest.(check (float 0.0)) "identical" plain counted
 
+(* A load's decode split: the container (header, checksum, section
+   table) and the sections each fire once per load, also on the
+   catalog's one-read verified load, and within a timed load they
+   never add up to more than it. *)
+let test_decode_split_timers () =
+  let data = Summary.encode (Summary.build Paper_fixture.doc) in
+  let path = Filename.temp_file "xpest_counters" ".syn" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc data;
+      close_out oc;
+      let timer name =
+        match List.find_opt (fun (n, _, _) -> n = name) (Counters.timers ()) with
+        | Some (_, calls, seconds) -> (calls, seconds)
+        | None -> Alcotest.failf "%s did not fire" name
+      in
+      Metrics.with_counters (fun () -> ignore (Summary.load path));
+      let load_calls, load_s = timer "summary.load" in
+      let container_calls, container_s = timer "summary.decode.container" in
+      let sections_calls, sections_s = timer "summary.decode.sections" in
+      Alcotest.(check int) "one load" 1 load_calls;
+      Alcotest.(check int) "container once per load" 1 container_calls;
+      Alcotest.(check int) "sections once per load" 1 sections_calls;
+      Alcotest.(check bool) "decode split within the load" true
+        (container_s +. sections_s <= load_s);
+      let rendered = Metrics.render_counters () in
+      let mentions name =
+        let n = String.length name in
+        let rec go i =
+          i + n <= String.length rendered
+          && (String.sub rendered i n = name || go (i + 1))
+        in
+        go 0
+      in
+      List.iter
+        (fun name -> Alcotest.(check bool) (name ^ " rendered") true (mentions name))
+        [ "summary.decode.container"; "summary.decode.sections" ];
+      Metrics.with_counters (fun () ->
+          match
+            Xpest_synopsis.Synopsis_io.load_verified ~bytes:(String.length data)
+              ~checksum:(Xpest_synopsis.Wire.read_header data).checksum path
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "verified load: %s" (Xpest_util.Xpest_error.to_string e));
+      Alcotest.(check int) "container on a verified load" 1
+        (fst (timer "summary.decode.container"));
+      Alcotest.(check int) "sections on a verified load" 1
+        (fst (timer "summary.decode.sections")))
+
 let () =
   Alcotest.run "counters"
     [
@@ -198,5 +249,7 @@ let () =
           Alcotest.test_case "estimates unchanged by counting" `Quick
             test_estimates_unchanged_by_counting;
           Alcotest.test_case "join phase timers" `Quick test_join_phase_timers;
+          Alcotest.test_case "decode split timers" `Quick
+            test_decode_split_timers;
         ] );
     ]

@@ -5,6 +5,72 @@ module Encoding_table = Xpest_encoding.Encoding_table
 
 let bv = Bitvec.of_string
 
+(* The straightforward builder, kept as the reference for
+   [Pid_tree.build]: sort through the bit strings, partition a list at
+   every trie node, then compress pure-left/pure-right chains
+   bottom-up.  Returns the compressed root and the uncompressed and
+   compressed node counts. *)
+module Reference = struct
+  open Pid_tree
+
+  let lex_compare a b = String.compare (Bitvec.to_string a) (Bitvec.to_string b)
+
+  let rec trie ~width ~depth items =
+    match items with
+    | [] -> Absent
+    | [ (_, id) ] when depth = width -> Leaf id
+    | _ when depth >= width -> invalid_arg "duplicate bit sequences"
+    | _ ->
+        let zeros, ones =
+          List.partition (fun (pid, _) -> not (Bitvec.get pid depth)) items
+        in
+        let left = trie ~width ~depth:(depth + 1) zeros in
+        let right = trie ~width ~depth:(depth + 1) ones in
+        let id =
+          match (List.rev zeros, ones) with
+          | (_, last_zero_id) :: _, _ -> last_zero_id
+          | [], (_, first_one_id) :: _ -> first_one_id - 1
+          | [], [] -> assert false
+        in
+        Node { id; left; right }
+
+  let rec count = function
+    | Leaf _ -> 1
+    | Node { left; right; _ } -> 1 + count left + count right
+    | Absent | Zeros _ | Ones _ -> 0
+
+  let rec compress = function
+    | (Leaf _ | Absent | Zeros _ | Ones _) as n -> n
+    | Node { id; left; right } -> (
+        let left = compress left and right = compress right in
+        match (left, right) with
+        | Leaf lid, Absent | Zeros lid, Absent -> Zeros lid
+        | Absent, Leaf lid | Absent, Ones lid -> Ones lid
+        | _, _ -> Node { id; left; right })
+
+  let build pids =
+    let distinct = List.sort_uniq Bitvec.compare pids |> List.sort lex_compare in
+    let width = Bitvec.width (List.hd distinct) in
+    let t = trie ~width ~depth:0 (List.mapi (fun i pid -> (pid, i + 1)) distinct) in
+    let root = compress t in
+    (root, count t, count root)
+end
+
+(* [Pid_tree.build] agrees with the reference on the tree, both node
+   counts, the modeled bytes and every id's reconstruction. *)
+let agrees_with_reference pids =
+  let t = Pid_tree.build pids in
+  let root, uncompressed, compressed = Reference.build pids in
+  Pid_tree.root t = root
+  && Pid_tree.uncompressed_node_count t = uncompressed
+  && Pid_tree.node_count t = compressed
+  && Pid_tree.byte_size t = 5 * compressed
+  && Pid_tree.uncompressed_byte_size t = 5 * uncompressed
+  && List.for_all
+       (fun id ->
+         Pid_tree.id_of_pid t (Pid_tree.pid_of_id t id) = Some id)
+       (List.init (Pid_tree.num_pids t) (fun i -> i + 1))
+
 (* the paper's Figure 6 input: the 9 pids of Figure 1(c) *)
 let paper_pids =
   List.map bv
@@ -73,6 +139,20 @@ let test_errors () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+let test_reference_paper () =
+  Alcotest.(check bool) "figure 6" true (agrees_with_reference paper_pids)
+
+let test_reference_datasets () =
+  List.iter
+    (fun name ->
+      let doc = Xpest_datasets.Registry.generate ~scale:0.02 name in
+      let lab = Labeler.label doc (Encoding_table.build doc) in
+      Alcotest.(check bool)
+        (Xpest_datasets.Registry.to_string name)
+        true
+        (agrees_with_reference (Array.to_list (Labeler.distinct_pids lab))))
+    Xpest_datasets.Registry.all
+
 (* properties *)
 
 let pids_gen =
@@ -131,6 +211,26 @@ let prop_compression_lossless =
           |> List.for_all (fun id ->
                  Pid_tree.id_of_pid t (Pid_tree.pid_of_id t id) = Some id))
 
+let prop_matches_reference =
+  QCheck.Test.make ~name:"build = reference builder" ~count:300 arb_pids
+    (fun pids ->
+      match pids with
+      | [] -> QCheck.assume_fail ()
+      | _ -> agrees_with_reference pids)
+
+(* Few distinct paths at widths around the word boundary: long shared
+   prefixes and equal-bit suffixes, where compression does the most. *)
+let prop_matches_reference_sparse =
+  QCheck.Test.make ~name:"build = reference builder (sparse, wide)" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         oneofl [ 1; 2; 61; 62; 63; 64; 124; 222 ] >>= fun width ->
+         list_size (int_range 1 30)
+           (list_size (int_range 1 3) (int_range 0 (width - 1))
+           >|= List.fold_left (Bitvec.set) (Bitvec.zero width)))
+       ~print:(fun l -> String.concat "," (List.map Bitvec.to_string l)))
+    agrees_with_reference
+
 let prop_real_dataset =
   QCheck.Test.make ~name:"roundtrip on a real labeling" ~count:5
     (QCheck.make (QCheck.Gen.int_range 1 1000) ~print:string_of_int)
@@ -160,6 +260,8 @@ let () =
           Alcotest.test_case "unknown pid" `Quick test_unknown_pid;
           Alcotest.test_case "compression" `Quick test_compression_saves_space;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "reference: figure 6" `Quick test_reference_paper;
+          Alcotest.test_case "reference: datasets" `Quick test_reference_datasets;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -167,6 +269,8 @@ let () =
             prop_roundtrip;
             prop_ids_dense_and_lexicographic;
             prop_compression_lossless;
+            prop_matches_reference;
+            prop_matches_reference_sparse;
             prop_real_dataset;
           ] );
     ]
