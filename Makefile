@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test check ci differential chaos stress thrash pipeline overload degrade bench bench-json clean
+.PHONY: all build test check ci differential chaos stress thrash pipeline overload degrade join bench bench-json clean
 
 all: build
 
@@ -85,6 +85,19 @@ degrade:
 	$(DUNE) exec test/test_catalog_degrade.exe
 	$(DUNE) exec test/test_catalog_chaos.exe
 
+# Path-join suites: the join's unit cases and mask oracle (chain and
+# edge masks, chain masks inside edge masks, every joined row and
+# frequency against the per-bit reference with chain pruning on and
+# off, on three datasets), the pinned per-stage pruning counts and
+# wide row sets, the paper's worked examples, the estimator's
+# equations with their pinned derivations, and the batched-engine
+# bit-identity suite.  Deterministic in CI.
+join:
+	$(DUNE) exec test/test_path_join.exe
+	$(DUNE) exec test/test_paper_examples.exe
+	$(DUNE) exec test/test_estimator.exe
+	$(DUNE) exec test/test_engine_batch.exe
+
 bench:
 	$(DUNE) exec bench/main.exe
 
@@ -96,7 +109,7 @@ bench-json:
 
 # The whole gate in one target: compile, run every suite exactly once
 # (`dune runtest` covers the unit, differential, chaos, stress, thrash,
-# pipeline, overload and degradation suites; the topic targets above
+# pipeline, overload, degradation and join suites; the topic targets above
 # re-run subsets for local use), regenerate the engine benchmark, and
 # fail if cold-path or fault-free serving throughput regressed more
 # than 30% against the committed BENCH_engine.json (or the segmented

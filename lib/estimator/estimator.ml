@@ -86,12 +86,12 @@ let cache_stats t =
 let plan_of t q = Plan_cache.find_or_add t.plans q Plan.compile
 
 (* Derivation tracing for [explain]: estimation functions [note] their
-   key intermediate values; outside [explain] this is a no-op. *)
+   key intermediate values; outside [explain] this is a no-op that
+   formats nothing. *)
 let note t fmt =
-  Printf.ksprintf
-    (fun line ->
-      match t.tracing with Some acc -> acc := line :: !acc | None -> ())
-    fmt
+  match t.tracing with
+  | Some acc -> Printf.ksprintf (fun line -> acc := line :: !acc) fmt
+  | None -> Printf.ifprintf () fmt
 
 (* Estimates must be finite and non-negative.  A clamp of a NaN /
    infinite / negative intermediate is counted and traced; clamping an

@@ -18,23 +18,33 @@
     {b Path masks.}  A pid is a bitvector over the document's
     root-to-leaf paths, so every per-path test — does the chain embed
     into this path with node i on it, does the edge's tag relation
-    hold on it — becomes a mask of the paths where it holds, and "on
-    some path of the pid" is one [Bitvec.intersects pid mask].  Each
-    join computes one mask per chain node ({!chain_masks}) and one per
-    edge ({!edge_mask}), bit-parallel over all paths at once, from a
-    read-only per-summary depth index: for each tag and depth, the
-    paths carrying that tag at that depth.  The chain masks run the
-    forward/backward embedding recurrence over depths, one path set
-    per (node, depth); an edge mask is one scan over depths.
+    hold on it — becomes a mask of the paths where it holds, computed
+    bit-parallel over all paths at once from a read-only per-summary
+    depth index: for each tag and depth, the paths carrying that tag
+    at that depth, and for each tag the depths where it occurs.  The
+    chain masks ({!chain_masks}) run the forward/backward embedding
+    recurrence over the occurrence depths of the chain's tags, one
+    path set per (node, depth); an edge mask ({!edge_mask}) is one
+    scan over the descendant tag's depths.  Every edge (X, Y) lies on
+    a chain in which X immediately precedes Y, and an embedding of the
+    chain with Y on a path places X in the edge's relation to Y on the
+    same path, so Y's chain mask lies inside the edge mask: the pids
+    chain pruning keeps all meet it.  The join therefore computes edge
+    masks only without chain pruning.
 
-    {b Path-sliced fixpoint.}  The fixpoint does not test pid pairs.
-    For an edge (X, Y) it transposes X's row into one slice per path,
-    the row entries whose pid holds the path.  A Y pid's partners
-    (the X pids containing it) are the AND of its paths' slices; it
-    survives iff they are not empty and it meets the edge mask, and
-    an X pid survives iff it is a partner of a surviving Y pid.  Row
-    entries carry their pids' set bits, listed once per summary when
-    a tag's row is first used.
+    {b Row sets over path slices.}  A tag's p-histogram row is built
+    once per summary, on first use, and never copied.  With it come
+    its slices: for each path the tag holds, the bitset of row entries
+    whose pid holds the path.  A query node is a row set, a bitset over
+    its tag's row.  Chain pruning ANDs the set with the OR of the
+    slices of the mask's paths; the anchor keeps only the root's pid.
+    The fixpoint does not test pid pairs: for an edge (X, Y), a Y pid's
+    partners (the X pids containing it) are X's set ANDed with the
+    slices of the Y pid's paths.  It survives iff they are not empty
+    (and, without chain pruning, it meets the edge mask), and an X pid
+    survives iff it is a partner of a surviving Y pid.  The word loops
+    run over the non-zero words of X's set only, and a visit allocates
+    nothing.  Join results hold row sets, not copies of rows.
 
     The chain/edge extraction lives in the compiler
     ({!Xpest_plan.Plan.join_of_shape}); this module only executes
@@ -76,8 +86,8 @@ val edge_mask :
   Xpest_util.Bitvec.t
 (** The paths on which [anc] stands in [axis]'s relation to [desc]
     (immediately above for [Child], anywhere above for [Descendant]).
-    The fixpoint keeps a descendant-side pid only if it intersects
-    this mask. *)
+    Without chain pruning, the fixpoint keeps a descendant-side pid
+    only if it intersects this mask; with it, every kept pid does. *)
 
 type result
 

@@ -69,6 +69,10 @@ val intersects : t -> t -> bool
 val popcount : t -> int
 (** Number of set bits. *)
 
+val popcount_word : int -> int
+(** Number of set bits of a non-negative int, one step per set bit.
+    For callers that keep their own word arrays. *)
+
 val iter_set_bits : t -> (int -> unit) -> unit
 (** [iter_set_bits v f] applies [f] to each set bit position in
     increasing order. *)

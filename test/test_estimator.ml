@@ -94,6 +94,52 @@ let test_explain () =
        (fun line -> String.length line >= 10 && String.sub line 0 10 = "equation 5")
        e5.Estimator.derivation)
 
+(* The full derivation of one query per equation, pinned: notes are
+   formatted only under [explain], and that must not change a line. *)
+let test_explain_derivations () =
+  let e2 q =
+    Printf.sprintf
+      "equation 2: S_Q(n) ~ f_Q'(n) * f_Q(ni) / f_Q'(ni) = %s (Q' drops the other branch; ni \
+       = last trunk node)"
+      q
+  in
+  let arrow = "\xe2\x83\x97" (* U+20D7, the combining arrow of S⃗ *) in
+  let survival head s' r =
+    Printf.sprintf
+      "order survival of the %s head: S%s_Q'(head) = 2 from the o-histogram, S_Q'(head) = %s, \
+       ratio %s"
+      head arrow s' r
+  in
+  let second = [ e2 "4 * 2 / 3"; survival "second" "2.66667" "0.75"; e2 "4 * 2 / 3" ] in
+  List.iter
+    (fun (q, value, derivation) ->
+      let e = Estimator.explain est (Pattern.of_string q) in
+      Alcotest.(check (float 0.0)) (q ^ " value") value e.Estimator.value;
+      Alcotest.(check (list string)) q derivation e.Estimator.derivation)
+    [
+      ("//A/C/{E}", 2.0, [ "theorem 4.1: f_Q(n) = 2 after the path join" ]);
+      ("//A[/C/F]/B/{D}", 4.0 /. 3.0, [ e2 "4 * 1 / 3" ]);
+      ("//A[/C/folls::{B}/D]", 2.0, second);
+      ("//A[/C/folls::B/{D}]", 2.0, second);
+      ( "//{A}[/C/folls::B/D]",
+        2.0,
+        [
+          "trunk target: f_Q(n) = 2 after the path join";
+          e2 "2 * 2 / 2";
+          survival "first" "2" "1";
+          e2 "2 * 2 / 2";
+        ]
+        @ second
+        @ [
+            Printf.sprintf "equation 5: min(S_Q(n)=2, S%s_Q(first head)=2, S%s_Q(second head)=2)"
+              arrow arrow;
+          ] );
+      ( "//A[/C/foll::{D}]",
+        2.0,
+        "following-axis conversion (example 5.3): 1 sibling-axis querie(s) via gaps [B]"
+        :: second );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Accuracy statistics on generated datasets at tiny scale: exact
    summaries must reproduce the paper's "very low error" claims. *)
@@ -228,6 +274,7 @@ let () =
           Alcotest.test_case "histogram degradation" `Quick
             test_histogram_degrades_gracefully;
           Alcotest.test_case "explain" `Quick test_explain;
+          Alcotest.test_case "explain derivations" `Quick test_explain_derivations;
         ] );
       ( "accuracy",
         [

@@ -10,6 +10,7 @@ module Plan = Xpest_plan.Plan
 module Encoding_table = Xpest_encoding.Encoding_table
 module Registry = Xpest_datasets.Registry
 module Workload = Xpest_workload.Workload
+module Counters = Xpest_util.Counters
 
 let doc = Paper_fixture.doc
 let summary = Summary.build doc
@@ -375,6 +376,38 @@ let test_masks_match_per_bit_rules name () =
                 (row id))
             c.Plan.node_ids)
         spec.Plan.chains;
+      (* Every edge (x, y) lies on a chain in which x immediately
+         precedes y, and there y's chain mask lies inside the edge
+         mask: the pids chain pruning keeps all pass the edge test,
+         which the join therefore skips under chain pruning. *)
+      List.iter
+        (fun (e : Plan.jedge) ->
+          let on_chain (c : Plan.chain) =
+            let rec adjacent = function
+              | x :: (y :: _ as rest) -> (x = e.Plan.parent && y = e.Plan.child) || adjacent rest
+              | _ -> false
+            in
+            adjacent c.Plan.node_ids
+          in
+          if not (List.exists on_chain spec.Plan.chains) then
+            Alcotest.failf "%s: edge n%d-n%d lies on no chain" label e.Plan.parent
+              e.Plan.child)
+        spec.Plan.edges;
+      List.iter
+        (fun (c : Plan.chain) ->
+          let masks = Path_join.chain_masks join c in
+          let steps = Array.of_list c.Plan.steps in
+          Array.iteri
+            (fun i mask ->
+              if i > 0 then begin
+                let axis, desc = steps.(i) and _, anc = steps.(i - 1) in
+                if
+                  not
+                    (Bitvec.contains_or_equal (Path_join.edge_mask join ~axis ~anc ~desc) mask)
+                then Alcotest.failf "%s: chain node %d's mask leaves edge %s-%s" label i anc desc
+              end)
+            masks)
+        spec.Plan.chains;
       List.iter
         (fun (e : Plan.jedge) ->
           let anc = spec.Plan.nodes.(e.Plan.parent).Plan.tag
@@ -412,6 +445,125 @@ let test_masks_match_per_bit_rules name () =
         [ (true, join); (false, ablated) ])
     specs
 
+(* The rows pruned at one stage since the counters were last reset. *)
+let pruned stage =
+  Option.value ~default:0
+    (List.assoc_opt ("path_join.pruned." ^ stage ^ "_rows") (Counters.counters ()))
+
+let xmark = lazy (Summary.build (Registry.generate ~scale:0.05 Registry.Xmark))
+
+(* The rows pruned per stage over every XMark join spec of the
+   workload.  The ledger's [join.rows_pruned] is their sum, so a
+   rewrite of the join must leave each of them as it is. *)
+let test_pruning_counts () =
+  let summary = Lazy.force xmark in
+  let join = Path_join.create summary in
+  let specs = workload_specs (Summary.doc summary) in
+  Counters.with_enabled (fun () ->
+      List.iter (fun spec -> ignore (Path_join.exec join spec)) specs);
+  Alcotest.(check (list int))
+    "anchor, chain, fixpoint"
+    [ 0; 350707; 3270 ]
+    (List.map pruned [ "anchor"; "chain"; "fixpoint" ])
+
+(* A tag outside the summary joins as an empty set, and empties the
+   nodes it is joined to. *)
+let test_unknown_tag () =
+  List.iter
+    (fun chain_pruning ->
+      let join = Path_join.create ~chain_pruning summary in
+      let r = Path_join.run join (shape_of "//Zebra") in
+      Alcotest.(check (list string)) "no pids" [] (pids r (Pattern.In_trunk 0));
+      Alcotest.(check (float 0.0)) "f = 0" 0.0 (Path_join.frequency r (Pattern.In_trunk 0));
+      let r = Path_join.run join (shape_of "//A/Zebra") in
+      Alcotest.(check (list string)) "A emptied" [] (pids r (Pattern.In_trunk 0));
+      let r = Path_join.run join (shape_of "//Zebra//D") in
+      Alcotest.(check (list string)) "D emptied" [] (pids r (Pattern.In_trunk 1)))
+    [ true; false ]
+
+(* An anchored chain: its masks only place the head at the root, and
+   the anchor keeps only the root's pid. *)
+let test_anchored_chain () =
+  let spec = Plan.join_of_shape (shape_of "/Root/A/C") in
+  let chain = List.hd spec.Plan.chains in
+  Alcotest.(check bool) "anchored" true chain.Plan.anchored;
+  Alcotest.(check (list string)) "masks"
+    [ "0011"; "0011"; "0011" ]
+    (Array.to_list (Array.map Bitvec.to_string (Path_join.chain_masks join chain)));
+  let unanchored =
+    Path_join.chain_masks join { chain with Plan.steps = [ (Pattern.Child, "A") ] }
+  in
+  Alcotest.(check string) "A is not the root" "0000" (Bitvec.to_string unanchored.(0));
+  let r = Path_join.exec join spec in
+  Alcotest.(check (list string)) "Root" [ Paper_fixture.p9 ] (pids r (Pattern.In_trunk 0));
+  Alcotest.(check (list string)) "A"
+    (List.sort compare [ Paper_fixture.p6; Paper_fixture.p7 ])
+    (pids r (Pattern.In_trunk 1));
+  Alcotest.(check (list string)) "C"
+    (List.sort compare [ Paper_fixture.p2; Paper_fixture.p3 ])
+    (pids r (Pattern.In_trunk 2));
+  (* /A without chain pruning, which would empty A first: the anchor
+     drops all three A pids, none of which is the root's *)
+  Counters.with_enabled (fun () ->
+      ignore (Path_join.run (Path_join.create ~chain_pruning:false summary) (shape_of "/A")));
+  Alcotest.(check int) "anchor pruned" 3 (pruned "anchor")
+
+(* Row sets of more than two words: XMark's parlist row spans four,
+   listitem's three.  A lone node keeps its whole row in order, and
+   joins over the wide rows match the per-bit reference with chain
+   pruning on and off. *)
+let test_wide_row_sets () =
+  let summary = Lazy.force xmark in
+  let row tag = Summary.tag_pids summary tag in
+  List.iter
+    (fun tag ->
+      if List.length (row tag) <= 124 then
+        Alcotest.failf "%s has %d pids, want > 124" tag (List.length (row tag)))
+    [ "parlist"; "listitem" ];
+  List.iter
+    (fun chain_pruning ->
+      let join = Path_join.create ~chain_pruning summary in
+      let r = Path_join.run join (shape_of "//parlist") in
+      if bits_of_row (Path_join.pids r (Pattern.In_trunk 0)) <> bits_of_row (row "parlist")
+      then Alcotest.fail "//parlist keeps its row";
+      List.iter
+        (fun q ->
+          let spec = Plan.join_of_shape (shape_of q) in
+          let result = Path_join.exec join spec in
+          Array.iteri
+            (fun id expected ->
+              let pos = spec.Plan.nodes.(id).Plan.position in
+              if bits_of_row (Path_join.pids result pos) <> bits_of_row expected then
+                Alcotest.failf "%s (chain pruning %b): node %d rows differ" q chain_pruning id)
+            (Reference.run ~chain_pruning summary spec))
+        [ "//parlist/listitem"; "//listitem//parlist"; "//listitem/parlist/listitem/text" ])
+    [ true; false ]
+
+(* A document with 300 paths: the root's row holds them all, so its
+   path -> slice index takes two bytes a path, the leaves' one. *)
+let test_wide_slice_index () =
+  let tags = List.init 300 (Printf.sprintf "c%d") in
+  let leaf tag = Tree.elem tag [ Tree.leaf "x" ] in
+  let summary = Summary.build (Doc.of_tree (Tree.elem "r" (List.map leaf tags))) in
+  List.iter
+    (fun chain_pruning ->
+      let join = Path_join.create ~chain_pruning summary in
+      List.iter
+        (fun q ->
+          let spec = Plan.join_of_shape (shape_of q) in
+          let result = Path_join.exec join spec in
+          Array.iteri
+            (fun id expected ->
+              let pos = spec.Plan.nodes.(id).Plan.position in
+              if bits_of_row (Path_join.pids result pos) <> bits_of_row expected then
+                Alcotest.failf "%s (chain pruning %b): node %d rows differ" q chain_pruning id)
+            (Reference.run ~chain_pruning summary spec))
+        [ "/r/c7"; "//r//c299/x"; "//r/x"; "//c0/x" ];
+      let r = Path_join.run join (shape_of "/r/c299/x") in
+      Alcotest.(check (float 0.0)) "f(r)" 1.0 (Path_join.frequency r (Pattern.In_trunk 0));
+      Alcotest.(check (float 0.0)) "f(x)" 1.0 (Path_join.frequency r (Pattern.In_trunk 2)))
+    [ true; false ]
+
 let () =
   Alcotest.run "path_join"
     [
@@ -425,6 +577,8 @@ let () =
           Alcotest.test_case "bad position" `Quick test_position_not_in_shape;
           Alcotest.test_case "theorem 4.1 exact on layered data" `Quick
             test_theorem_4_1_exact_on_regular_data;
+          Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
+          Alcotest.test_case "anchored chain" `Quick test_anchored_chain;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -435,4 +589,10 @@ let () =
             Alcotest.test_case (Registry.to_string name) `Slow
               (test_masks_match_per_bit_rules name))
           [ Registry.Ssplays; Registry.Dblp; Registry.Xmark ] );
+      ( "row sets",
+        [
+          Alcotest.test_case "pruning counts (XMark)" `Slow test_pruning_counts;
+          Alcotest.test_case "wide row sets (XMark)" `Slow test_wide_row_sets;
+          Alcotest.test_case "wide slice index" `Quick test_wide_slice_index;
+        ] );
     ]
