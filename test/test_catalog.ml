@@ -323,6 +323,30 @@ let test_retired_estimator_still_serves () =
   let st : Catalog.stats = Catalog.stats cat in
   Alcotest.(check int) "three loads (k1, k2, k1 again)" 3 st.Catalog.loads
 
+(* A load promotes the summary it installs: the load, not some later
+   request, pays for copying it out of the minor heap.  The minor heap
+   is emptied first and the summary is built before the acquire, so
+   the acquire alone allocates far too little to fill it. *)
+let test_load_promotes () =
+  let k = key "ssplays" 0.0 in
+  ignore (summary_for k);
+  let cat = Catalog.create_r ~loader () in
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  let acquire () =
+    match Catalog.acquire_r cat k with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "acquire: %s" (Xpest_util.Xpest_error.to_string e)
+  in
+  Gc.minor ();
+  let before = minors () in
+  acquire ();
+  Alcotest.(check bool) "a load runs a minor collection" true (minors () > before);
+  Gc.minor ();
+  let before = minors () in
+  acquire ();
+  Alcotest.(check int) "a resident hit runs none" before (minors ());
+  Alcotest.(check int) "one load" 1 (Catalog.stats cat).Catalog.loads
+
 (* ------------------------------------------------------------------ *)
 (* Byte-budgeted residency.                                            *)
 
@@ -456,6 +480,8 @@ let () =
             test_lru_policy_knob;
           Alcotest.test_case "retired estimator still serves" `Quick
             test_retired_estimator_still_serves;
+          Alcotest.test_case "a load promotes its summary" `Quick
+            test_load_promotes;
           Alcotest.test_case "byte-budgeted residency" `Quick test_byte_budget;
           Alcotest.test_case "pinning" `Quick test_pinning;
         ]
