@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test check ci differential chaos stress thrash pipeline overload degrade join bench bench-json clean
+.PHONY: all build test check ci differential chaos stress thrash pipeline overload degrade join hot bench bench-json clean
 
 all: build
 
@@ -97,6 +97,22 @@ join:
 	$(DUNE) exec test/test_paper_examples.exe
 	$(DUNE) exec test/test_estimator.exe
 	$(DUNE) exec test/test_engine_batch.exe
+
+# Warm-serving-path suites: the in-place XPath scanner (every pool
+# query parses back, pinned messages for malformed queries, fuzzing of
+# random and mutated queries), the linear counter delta against its
+# per-name reference, the order specs each plan carries, the catalog's
+# per-group metric attribution, the batched-engine bit-identity suite,
+# and the CLI's cram tests (malformed queries exit 1 with one line).
+# The qcheck seeds are fixed, so this target is deterministic in CI.
+hot:
+	$(DUNE) exec test/test_pattern.exe
+	$(DUNE) exec test/test_xpath_parser.exe
+	$(DUNE) exec test/test_counters.exe
+	$(DUNE) exec test/test_plan.exe
+	$(DUNE) exec test/test_catalog.exe
+	$(DUNE) exec test/test_engine_batch.exe
+	$(DUNE) build @test/cli_catalog_info @test/cli_query_errors
 
 bench:
 	$(DUNE) exec bench/main.exe

@@ -51,6 +51,7 @@ let microbenches () =
   let pf = Summary.pf_table base in
   let simple_q = Pattern.of_string "//item/description//{keyword}" in
   let branch_q = Pattern.of_string "//item[/mailbox/mail]//{keyword}" in
+  let branch_spec = Plan.join_of_shape (Pattern.shape branch_q) in
   let order_q = Pattern.of_string "//item[/payment/folls::{description}]" in
   let join = Path_join.create summary in
   let tests =
@@ -68,7 +69,7 @@ let microbenches () =
              ignore (Summary.assemble ~p_variance:2.0 ~o_variance:2.0 base)));
       Test.make ~name:"path_join(branch)"
         (Staged.stage (fun () ->
-             ignore (Path_join.run join (Pattern.shape branch_q))));
+             ignore (Path_join.exec join branch_spec)));
       (* cold: fresh caches per run, the first-estimate cost a query
          optimizer pays; warm: repeated estimation of a known query *)
       Test.make ~name:"estimate_cold(simple)"

@@ -211,6 +211,18 @@ let or_die_e = function
       prerr_endline ("xpest: " ^ E.to_string e);
       exit 1
 
+(* A query outside the fragment is an input error under the same
+   contract; [where] locates it in a query file. *)
+let parse_query ?where qs =
+  match Pattern.of_string qs with
+  | q -> q
+  | exception Invalid_argument msg ->
+      prerr_endline
+        (match where with
+        | Some where -> Printf.sprintf "xpest: %s: %s" where msg
+        | None -> "xpest: " ^ msg);
+      exit 1
+
 (* Bucket/box counts per histogram family: the numbers variance-target
    tuning turns (higher variance -> fewer buckets -> smaller synopsis,
    larger error). *)
@@ -774,7 +786,8 @@ let read_routed_file path =
                             (Printf.sprintf "xpest: %s:%d: %s" path lineno msg);
                           exit 1
                     in
-                    (key, Pattern.of_string qs) :: acc
+                    (key, parse_query ~where:(Printf.sprintf "%s:%d" path lineno) qs)
+                    :: acc
             in
             loop (lineno + 1) acc
         | exception End_of_file -> List.rev acc
@@ -1311,8 +1324,7 @@ let plan_cmd =
     List.iteri
       (fun i qs ->
         if i > 0 then print_newline ();
-        let q = Pattern.of_string qs in
-        print_string (Plan.to_string (Plan.compile q)))
+        print_string (Plan.to_string (Plan.compile (parse_query qs))))
       queries
   in
   let queries =
@@ -1333,31 +1345,37 @@ let plan_cmd =
 
 (* ---------------- estimate ---------------- *)
 
+(* One query per line; blank and '#' lines skipped.  Queries are
+   parsed here, so an error names its line. *)
 let read_batch_file path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let rec loop acc =
+      let rec loop lineno acc =
         match input_line ic with
         | line ->
             let line = String.trim line in
             let acc =
               if String.length line = 0 || line.[0] = '#' then acc
-              else line :: acc
+              else parse_query ~where:(Printf.sprintf "%s:%d" path lineno) line :: acc
             in
-            loop acc
+            loop (lineno + 1) acc
         | exception End_of_file -> List.rev acc
       in
-      loop [])
+      loop 1 [])
 
 let estimate_cmd =
   let run source scale seed p_variance o_variance synopsis check explain metrics
       batch queries =
-    let queries =
-      queries @ match batch with Some f -> read_batch_file f | None -> []
+    (* parsed before any synopsis is built, so a malformed query fails
+       at once *)
+    let patterns =
+      Array.of_list
+        (List.map parse_query queries
+        @ match batch with Some f -> read_batch_file f | None -> [])
     in
-    if queries = [] then begin
+    if patterns = [||] then begin
       prerr_endline "xpest: no queries (pass QUERY arguments or --batch FILE)";
       exit 1
     end;
@@ -1380,7 +1398,6 @@ let estimate_cmd =
     in
     let est = Estimator.create ~config s in
     (* one compile-dedupe-execute pass over the whole query list *)
-    let patterns = Array.of_list (List.map Pattern.of_string queries) in
     let estimates = Estimator.estimate_many est patterns in
     let rows =
       List.mapi
@@ -1406,15 +1423,14 @@ let estimate_cmd =
          ~align:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
          rows);
     if explain then
-      List.iter
-        (fun qs ->
-          let q = Pattern.of_string qs in
+      Array.iter
+        (fun q ->
           let e = Estimator.explain est q in
           Printf.printf "\n%s  ->  %s\n" (Pattern.to_string q)
             (Tablefmt.fmt_float e.Estimator.value);
           List.iter (fun line -> Printf.printf "  - %s\n" line)
             e.Estimator.derivation)
-        queries
+        patterns
     in
     if metrics then begin
       Metrics.with_counters work;

@@ -843,9 +843,11 @@ let estimate_batch_r ?pool ?loads t pairs =
   (* Per-group counter attribution needs commit and execute inline, in
      order, with nothing else running (see counters.mli) — only the
      fully sequential shape qualifies; pipelined or pooled batches
-     clear [last_metrics] instead of lying. *)
+     clear [last_metrics] instead of lying.  With counting off no
+     counter moves, so no group is bracketed at all. *)
   let seq_metrics =
-    (not (Loader_pool.concurrent loads))
+    Counters.enabled ()
+    && (not (Loader_pool.concurrent loads))
     && (match pool with Some p -> Domain_pool.size p <= 1 | None -> true)
   in
   let metrics = ref [] in

@@ -592,7 +592,10 @@ val last_batch_metrics : t -> (key * (string * int) list) list
     group order: each group is bracketed by
     {!Xpest_util.Counters.snapshot}, so the rows are attributable per
     summary even though counters are process-global (see the caveat
-    in [counters.mli]).  Empty when counters were disabled during the
+    in [counters.mli]).  The brackets are taken only while counting is
+    enabled ({!Xpest_util.Counters.enabled} at the batch's start):
+    with counting off no counter moves, so a batch then takes no
+    snapshot at all.  Empty when counters were disabled during the
     batch, or before any batch ran. *)
 
 val keys_by_recency : t -> key list

@@ -86,8 +86,11 @@ let cache_stats t =
 let plan_of t q = Plan_cache.find_or_add t.plans q Plan.compile
 
 (* Derivation tracing for [explain]: estimation functions [note] their
-   key intermediate values; outside [explain] this is a no-op that
-   formats nothing. *)
+   key intermediate values, behind [tracing t] on the estimation path:
+   outside [explain] a note neither formats nor evaluates its
+   arguments (an unguarded [ifprintf] still costs ~50 ns a call). *)
+let tracing t = Option.is_some t.tracing
+
 let note t fmt =
   match t.tracing with
   | Some acc -> Printf.ksprintf (fun line -> acc := line :: !acc) fmt
@@ -110,158 +113,91 @@ let guard t x =
 (* ------------------------------------------------------------------ *)
 (* Branch-query estimation (Section 4).                                *)
 
-(* Selectivity of [position] in a Simple/Branch shape.  Equation (2):
-   when the target sits on a branch part, estimate through the simple
-   query Q' that drops the other branch.  This is the recursive
-   order-free core the order equations call back into; the top-level
-   [execute] below goes through precompiled join specs instead. *)
-let rec estimate_plain t (shape : Pattern.shape) position =
-  match (shape, position) with
-  | Simple _, _ ->
-      (* Theorem 4.1. *)
-      Counters.incr c_theorem41;
-      let f = Path_join.frequency (Path_join.run t.join shape) position in
-      note t "theorem 4.1: f_Q(n) = %g after the path join" f;
-      f
-  | Branch _, Pattern.In_trunk _ ->
-      Counters.incr c_theorem41;
-      let f = Path_join.frequency (Path_join.run t.join shape) position in
-      note t "trunk target: f_Q(n) = %g after the path join" f;
-      f
-  | Branch { trunk; branch; tail }, Pattern.In_branch i ->
-      estimate_off_trunk t ~trunk ~own:branch ~own_index:i
-        ~full:(Pattern.Branch { trunk; branch; tail })
-  | Branch { trunk; branch; tail }, Pattern.In_tail i ->
-      estimate_off_trunk t ~trunk ~own:tail ~own_index:i
-        ~full:(Pattern.Branch { trunk; branch; tail })
-  | Branch _, (Pattern.In_first _ | Pattern.In_second _) ->
-      invalid_arg "Estimator: order position in a branch shape"
-  | Ordered _, _ ->
-      invalid_arg "Estimator.estimate_plain: ordered shape"
+(* Theorem 4.1 at a trunk node: the joined frequency of the node. *)
+let trunk_frequency t spec position ~simple =
+  Counters.incr c_theorem41;
+  let f = Path_join.frequency (Path_join.exec t.join spec) position in
+  if tracing t then
+    if simple then note t "theorem 4.1: f_Q(n) = %g after the path join" f
+    else note t "trunk target: f_Q(n) = %g after the path join" f;
+  f
 
 (* Equation (2): S_Q(n) ~ f_Q'(n) * f_Q(ni) / f_Q'(ni), with Q' the
-   simple query [trunk/own] and ni the last trunk node. *)
-and estimate_off_trunk t ~trunk ~own ~own_index ~full =
+   simple query [trunk/own] that drops the other branch, ni the last
+   trunk node and [full] the join spec of Q. *)
+let equation_2 t (e : Plan.eq2) full =
   Counters.incr c_equation2;
-  let ni = Pattern.In_trunk (List.length trunk - 1) in
-  let q' = Pattern.Simple (trunk @ own) in
-  let q'_result = Path_join.run t.join q' in
-  let pos_in_q' = Pattern.In_trunk (List.length trunk + own_index) in
-  let f_q'_n = Path_join.frequency q'_result pos_in_q' in
-  let f_q'_ni = Path_join.frequency q'_result ni in
-  let f_q_ni = Path_join.frequency (Path_join.run t.join full) ni in
-  note t
-    "equation 2: S_Q(n) ~ f_Q'(n) * f_Q(ni) / f_Q'(ni) = %g * %g / %g (Q' \
-     drops the other branch; ni = last trunk node)"
-    f_q'_n f_q_ni f_q'_ni;
+  let q'_result = Path_join.exec t.join e.Plan.q_prime in
+  let f_q'_n = Path_join.frequency q'_result e.Plan.pos_in_q' in
+  let f_q'_ni = Path_join.frequency q'_result e.Plan.ni in
+  let f_q_ni = Path_join.frequency (Path_join.exec t.join full) e.Plan.ni in
+  if tracing t then
+    note t
+      "equation 2: S_Q(n) ~ f_Q'(n) * f_Q(ni) / f_Q'(ni) = %g * %g / %g (Q' \
+       drops the other branch; ni = last trunk node)"
+      f_q'_n f_q_ni f_q'_ni;
   if f_q'_ni <= 0.0 then 0.0 else guard t (f_q'_n *. f_q_ni /. f_q'_ni)
 
 (* ------------------------------------------------------------------ *)
 (* Order-query estimation (Section 5).                                 *)
 
-(* S_{Q⃗'}(head): o-histogram sum over the head's surviving pids after
-   the path join on Q' (the counterpart where the *other* branch is
-   reduced to its head).  [head_of] selects which branch head we read
-   ([`First] or [`Second]); the region encodes on which side of the
-   other head it must fall. *)
-let order_head_selectivity t ~trunk ~first ~second
-    ~(axis : Pattern.order_axis) ~head_of =
-  let head spine = match spine with s :: _ -> [ s ] | [] -> [] in
-  let first_tag = (List.hd first).Pattern.tag in
-  let second_tag = (List.hd second).Pattern.tag in
-  let first', second', own_tag, other_tag, own_pos =
-    match head_of with
-    | `Second -> (head first, second, second_tag, first_tag, Pattern.In_tail 0)
-    | `First -> (first, head second, first_tag, second_tag, Pattern.In_branch 0)
-  in
-  let counterpart' =
-    Pattern.counterpart (Pattern.Ordered { trunk; first = first'; axis; second = second' })
-  in
-  let result = Path_join.run t.join counterpart' in
+(* A head's order survival ratio S⃗_Q'(head) / S_Q'(head): the
+   o-histogram sum over the head's surviving pids after the join on Q'
+   (the counterpart with the other branch cut to its head), over the
+   head's branch estimate in Q'. *)
+let survival t (h : Plan.order_head) =
   let region : Po_table.region =
-    (* Region is from the point of view of [own]: After = own occurs
-       after the other head. *)
-    match (axis, head_of) with
-    | (Following_sibling | Following), `Second -> After
-    | (Following_sibling | Following), `First -> Before
-    | (Preceding_sibling | Preceding), `Second -> Before
-    | (Preceding_sibling | Preceding), `First -> After
+    match h.Plan.region with Plan.Before -> Before | Plan.After -> After
   in
-  let s_arrow =
-    List.fold_left
-      (fun acc (pid, _) ->
-        acc
-        +. Summary.order_frequency t.summary ~tag:own_tag ~pid ~other:other_tag
-             ~region)
-      0.0
-      (Path_join.pids result own_pos)
+  let s_arrow' =
+    Path_join.order_sum
+      (Path_join.exec t.join h.Plan.reduced)
+      h.Plan.reduced_head
+      (Summary.order_lookup t.summary ~tag:h.Plan.own_tag ~other:h.Plan.other_tag ~region)
   in
-  (* S_{Q'}(head): branch estimate of the head in the counterpart. *)
-  let s_q' =
-    match counterpart' with
-    | Pattern.Branch _ as shape ->
-        estimate_plain t shape (Pattern.counterpart_position own_pos)
-    | Pattern.Simple _ | Pattern.Ordered _ -> assert false
-  in
-  (s_arrow, s_q')
-
-(* Sibling-axis order estimation for a target position.  Assumes
-   [axis] is Following_sibling or Preceding_sibling (callers convert
-   Following/Preceding first). *)
-let estimate_sibling_order t ~trunk ~first ~second ~axis position =
-  let counterpart = Pattern.counterpart (Pattern.Ordered { trunk; first; axis; second }) in
-  let s_q n = estimate_plain t counterpart (Pattern.counterpart_position n) in
-  let ratio head_of =
-    let s_arrow', s_q' =
-      order_head_selectivity t ~trunk ~first ~second ~axis ~head_of
-    in
+  let s_q' = equation_2 t h.Plan.via h.Plan.reduced in
+  if tracing t then
     note t
       "order survival of the %s head: S⃗_Q'(head) = %g from the o-histogram, \
        S_Q'(head) = %g, ratio %g"
-      (match head_of with `First -> "first" | `Second -> "second")
+      (match h.Plan.head with Pattern.In_first _ -> "first" | _ -> "second")
       s_arrow' s_q'
       (if s_q' <= 0.0 then 0.0 else s_arrow' /. s_q');
-    if s_q' <= 0.0 then 0.0 else s_arrow' /. s_q'
-  in
-  match (position : Pattern.position) with
-  | In_second 0 ->
-      (* Equation (3). *)
-      Counters.incr c_equation3;
-      guard t (s_q (Pattern.In_second 0) *. ratio `Second)
-  | In_second _ ->
-      (* Equation (4): scale the order-free estimate by the head's
-         order survival ratio. *)
-      Counters.incr c_equation4;
-      guard t (s_q position *. ratio `Second)
-  | In_first 0 ->
-      Counters.incr c_equation3;
-      guard t (s_q (Pattern.In_first 0) *. ratio `First)
-  | In_first _ ->
-      Counters.incr c_equation4;
-      guard t (s_q position *. ratio `First)
-  | In_trunk _ ->
+  if s_q' <= 0.0 then 0.0 else s_arrow' /. s_q'
+
+(* Sibling-axis order estimation (Equations 3-5) on compiled specs;
+   [position] is the target. *)
+let estimate_order t (o : Plan.order) position =
+  let counterpart = o.Plan.counterpart in
+  match o.Plan.bound with
+  | Plan.Off_trunk { target; head } ->
+      (* Equation (3) at a head, (4) below one: scale the order-free
+         estimate by the head's order survival ratio. *)
+      (match (position : Pattern.position) with
+      | In_first 0 | In_second 0 -> Counters.incr c_equation3
+      | _ -> Counters.incr c_equation4);
+      guard t (equation_2 t target counterpart *. survival t head)
+  | Plan.On_trunk { first; second } ->
       (* Equation (5): min of the order-free estimate and both sibling
          heads' order estimates. *)
       Counters.incr c_equation5;
-      let s_plain = s_q position in
-      let s_first = guard t (s_q (Pattern.In_first 0) *. ratio `First) in
-      let s_second = guard t (s_q (Pattern.In_second 0) *. ratio `Second) in
-      note t "equation 5: min(S_Q(n)=%g, S⃗_Q(first head)=%g, S⃗_Q(second head)=%g)"
-        s_plain s_first s_second;
+      let s_plain = trunk_frequency t counterpart position ~simple:false in
+      let s_first = guard t (equation_2 t first.Plan.via counterpart *. survival t first) in
+      let s_second =
+        guard t (equation_2 t second.Plan.via counterpart *. survival t second)
+      in
+      if tracing t then
+        note t "equation 5: min(S_Q(n)=%g, S⃗_Q(first head)=%g, S⃗_Q(second head)=%g)"
+          s_plain s_first s_second;
       Float.min s_plain (Float.min s_first s_second)
-  | In_branch _ | In_tail _ ->
-      invalid_arg "Estimator: branch position in an ordered shape"
 
 (* ------------------------------------------------------------------ *)
 (* Following / Preceding conversion (paper Example 5.3).               *)
 
 (* Distinct tag chains between the trunk tag and the second head's tag
-   along the second head's surviving pids. *)
-let conversion_gaps t ~trunk ~first ~second ~axis =
-  let shape = Pattern.Ordered { trunk; first; axis; second } in
-  (* run joins Ordered shapes through the counterpart internally but
-     keeps In_first/In_second positions *)
-  let result = Path_join.run t.join shape in
+   along the second head's surviving pids; [spec] joins the query. *)
+let conversion_gaps t spec ~trunk ~second =
+  let result = Path_join.exec t.join spec in
   let trunk_tag = (List.nth trunk (List.length trunk - 1)).Pattern.tag in
   let head_tag = (List.hd second).Pattern.tag in
   let table = Summary.encoding_table t.summary in
@@ -277,10 +213,18 @@ let conversion_gaps t ~trunk ~first ~second ~axis =
   List.rev !gaps
 
 (* Conversion_5_3: rewrite a following/preceding query into the set of
-   sibling-axis queries spanned by the encoding-table gaps. *)
-let estimate_conversion t ~trunk ~first ~second ~(axis : Pattern.order_axis)
-    position =
+   sibling-axis queries spanned by the encoding-table gaps.  The gaps
+   depend on the summary, so each rewrite compiles its order specs
+   here, not through the plan cache: execution never reads that cache,
+   which parallel batches rely on (their workers execute on other
+   domains, and an estimator's own cache is unsynchronized). *)
+let estimate_conversion t (plan : Plan.t) =
   Counters.incr c_conversion;
+  let trunk, first, axis, second =
+    match Pattern.shape plan.Plan.pattern with
+    | Pattern.Ordered { trunk; first; axis; second } -> (trunk, first, axis, second)
+    | Pattern.Simple _ | Pattern.Branch _ -> assert false (* compile invariant *)
+  in
   let sibling_axis : Pattern.order_axis =
     match axis with
     | Following -> Following_sibling
@@ -288,12 +232,14 @@ let estimate_conversion t ~trunk ~first ~second ~(axis : Pattern.order_axis)
     | Following_sibling | Preceding_sibling ->
         invalid_arg "Estimator: conversion of a sibling axis"
   in
-  let gaps = conversion_gaps t ~trunk ~first ~second ~axis in
-  note t
-    "%s-axis conversion (example 5.3): %d sibling-axis querie(s) via gaps [%s]"
-    (match axis with Pattern.Following -> "following" | _ -> "preceding")
-    (List.length gaps)
-    (String.concat "; " (List.map (String.concat "/") gaps));
+  let gaps = conversion_gaps t plan.Plan.join ~trunk ~second in
+  if tracing t then
+    note t
+      "%s-axis conversion (example 5.3): %d sibling-axis querie(s) via gaps [%s]"
+      (match axis with Pattern.Following -> "following" | _ -> "preceding")
+      (List.length gaps)
+      (String.concat "; " (List.map (String.concat "/") gaps));
+  let position = Pattern.target plan.Plan.pattern in
   List.fold_left
     (fun acc gap ->
       (* Rebuild [second] as a child chain through the gap. *)
@@ -309,57 +255,36 @@ let estimate_conversion t ~trunk ~first ~second ~(axis : Pattern.order_axis)
         | p -> p
       in
       acc
-      +. estimate_sibling_order t ~trunk ~first ~second:chain
-           ~axis:sibling_axis position')
+      +. estimate_order t
+           (Plan.compile_order
+              (Pattern.Ordered { trunk; first; axis = sibling_axis; second = chain })
+              position')
+           position')
     0.0 gaps
 
 (* ------------------------------------------------------------------ *)
-(* The executor: a match on the equation chosen at compile time.       *)
+(* The executor: a match on the equation chosen at compile time; it
+   only executes compiled join specs. *)
 
 let execute t (plan : Plan.t) =
   let target = Pattern.target plan.Plan.pattern in
-  let shape = Pattern.shape plan.Plan.pattern in
   match plan.Plan.equation with
   | Plan.Theorem_4_1 ->
-      Counters.incr c_theorem41;
-      let f =
-        Path_join.frequency (Path_join.exec t.join plan.Plan.join) target
+      let simple =
+        match Pattern.shape plan.Plan.pattern with
+        | Pattern.Simple _ -> true
+        | Pattern.Branch _ | Pattern.Ordered _ -> false
       in
-      (match shape with
-      | Pattern.Simple _ ->
-          note t "theorem 4.1: f_Q(n) = %g after the path join" f
-      | Pattern.Branch _ | Pattern.Ordered _ ->
-          note t "trunk target: f_Q(n) = %g after the path join" f);
-      guard t f
-  | Plan.Equation_2 ->
-      let e =
-        match plan.Plan.eq2 with
-        | Some e -> e
-        | None -> assert false (* compile invariant *)
-      in
-      Counters.incr c_equation2;
-      let q'_result = Path_join.exec t.join e.Plan.q_prime in
-      let f_q'_n = Path_join.frequency q'_result e.Plan.pos_in_q' in
-      let f_q'_ni = Path_join.frequency q'_result e.Plan.ni in
-      let f_q_ni =
-        Path_join.frequency (Path_join.exec t.join plan.Plan.join) e.Plan.ni
-      in
-      note t
-        "equation 2: S_Q(n) ~ f_Q'(n) * f_Q(ni) / f_Q'(ni) = %g * %g / %g (Q' \
-         drops the other branch; ni = last trunk node)"
-        f_q'_n f_q_ni f_q'_ni;
-      guard t
-        (if f_q'_ni <= 0.0 then 0.0 else guard t (f_q'_n *. f_q_ni /. f_q'_ni))
+      guard t (trunk_frequency t plan.Plan.join target ~simple)
+  | Plan.Equation_2 -> (
+      match plan.Plan.eq2 with
+      | Some e -> guard t (equation_2 t e plan.Plan.join)
+      | None -> assert false (* compile invariant *))
   | Plan.Equation_3 | Plan.Equation_4 | Plan.Equation_5 -> (
-      match shape with
-      | Pattern.Ordered { trunk; first; axis; second } ->
-          guard t (estimate_sibling_order t ~trunk ~first ~second ~axis target)
-      | Pattern.Simple _ | Pattern.Branch _ -> assert false)
-  | Plan.Conversion_5_3 -> (
-      match shape with
-      | Pattern.Ordered { trunk; first; axis; second } ->
-          guard t (estimate_conversion t ~trunk ~first ~second ~axis target)
-      | Pattern.Simple _ | Pattern.Branch _ -> assert false)
+      match plan.Plan.order with
+      | Some o -> guard t (estimate_order t o target)
+      | None -> assert false (* compile invariant *))
+  | Plan.Conversion_5_3 -> guard t (estimate_conversion t plan)
 
 (* ------------------------------------------------------------------ *)
 

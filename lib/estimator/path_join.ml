@@ -21,13 +21,14 @@ let t_run = Counters.create_timer "path_join.run_uncached"
 let t_masks = Counters.create_timer "path_join.masks"
 let t_fixpoint = Counters.create_timer "path_join.fixpoint"
 
-(* A row entry: a pid, its frequency estimate, and its set bits (the
-   paths it holds), listed once when the tag's row is built.  The bits
+(* A row entry: a pid, its index in the summary (the o-histograms'
+   column key), its frequency estimate, and its set bits (the paths it
+   holds), listed once when the tag's row is built.  The bits
    are held as floats, exact far beyond any path count, because the GC
    does not scan a float array.  Held as an int array instead, they
    cost the all-cached serve-hot workload ~3% of its qps and p99, and
    xmark-cold ~8% of its qps. *)
-type entry = { pid : Bitvec.t; freq : float; bits : float array }
+type entry = { pid : Bitvec.t; pidx : int; freq : float; bits : float array }
 
 let nth_bit bits b = int_of_float bits.(b)
 
@@ -193,12 +194,12 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
     paths;
   let none = Bitvec.zero npaths in
   let slot = Array.make npaths (-1) in
-  let entry (pid, freq) =
+  let entry (pidx, pid, freq) =
     let bits = Array.make (Bitvec.popcount pid) 0.0 and n = ref 0 in
     Bitvec.iter_set_bits pid (fun b ->
         bits.(!n) <- float_of_int b;
         incr n);
-    { pid; freq; bits }
+    { pid; pidx; freq; bits }
   in
   {
     summary;
@@ -221,7 +222,7 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
         (fun tag ->
           lazy
             (build_row slot
-               (Array.of_list (List.map entry (Summary.tag_pids summary tag)))))
+               (Array.of_list (List.map entry (Summary.tag_entries summary tag)))))
         tags;
     scratch = [||];
     run_cache =
@@ -259,10 +260,11 @@ let union t a b = if a == t.none then b else if b == t.none then a else Bitvec.l
    path set per (node, depth), so every path is decided at once.  A
    node's sets are [none] wherever its tag does not occur, so each
    loop walks only the occurrence depths of the tags it reads. *)
-let chain_masks t (c : Plan.chain) =
-  let steps = Array.of_list c.Plan.steps in
-  let k = Array.length steps and depths = t.depths in
-  let ids = Array.map (fun (_, tag) -> id_of t tag) steps in
+let chain_masks t (spec : Plan.join_spec) (c : Plan.chain) =
+  let k = Array.length c.Plan.node_ids and depths = t.depths in
+  (* each chain node's incoming axis and interned tag *)
+  let axes = Array.map (fun id -> spec.Plan.node_axes.(id)) c.Plan.node_ids in
+  let ids = Array.map (fun id -> id_of t spec.Plan.nodes.(id).Plan.tag) c.Plan.node_ids in
   (* forward.(i).(d): prefix s_0..s_i embeds with s_i at depth d *)
   let forward = Array.make_matrix k depths t.none in
   for i = 0 to k - 1 do
@@ -273,7 +275,7 @@ let chain_masks t (c : Plan.chain) =
         forward.(i).(d) <-
           (if i = 0 then if (not c.Plan.anchored) || d = 0 then at t ids.(0) d else t.none
            else
-             match fst steps.(i) with
+             match axes.(i) with
              | Pattern.Child ->
                  if d = 0 then t.none else inter t (at t ids.(i) d) forward.(i - 1).(d - 1)
              | Pattern.Descendant ->
@@ -296,7 +298,7 @@ let chain_masks t (c : Plan.chain) =
       backward.(i).(d) <-
         (if i = k - 1 then at t ids.(i) d
          else
-           match fst steps.(i + 1) with
+           match axes.(i + 1) with
            | Pattern.Child ->
                if d + 1 = depths then t.none
                else inter t (at t ids.(i) d) backward.(i + 1).(d + 1)
@@ -468,7 +470,7 @@ let run_uncached t (spec : Plan.join_spec) =
     Counters.time t_masks (fun () ->
         ( (if t.chain_pruning then
              List.map
-               (fun (c : Plan.chain) -> (c.Plan.node_ids, chain_masks t c))
+               (fun (c : Plan.chain) -> (c.Plan.node_ids, chain_masks t spec c))
                spec.Plan.chains
            else []),
           List.map
@@ -486,7 +488,7 @@ let run_uncached t (spec : Plan.join_spec) =
   in
   List.iter
     (fun (node_ids, masks) ->
-      List.iteri (fun i id -> chain_prune t nodes.(id) masks.(i)) node_ids)
+      Array.iteri (fun i id -> chain_prune t nodes.(id) masks.(i)) node_ids)
     chains;
   (* Anchor: a Child first step means "child of the virtual document
      node", i.e. the document root itself: only the root's pid (the
@@ -502,26 +504,30 @@ let run_uncached t (spec : Plan.join_spec) =
       done);
   { nodes }
 
-(* Memoized on the shape; [spec] compiles the shape on a miss. *)
-let cached t shape spec =
-  match Bounded_cache.find_opt t.run_cache shape with
+(* Memoized on the spec's shape. *)
+let exec t (spec : Plan.join_spec) =
+  match Bounded_cache.find_opt t.run_cache spec.Plan.shape with
   | Some r -> r
   | None ->
-      let r = Counters.time t_run (fun () -> run_uncached t (spec ())) in
-      Bounded_cache.add t.run_cache shape r;
+      let r = Counters.time t_run (fun () -> run_uncached t spec) in
+      Bounded_cache.add t.run_cache spec.Plan.shape r;
       r
 
-let exec t (spec : Plan.join_spec) = cached t spec.Plan.shape (fun () -> spec)
-let run t shape = cached t shape (fun () -> Plan.join_of_shape shape)
+let same_position (a : Pattern.position) (b : Pattern.position) =
+  match (a, b) with
+  | In_trunk i, In_trunk j | In_branch i, In_branch j | In_tail i, In_tail j -> i = j
+  | In_first i, In_first j | In_second i, In_second j -> i = j
+  | (In_trunk _ | In_branch _ | In_tail _ | In_first _ | In_second _), _ -> false
 
 let find result position =
-  let found = ref None in
-  Array.iter
-    (fun n -> if n.position = position then found := Some n)
-    result.nodes;
-  match !found with
-  | Some n -> n
-  | None -> invalid_arg "Path_join: position not in the joined shape"
+  let nodes = result.nodes in
+  let rec go i =
+    if i = Array.length nodes then
+      invalid_arg "Path_join: position not in the joined shape"
+    else if same_position nodes.(i).position position then nodes.(i)
+    else go (i + 1)
+  in
+  go 0
 
 (* [f acc e] over the node's surviving entries, in row order. *)
 let fold_survivors f acc node =
@@ -540,5 +546,21 @@ let fold_survivors f acc node =
 let pids result position =
   List.rev (fold_survivors (fun acc e -> (e.pid, e.freq) :: acc) [] (find result position))
 
+(* [f_Q(n)]: a float loop over the survivors, in row order from 0, so
+   no partial sum is boxed. *)
 let frequency result position =
-  fold_survivors (fun acc e -> acc +. e.freq) 0.0 (find result position)
+  let node = find result position in
+  let set = node.set and entries = node.row.entries in
+  let acc = ref 0.0 in
+  for wi = 0 to Array.length set - 1 do
+    let word = ref set.(wi) and j = ref (wi * slice_bits) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then acc := !acc +. entries.(!j).freq;
+      word := !word lsr 1;
+      incr j
+    done
+  done;
+  !acc
+
+let order_sum result position cell =
+  fold_survivors (fun acc e -> acc +. cell e.pidx) 0.0 (find result position)

@@ -49,7 +49,8 @@
     The chain/edge extraction lives in the compiler
     ({!Xpest_plan.Plan.join_of_shape}); this module only executes
     specs against a summary, memoizing results in a bounded run cache
-    keyed on the spec's shape. *)
+    keyed on the spec's shape; the estimator's callers hand it
+    compiled specs only. *)
 
 type t
 (** Join machinery for one summary: the read-only path-mask index and
@@ -72,7 +73,8 @@ val create :
 val cache_stats : t -> (string * Xpest_plan.Plan_cache.stats) list
 (** Working-set report of the run cache, as [[("run", stats)]]. *)
 
-val chain_masks : t -> Xpest_plan.Plan.chain -> Xpest_util.Bitvec.t array
+val chain_masks :
+  t -> Xpest_plan.Plan.join_spec -> Xpest_plan.Plan.chain -> Xpest_util.Bitvec.t array
 (** Per chain node i, the paths into which the whole chain embeds in
     order with node i somewhere on them (child steps adjacent,
     descendant steps later, an anchored head at the root).  Chain
@@ -93,12 +95,8 @@ type result
 
 val exec : t -> Xpest_plan.Plan.join_spec -> result
 (** Runs a precompiled join spec to fixpoint, memoized on the spec's
-    shape. *)
-
-val run : t -> Xpest_xpath.Pattern.shape -> result
-(** [run t shape] = [exec t (Plan.join_of_shape shape)], compiling
-    only on a cache miss.  [Ordered] shapes are joined through their
-    order-free counterpart (order axes do not constrain pids). *)
+    shape.  A spec of an [Ordered] shape joins its order-free
+    counterpart (order axes do not constrain pids). *)
 
 val pids :
   result -> Xpest_xpath.Pattern.position -> (Xpest_util.Bitvec.t * float) list
@@ -110,3 +108,10 @@ val pids :
 
 val frequency : result -> Xpest_xpath.Pattern.position -> float
 (** [f_Q(n)]: the summed frequency of the surviving pids. *)
+
+val order_sum : result -> Xpest_xpath.Pattern.position -> (int -> float) -> float
+(** [order_sum r n cell]: [cell] summed over the indices
+    ({!Xpest_synopsis.Summary.tag_entries}) of [n]'s surviving pids, in
+    p-histogram order, from 0 — S⃗ of Equation 3 with [cell] a resolved
+    {!Xpest_synopsis.Summary.order_lookup}.
+    @raise Invalid_argument if the position is not in the shape. *)

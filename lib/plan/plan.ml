@@ -50,13 +50,9 @@ type jedge = { parent : int; child : int; axis : Pattern.axis }
 (* One root-to-leaf chain of the query tree: the trunk alone (Simple)
    or the trunk extended by one branch part.  [anchored] is true when
    the head step is a child of the virtual document node ([/n1]);
-   [steps] pairs each chain node's incoming axis with its tag;
-   [node_ids] indexes the chain back into the node array. *)
-type chain = {
-  anchored : bool;
-  steps : (Pattern.axis * string) list;
-  node_ids : int list;
-}
+   [node_ids] indexes the chain into the node array ([chain_steps]
+   reads its axes and tags from there, so a plan stores them once). *)
+type chain = { anchored : bool; node_ids : int array }
 
 type join_spec = {
   shape : Pattern.shape;  (* canonical cache key of the spec *)
@@ -139,14 +135,13 @@ let join_of_shape (shape : Pattern.shape) =
   let chains =
     List.map
       (fun ids ->
-        {
-          anchored = first_axis = Pattern.Child;
-          steps = List.map (fun id -> (node_axes.(id), nodes.(id).tag)) ids;
-          node_ids = ids;
-        })
+        { anchored = first_axis = Pattern.Child; node_ids = Array.of_list ids })
       chain_ids
   in
   { shape; nodes; edges; node_axes; first_axis; chains }
+
+let chain_steps spec c =
+  List.map (fun id -> (spec.node_axes.(id), spec.nodes.(id).tag)) (Array.to_list c.node_ids)
 
 (* ------------------------------------------------------------------ *)
 (* Equation (2) pre-compilation.                                       *)
@@ -169,6 +164,119 @@ let compile_eq2 ~trunk ~own ~own_index =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Order-equation pre-compilation (Equations 3-5).                     *)
+
+(* Which side of the other branch head an own head must fall on, as
+   the o-histograms' regions name it. *)
+type region = Before | After
+
+(* One sibling-order head: S⃗_Q'(head) sums the head's o-histogram
+   cells over its survivors in [reduced], the counterpart with the
+   other branch cut to its head; S_Q'(head) is Equation 2 through
+   [via] (Q' = trunk/own branch) on [reduced], and S_Q(head) the same
+   Equation 2 on the full counterpart. *)
+type order_head = {
+  head : Pattern.position;
+  reduced : join_spec;
+  reduced_head : Pattern.position;
+  via : eq2;
+  own_tag : string;
+  other_tag : string;
+  region : region;
+}
+
+type order_bound =
+  | Off_trunk of { target : eq2; head : order_head }
+  | On_trunk of { first : order_head; second : order_head }
+
+type order = { counterpart : join_spec; bound : order_bound }
+
+(* The counterpart's spec, from a sibling-order query's own: the same
+   join graph (Pattern.v has made the second head a child step, the
+   axis the counterpart gives it), with branch/tail positions. *)
+let counterpart_spec (join : join_spec) =
+  {
+    join with
+    shape = Pattern.counterpart join.shape;
+    nodes =
+      Array.map
+        (fun (n : jnode) ->
+          let position = Pattern.counterpart_position n.position in
+          if position == n.position then n else { n with position })
+        join.nodes;
+  }
+
+(* [join] is the order query's spec ([join_of_shape] of its shape). *)
+let order_of_join (join : join_spec) target =
+  match (join.shape, (target : Pattern.position)) with
+  | Ordered { trunk; first; axis = (Following_sibling | Preceding_sibling) as axis; second }, _
+    -> (
+      let counterpart = counterpart_spec join in
+      let branch, tail =
+        match counterpart.shape with
+        | Pattern.Branch { branch; tail; _ } -> (branch, tail)
+        | Pattern.Simple _ | Pattern.Ordered _ -> assert false
+      in
+      let order_head side =
+        (* [own] is the head's counterpart spine, [other] the other
+           branch as the query writes it *)
+        let own, other, head, reduced_head =
+          match side with
+          | `First -> (branch, second, Pattern.In_first 0, Pattern.In_branch 0)
+          | `Second -> (tail, first, Pattern.In_second 0, Pattern.In_tail 0)
+        in
+        {
+          head;
+          (* the other branch cut to its head; when it is one step
+             already, that is the counterpart itself *)
+          reduced =
+            (match other with
+            | [ _ ] -> counterpart
+            | cut :: _ :: _ ->
+                join_of_shape
+                  (Pattern.counterpart
+                     (match side with
+                     | `First -> Pattern.Ordered { trunk; first; axis; second = [ cut ] }
+                     | `Second -> Pattern.Ordered { trunk; first = [ cut ]; axis; second }))
+            | [] -> assert false (* excluded by Pattern.v *));
+          reduced_head;
+          via = compile_eq2 ~trunk ~own ~own_index:0;
+          own_tag = (List.hd own).Pattern.tag;
+          other_tag = (List.hd other).Pattern.tag;
+          (* from the own head's point of view: After = it occurs after
+             the other head *)
+          region =
+            (match (axis, side) with
+            | Following_sibling, `Second | Preceding_sibling, `First -> After
+            | Following_sibling, `First | Preceding_sibling, `Second -> Before
+            | (Following | Preceding), _ -> assert false);
+        }
+      in
+      let off_trunk side i =
+        let head = order_head side in
+        (* Q' is the head's own: only the target's place in it moves *)
+        let target =
+          if i = 0 then head.via
+          else { head.via with pos_in_q' = Pattern.In_trunk (List.length trunk + i) }
+        in
+        Off_trunk { target; head }
+      in
+      {
+        counterpart;
+        bound =
+          (match target with
+          | In_first i -> off_trunk `First i
+          | In_second i -> off_trunk `Second i
+          | In_trunk _ -> On_trunk { first = order_head `First; second = order_head `Second }
+          | In_branch _ | In_tail _ ->
+              invalid_arg "Plan.compile: branch position in an ordered shape");
+      })
+  | (Simple _ | Branch _ | Ordered _), _ ->
+      invalid_arg "Plan.compile_order: not a sibling-order query"
+
+let compile_order shape target = order_of_join (join_of_shape shape) target
+
+(* ------------------------------------------------------------------ *)
 (* The plan record.                                                    *)
 
 type t = {
@@ -176,6 +284,7 @@ type t = {
   equation : equation;
   join : join_spec;
   eq2 : eq2 option;  (* [Some] iff [equation = Equation_2] *)
+  order : order option;  (* [Some] iff Equation 3, 4 or 5 *)
 }
 
 let pattern t = t.pattern
@@ -193,7 +302,13 @@ let compile pattern =
         Some (compile_eq2 ~trunk ~own:tail ~own_index:i)
     | _ -> None
   in
-  { pattern; equation; join = join_of_shape shape; eq2 }
+  let join = join_of_shape shape in
+  let order =
+    match equation with
+    | Equation_3 | Equation_4 | Equation_5 -> Some (order_of_join join target)
+    | Theorem_4_1 | Equation_2 | Conversion_5_3 -> None
+  in
+  { pattern; equation; join; eq2; order }
 
 let compile_position pattern position =
   compile (Pattern.v (Pattern.shape pattern) position)
@@ -218,6 +333,13 @@ let render_steps steps =
 
 let render_spine spine =
   render_steps (List.map (fun (s : Pattern.step) -> (s.axis, s.tag)) spine)
+
+(* Order-free shapes, as written in a query without its marker. *)
+let render_shape = function
+  | Pattern.Simple spine -> render_spine spine
+  | Pattern.Branch { trunk; branch; tail } ->
+      render_spine trunk ^ "[" ^ render_spine branch ^ "]" ^ render_spine tail
+  | Pattern.Ordered _ -> "?"
 
 let pp ppf t =
   let open Format in
@@ -249,20 +371,33 @@ let pp ppf t =
     spec.nodes;
   List.iteri
     (fun i (c : chain) ->
-      fprintf ppf "  chain %d   %s  (nodes %s%s)@," i (render_steps c.steps)
-        (String.concat "," (List.map (fun id -> "n" ^ string_of_int id) c.node_ids))
+      fprintf ppf "  chain %d   %s  (nodes %s%s)@," i (render_steps (chain_steps spec c))
+        (String.concat ","
+           (List.map (fun id -> "n" ^ string_of_int id) (Array.to_list c.node_ids)))
         (if c.anchored then "; anchored" else ""))
     spec.chains;
-  (match t.eq2 with
-  | Some e ->
-      let q'_spine =
-        match e.q_prime.shape with
-        | Pattern.Simple spine -> render_spine spine
-        | Pattern.Branch _ | Pattern.Ordered _ -> "?"
-      in
-      fprintf ppf "  eq2       Q' = %s, n_i = %s, target in Q' = %s@," q'_spine
-        (position_name e.ni)
-        (position_name e.pos_in_q')
+  let eq2_line (e : eq2) =
+    fprintf ppf "  eq2       Q' = %s, n_i = %s, target in Q' = %s@,"
+      (render_shape e.q_prime.shape) (position_name e.ni) (position_name e.pos_in_q')
+  in
+  let head_line (h : order_head) =
+    fprintf ppf "  head      %s = %s, %s %s: Q' = %s at %s, Eq. 2 via %s@,"
+      (position_name h.head) h.own_tag
+      (match h.region with Before -> "before" | After -> "after")
+      h.other_tag (render_shape h.reduced.shape) (position_name h.reduced_head)
+      (render_shape h.via.q_prime.shape)
+  in
+  Option.iter eq2_line t.eq2;
+  (match t.order with
+  | Some o -> (
+      fprintf ppf "  order     Q = %s (the order axis dropped)@," (render_shape o.counterpart.shape);
+      match o.bound with
+      | Off_trunk { target; head } ->
+          head_line head;
+          eq2_line target
+      | On_trunk { first; second } ->
+          head_line first;
+          head_line second)
   | None -> ());
   fprintf ppf "@]"
 

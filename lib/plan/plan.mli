@@ -42,14 +42,10 @@ val equation_of : Pattern.shape -> Pattern.position -> equation
 type jnode = { tag : string; position : Pattern.position }
 type jedge = { parent : int; child : int; axis : Pattern.axis }
 
-type chain = {
-  anchored : bool;
-  steps : (Pattern.axis * string) list;
-  node_ids : int list;
-}
-(** One root-to-leaf chain of the query tree with its anchoring: the
-    chain-feasibility pruning of the path join tests these against a
-    pid's path types. *)
+type chain = { anchored : bool; node_ids : int array }
+(** One root-to-leaf chain of the query tree with its anchoring, as
+    indices into its spec's nodes: the chain-feasibility pruning of
+    the path join tests these against a pid's path types. *)
 
 type join_spec = {
   shape : Pattern.shape;  (** canonical cache key of the spec *)
@@ -65,6 +61,9 @@ type join_spec = {
 
 val join_of_shape : Pattern.shape -> join_spec
 
+val chain_steps : join_spec -> chain -> (Pattern.axis * string) list
+(** Each chain node's incoming axis and tag, head first. *)
+
 (** {1 Equation-2 pre-compilation} *)
 
 type eq2 = {
@@ -73,6 +72,54 @@ type eq2 = {
   ni : Pattern.position;  (** the last trunk node *)
 }
 
+(** {1 Order-equation pre-compilation}
+
+    Equations 3–5 scale order-free estimates on the counterpart [Q]
+    (the order axis dropped, {!Pattern.counterpart}) by each branch
+    head's order survival ratio [S⃗_Q'(head) / S_Q'(head)], where [Q']
+    is the counterpart with the {e other} branch cut to its head.  The
+    compiler records every join spec this runs, so the executor only
+    executes specs and never rebuilds a shape. *)
+
+type region = Before | After
+(** Where the own head must fall relative to the other branch head:
+    [After] for the second head of [folls] and the first head of
+    [pres], [Before] otherwise.  It names the o-histogram region the
+    head's cells are read from. *)
+
+type order_head = {
+  head : Pattern.position;  (** [In_first 0] or [In_second 0] *)
+  reduced : join_spec;
+      (** [Q']: the counterpart with the other branch cut to its head *)
+  reduced_head : Pattern.position;
+      (** the head in [reduced]: [In_branch 0] or [In_tail 0] *)
+  via : eq2;
+      (** Equation 2 through trunk/own branch: on [reduced] it gives
+          [S_Q'(head)], on the counterpart [S_Q(head)] *)
+  own_tag : string;  (** the head's tag, whose o-histogram is read *)
+  other_tag : string;  (** the other branch head's tag *)
+  region : region;
+}
+
+type order_bound =
+  | Off_trunk of { target : eq2; head : order_head }
+      (** Equations 3 and 4: [S_Q(target)] through Equation 2 on the
+          counterpart, scaled by its own head's ratio ([target] is
+          [head.via] when the target is the head itself) *)
+  | On_trunk of { first : order_head; second : order_head }
+      (** Equation 5: the min of [S_Q(target)] (Theorem 4.1 on the
+          counterpart) and both heads' order estimates *)
+
+type order = {
+  counterpart : join_spec;  (** [Q], the order axis dropped *)
+  bound : order_bound;
+}
+
+val compile_order : Pattern.shape -> Pattern.position -> order
+(** The order specs of a sibling-axis order query; Conversion 5.3
+    calls it on each sibling-axis query it rewrites into.
+    @raise Invalid_argument on any other shape or a branch position. *)
+
 (** {1 Plans} *)
 
 type t = {
@@ -80,6 +127,8 @@ type t = {
   equation : equation;
   join : join_spec;
   eq2 : eq2 option;  (** [Some] iff [equation = Equation_2] *)
+  order : order option;
+      (** [Some] iff [equation] is Equation 3, 4 or 5 *)
 }
 
 val compile : Pattern.t -> t
@@ -111,8 +160,10 @@ val position_name : Pattern.position -> string
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line plan dump: pattern, equation tag, target, join graph
-    (nodes, edges, anchoring), decomposed chains, and the
-    Equation-2 pieces when present.  The CLI's [plan] command prints
-    this. *)
+    (nodes, edges, anchoring), decomposed chains, the Equation-2
+    pieces when present, and for Equations 3–5 the order specs: the
+    counterpart, each head's cut counterpart [Q'] with the head's
+    place in it, its tags and region and the simple query its
+    Equation 2 runs through.  The CLI's [plan] command prints this. *)
 
 val to_string : t -> string

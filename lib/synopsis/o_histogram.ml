@@ -126,18 +126,26 @@ let of_boxes ~ntags ~tag_alpha_rank ~pid_order boxes =
 
 let boxes t = t.boxes
 
+(* The first of [boxes] containing cell (x, y). *)
+let rec scan x y = function
+  | [] -> 0.0
+  | b :: rest ->
+      if x >= b.x_start && x <= b.x_end && y >= b.y_start && y <= b.y_end then b.frequency
+      else scan x y rest
+
 let lookup t ~pid_index ~other_tag ~region =
   match Hashtbl.find_opt t.col_of_pid pid_index with
   | None -> 0.0
-  | Some x ->
-      let y = t.row_of other_tag region in
-      let rec scan = function
-        | [] -> 0.0
-        | b :: rest ->
-            if x >= b.x_start && x <= b.x_end && y >= b.y_start && y <= b.y_end
-            then b.frequency
-            else scan rest
-      in
-      scan t.boxes
+  | Some x -> scan x (t.row_of other_tag region) t.boxes
+
+(* The row's boxes, in box order, picked out once: every lookup on the
+   row then scans only those, and finds the box [lookup] finds. *)
+let row_lookup t ~other_tag ~region =
+  let y = t.row_of other_tag region in
+  let boxes = List.filter (fun b -> y >= b.y_start && y <= b.y_end) t.boxes in
+  fun pid_index ->
+    match Hashtbl.find_opt t.col_of_pid pid_index with
+    | None -> 0.0
+    | Some x -> scan x y boxes
 
 let byte_size t = 20 * List.length t.boxes

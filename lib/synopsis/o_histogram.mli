@@ -59,6 +59,10 @@ val lookup :
 (** Estimated cell value: the containing box's average frequency, or 0
     if no box covers the cell. *)
 
+val row_lookup : t -> other_tag:int -> region:Po_table.region -> int -> float
+(** [row_lookup t ~other_tag ~region] picks the boxes of that row once;
+    applied to a pid index it equals {!lookup} and scans only them. *)
+
 val byte_size : t -> int
 (** Modeled storage: 20 bytes per box (five 4-byte fields, the paper's
     bucket format). *)

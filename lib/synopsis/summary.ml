@@ -158,28 +158,37 @@ let po_table (b : base) = b.po
 let p_variance t = t.core.p_variance
 let o_variance t = t.core.o_variance
 
-let tag_pids t tag =
+(* A pid's index is its slot in [pids], the column key of the
+   o-histograms; with duplicate pids (never built, but a file could
+   hold them) [pid_index] keeps the last slot, so lookups go through
+   it then. *)
+let tag_entries t tag =
   match Hashtbl.find_opt t.core.p_histos tag with
   | None -> []
   | Some h ->
+      let distinct = Pid_tbl.length t.core.pid_index = Array.length t.core.pids in
       Array.to_list (P_histogram.pid_order h)
       |> List.filter_map (fun idx ->
              match P_histogram.frequency h idx with
-             | Some f -> Some (t.core.pids.(idx), f)
+             | Some f ->
+                 let pid = t.core.pids.(idx) in
+                 Some ((if distinct then idx else Pid_tbl.find t.core.pid_index pid), pid, f)
              | None -> None)
+
+let tag_pids t tag = List.map (fun (_, pid, f) -> (pid, f)) (tag_entries t tag)
 
 let tag_total t tag =
   List.fold_left (fun acc (_, f) -> acc +. f) 0.0 (tag_pids t tag)
 
+let order_lookup t ~tag ~other ~region =
+  match (Hashtbl.find_opt t.core.o_histos tag, Hashtbl.find_opt t.core.code_of other) with
+  | Some h, Some other_tag -> O_histogram.row_lookup h ~other_tag ~region
+  | None, _ | Some _, None -> fun _ -> 0.0
+
 let order_frequency t ~tag ~pid ~other ~region =
-  match
-    (Hashtbl.find_opt t.core.o_histos tag, Pid_tbl.find_opt t.core.pid_index pid)
-  with
-  | Some h, Some pid_index -> (
-      match Hashtbl.find_opt t.core.code_of other with
-      | Some other_tag -> O_histogram.lookup h ~pid_index ~other_tag ~region
-      | None -> 0.0)
-  | None, _ | Some _, None -> 0.0
+  match Pid_tbl.find_opt t.core.pid_index pid with
+  | Some pid_index -> order_lookup t ~tag ~other ~region pid_index
+  | None -> 0.0
 
 let p_histogram_buckets t =
   Hashtbl.fold

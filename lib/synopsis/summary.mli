@@ -67,6 +67,10 @@ val tag_pids : t -> string -> (Xpest_util.Bitvec.t * float) list
     frequency estimates — the input rows of the path join.  Empty for
     unknown tags. *)
 
+val tag_entries : t -> string -> (int * Xpest_util.Bitvec.t * float) list
+(** {!tag_pids}, each pid preceded by its index: the column key
+    {!order_lookup} reads the o-histograms by. *)
+
 val tag_total : t -> string -> float
 (** Estimated total frequency of a tag (sum of its pid estimates). *)
 
@@ -80,6 +84,13 @@ val order_frequency :
 (** o-histogram estimate of the path-order cell
     [g (pid, other, region)] in [tag]'s table (0 when uncovered or
     when order statistics were not collected). *)
+
+val order_lookup :
+  t -> tag:string -> other:string -> region:Po_table.region -> int -> float
+(** [order_lookup t ~tag ~other ~region] resolves [tag]'s o-histogram
+    and [other]'s tag code once; applied to a pid's index (from
+    {!tag_entries}) it gives {!order_frequency} of that pid without
+    hashing it. *)
 
 val p_histogram_buckets : t -> (string * int) list
 (** Bucket count of every tag's p-histogram, sorted by tag — the

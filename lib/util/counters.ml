@@ -84,20 +84,34 @@ let reset () =
 (* Snapshots capture every registered counter (zeroes included) so a
    later diff can attribute increments to the work done in between.
    Counters are process-global: the diff is only meaningful when the
-   measured work ran sequentially between the two snapshots. *)
+   measured work ran sequentially between the two snapshots.  Both
+   snapshots list the registry in its order, and [create] only ever
+   prepends, so a later snapshot is the earlier one's counters behind
+   those created in between: the diff walks the two in lockstep. *)
 type snapshot = (string * int) list
 
 let snapshot () = List.map (fun c -> (c.cname, Atomic.get c.count)) !all_counters
 
 let delta_between before after =
-  List.filter_map
-    (fun (name, v_after) ->
-      let v_before =
-        match List.assoc_opt name before with Some v -> v | None -> 0
-      in
-      if v_after - v_before <> 0 then Some (name, v_after - v_before) else None)
-    after
-  |> List.sort compare
+  let keep name d acc = if d <> 0 then (name, d) :: acc else acc in
+  let rec walk acc before after =
+    match (before, after) with
+    | (_, v_before) :: before, (name, v_after) :: after ->
+        walk (keep name (v_after - v_before) acc) before after
+    | _, [] | [], _ -> acc
+  in
+  (* counters created in between head [after]; a [before] taken after
+     [after] heads it the same way, and its extra counters are in no
+     diff *)
+  let rec created acc extra after =
+    match after with
+    | (name, v) :: rest when extra > 0 -> created (keep name v acc) (extra - 1) rest
+    | _ -> (acc, after)
+  in
+  let rec drop n l = match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l in
+  let extra = List.length after - List.length before in
+  let acc, after = created [] extra after in
+  walk acc (drop (-extra) before) after |> List.sort compare
 
 let counters () =
   List.filter_map

@@ -206,42 +206,15 @@ let to_string t =
   Buffer.contents buf
 
 let of_string input =
-  (* Locate and strip the {tag} marker, remembering the ordinal of the
-     marked node test in textual order. *)
-  let buf = Buffer.create (String.length input) in
-  let marked = ref None in
-  let node_index = ref 0 in
-  let n = String.length input in
-  let i = ref 0 in
-  while !i < n do
-    (match input.[!i] with
-    | '{' ->
-        if !marked <> None then invalid_arg "Pattern.of_string: two target markers";
-        marked := Some !node_index
-    | '}' -> ()
-    | ('/' | '[' | ']' | ':' | '*') as c -> Buffer.add_char buf c
-    | c ->
-        (* Start of a name: count it as one node test and copy it. *)
-        let start = !i in
-        while
-          !i < n
-          && (match input.[!i] with
-             | '/' | '[' | ']' | ':' | '{' | '}' -> false
-             | _ -> true)
-        do
-          incr i
-        done;
-        let word = String.sub input start (!i - start) in
-        (* Axis names are followed by "::"; they are not node tests. *)
-        let is_axis = !i + 1 < n && input.[!i] = ':' && input.[!i + 1] = ':' in
-        if not is_axis then incr node_index;
-        Buffer.add_string buf word;
-        i := !i - 1;
-        ignore c);
-    incr i
-  done;
-  let clean = Buffer.contents buf in
-  let ast = Parser.parse_string clean in
+  (* One scan: the parser reads the {tag} marker in place and returns
+     the ordinal of the marked node test in textual order. *)
+  let ast, marked =
+    match Parser.parse_marked input with
+    | parsed -> parsed
+    | exception Parser.Syntax_error { position; message } ->
+        invalid_arg
+          (Printf.sprintf "Pattern.of_string: %s at position %d" message position)
+  in
   (* Convert AST -> shape.  Only the normalized fragment is accepted. *)
   let conv_axis pos = function
     | Ast.Child -> Child
@@ -364,7 +337,7 @@ let of_string input =
   in
   let total = List.fold_left (fun acc (_, l) -> acc + l) 0 part_sizes in
   let target =
-    match !marked with
+    match marked with
     | Some ord -> position_of_ordinal ord
     | None -> position_of_ordinal (total - 1)
   in

@@ -61,7 +61,10 @@ val size : t -> int
 val counterpart : shape -> shape
 (** The order-free counterpart [Q] of an order query [Q⃗] (Section 5):
     dropping the order axis turns [Ordered] into [Branch] with
-    [branch = first] and [tail = second]; other shapes are unchanged. *)
+    [branch = first] and [tail = second]; other shapes are unchanged.
+    The plan compiler records the join specs of [Q] and of the
+    counterparts with one branch cut to its head
+    ([Xpest_plan.Plan.order]), so estimation never rebuilds them. *)
 
 val counterpart_position : position -> position
 (** Maps [In_first]/[In_second] to [In_branch]/[In_tail]. *)
@@ -78,11 +81,13 @@ val to_string : t -> string
     [//A\[/C/F\]/B/{D}].  Parsed back by {!of_string}. *)
 
 val of_string : string -> t
-(** Parse the {!to_string} notation.  Exactly one target marker
-    [{tag}] is required unless the path is a plain simple/branch/order
-    form, in which case the target defaults to the last node of the
-    main path.  @raise Invalid_argument on paths outside the
-    normalized fragment. *)
+(** Parse the {!to_string} notation in one scan ({!Parser.parse_marked}).
+    At most one target marker [{tag}] may wrap a node test; without
+    one the target defaults to the last node of the main path.
+    @raise Invalid_argument, and nothing else, on malformed input or a
+    path outside the normalized fragment.  A syntax error's message
+    ends with its byte position, e.g.
+    ["Pattern.of_string: expected a name at position 4"]. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

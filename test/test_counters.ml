@@ -223,6 +223,59 @@ let test_decode_split_timers () =
       Alcotest.(check int) "sections on a verified load" 1
         (fst (timer "summary.decode.sections")))
 
+(* [delta_between] walks the two snapshots in lockstep; the reference
+   is its earlier definition, a name lookup per counter.  Random
+   activity between three snapshots: increments, adds of any sign,
+   resets, and counters registered in between. *)
+let reference_delta (before : Counters.snapshot) (after : Counters.snapshot) =
+  let before = (before :> (string * int) list) in
+  List.filter_map
+    (fun (name, v_after) ->
+      let v_before = match List.assoc_opt name before with Some v -> v | None -> 0 in
+      if v_after - v_before <> 0 then Some (name, v_after - v_before) else None)
+    (after :> (string * int) list)
+  |> List.sort compare
+
+let delta_counters = Array.init 6 (fun i -> Counters.create (Printf.sprintf "test.delta.%d" i))
+let created = ref 0
+
+type op = Incr of int | Add of int * int | Reset | Create
+
+let run_op = function
+  | Incr i -> Counters.incr delta_counters.(i)
+  | Add (i, n) -> Counters.add delta_counters.(i) n
+  | Reset -> Counters.reset ()
+  | Create ->
+      incr created;
+      Counters.incr (Counters.create (Printf.sprintf "test.delta.new%d" !created))
+
+let gen_ops =
+  let open QCheck.Gen in
+  list_size (int_bound 30)
+    (frequency
+       [
+         (6, map (fun i -> Incr i) (int_bound 5));
+         (4, map2 (fun i n -> Add (i, n)) (int_bound 5) (int_range (-5) 20));
+         (1, return Reset);
+         (1, return Create);
+       ])
+
+let prop_linear_delta =
+  QCheck.Test.make ~name:"linear delta = per-name reference" ~count:300
+    (QCheck.pair (QCheck.make gen_ops) (QCheck.make gen_ops))
+    (fun (ops1, ops2) ->
+      Counters.with_enabled (fun () ->
+          let s1 = Counters.snapshot () in
+          List.iter run_op ops1;
+          let s2 = Counters.snapshot () in
+          List.iter run_op ops2;
+          let s3 = Counters.snapshot () in
+          let names = List.map fst (s3 :> (string * int) list) in
+          List.length (List.sort_uniq compare names) = List.length names
+          && List.for_all
+               (fun (a, b) -> Counters.delta_between a b = reference_delta a b)
+               [ (s1, s2); (s2, s3); (s1, s3); (s3, s1); (s2, s2) ]))
+
 let () =
   Alcotest.run "counters"
     [
@@ -230,6 +283,7 @@ let () =
         [
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
           Alcotest.test_case "enabled counts" `Quick test_enabled_counts;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xde17a |]) prop_linear_delta;
         ] );
       ( "concurrency",
         [

@@ -6,6 +6,9 @@ module Summary = Xpest_synopsis.Summary
 module Estimator = Xpest_estimator.Estimator
 module Stats = Xpest_util.Stats
 module Workload = Xpest_workload.Workload
+module Registry = Xpest_datasets.Registry
+module Counters = Xpest_util.Counters
+module Plan = Xpest_plan.Plan
 
 let estimator_for doc = Estimator.create (Summary.build doc)
 
@@ -261,6 +264,35 @@ let prop_zero_actual_not_wildly_positive =
       Estimator.estimate est (Pattern.of_string "//zzz/{a}") = 0.0
       && Estimator.estimate est (Pattern.of_string "//a/{zzz}") = 0.0)
 
+(* A warm pass re-joins nothing: every spec an estimate runs, the
+   order equations' included, is compiled with its plan and found in
+   the run cache, and the values repeat bit for bit. *)
+let test_warm_pass_joins_nothing () =
+  let doc = Registry.generate ~scale:0.05 Registry.Dblp in
+  let config = { Workload.default_config with num_simple = 100; num_branch = 100 } in
+  let qs = Workload.patterns (Workload.all_items (Workload.generate ~config doc)) in
+  let order =
+    Array.fold_left
+      (fun n q ->
+        match Plan.equation (Plan.compile q) with
+        | Plan.Equation_3 | Plan.Equation_4 | Plan.Equation_5 -> n + 1
+        | _ -> n)
+      0 qs
+  in
+  if order = 0 then Alcotest.fail "no order queries in the pool";
+  let est = estimator_for doc in
+  let cold = Array.map (Estimator.estimate est) qs in
+  let warm = Counters.with_enabled (fun () -> Array.map (Estimator.estimate est) qs) in
+  let count name = Option.value ~default:0 (List.assoc_opt name (Counters.counters ())) in
+  Alcotest.(check int) "run-cache misses" 0 (count "path_join.run_cache.miss");
+  Alcotest.(check int) "plan-cache misses" 0 (count "estimator.plan_cache.miss");
+  Alcotest.(check bool) "run-cache hits" true (count "path_join.run_cache.hit" > 0);
+  Array.iteri
+    (fun i v ->
+      if Int64.bits_of_float v <> Int64.bits_of_float cold.(i) then
+        Alcotest.failf "%s: warm %h, cold %h" (Pattern.to_string qs.(i)) v cold.(i))
+    warm
+
 let () =
   Alcotest.run "estimator"
     [
@@ -275,6 +307,7 @@ let () =
             test_histogram_degrades_gracefully;
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "explain derivations" `Quick test_explain_derivations;
+          Alcotest.test_case "warm pass joins nothing" `Quick test_warm_pass_joins_nothing;
         ] );
       ( "accuracy",
         [

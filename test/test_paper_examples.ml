@@ -12,6 +12,7 @@ module Pf_table = Xpest_synopsis.Pf_table
 module Po_table = Xpest_synopsis.Po_table
 module Path_join = Xpest_estimator.Path_join
 module Estimator = Xpest_estimator.Estimator
+module Plan = Xpest_plan.Plan
 
 open Paper_fixture
 
@@ -114,7 +115,7 @@ let test_example_4_1 () =
         tail = [ { axis = Child; tag = "B" }; { axis = Child; tag = "D" } ];
       }
   in
-  let r = Path_join.run join shape in
+  let r = Path_join.exec join (Plan.join_of_shape shape) in
   Alcotest.(check (list (pair string (float 1e-6))))
     "A pids" [ (p7, 1.0) ]
     (pids_of r (Pattern.In_trunk 0));

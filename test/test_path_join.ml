@@ -17,6 +17,7 @@ let summary = Summary.build doc
 let join = Path_join.create summary
 
 let shape_of s = Pattern.shape (Pattern.of_string s)
+let run join shape = Path_join.exec join (Plan.join_of_shape shape)
 
 let pids result position =
   Path_join.pids result position
@@ -25,7 +26,7 @@ let pids result position =
 
 let test_simple_join_keeps_matching_pids () =
   (* //A//C: A keeps {p6,p7}, C keeps {p2,p3} (paper Example 4.2) *)
-  let r = Path_join.run join (shape_of "//A//C") in
+  let r = run join (shape_of "//A//C") in
   Alcotest.(check (list string)) "A pids"
     (List.sort compare [ Paper_fixture.p6; Paper_fixture.p7 ])
     (pids r (Pattern.In_trunk 0));
@@ -35,26 +36,26 @@ let test_simple_join_keeps_matching_pids () =
 
 let test_child_vs_descendant () =
   (* Root/A is a parent-child edge; //Root//D descendant *)
-  let r = Path_join.run join (shape_of "/Root/A") in
+  let r = run join (shape_of "/Root/A") in
   Alcotest.(check (list string)) "Root" [ Paper_fixture.p9 ]
     (pids r (Pattern.In_trunk 0));
   Alcotest.(check int) "A keeps all 3" 3
     (List.length (pids r (Pattern.In_trunk 1)));
   (* B/C are never in a parent-child relation *)
-  let r = Path_join.run join (shape_of "//B/C") in
+  let r = run join (shape_of "//B/C") in
   Alcotest.(check (list string)) "no B pids" [] (pids r (Pattern.In_trunk 0));
   Alcotest.(check (list string)) "no C pids" [] (pids r (Pattern.In_trunk 1))
 
 let test_anchor_constraint () =
   (* /A must be the document root, whose tag is Root: empty *)
-  let r = Path_join.run join (shape_of "/A") in
+  let r = run join (shape_of "/A") in
   Alcotest.(check (list string)) "empty" [] (pids r (Pattern.In_trunk 0));
-  let r = Path_join.run join (shape_of "/Root") in
+  let r = run join (shape_of "/Root") in
   Alcotest.(check (list string)) "root pid" [ Paper_fixture.p9 ]
     (pids r (Pattern.In_trunk 0))
 
 let test_frequency_sums () =
-  let r = Path_join.run join (shape_of "//B/D") in
+  let r = run join (shape_of "//B/D") in
   Alcotest.(check (float 1e-9)) "f(B) = 4" 4.0
     (Path_join.frequency r (Pattern.In_trunk 0));
   Alcotest.(check (float 1e-9)) "f(D) = 4" 4.0
@@ -62,13 +63,13 @@ let test_frequency_sums () =
 
 let test_ordered_positions () =
   let r =
-    Path_join.run join (shape_of "//A[/C/folls::B/D]")
+    run join (shape_of "//A[/C/folls::B/D]")
   in
   Alcotest.(check (list string)) "second-head B pids" [ Paper_fixture.p5 ]
     (pids r (Pattern.In_second 0))
 
 let test_position_not_in_shape () =
-  let r = Path_join.run join (shape_of "//A//C") in
+  let r = run join (shape_of "//A//C") in
   Alcotest.(check bool) "raises" true
     (match Path_join.pids r (Pattern.In_branch 0) with
     | exception Invalid_argument _ -> true
@@ -124,7 +125,7 @@ let prop_join_sound =
       let summary = Summary.build doc in
       let labeler = Summary.labeler summary in
       let join = Path_join.create summary in
-      let result = Path_join.run join shape in
+      let result = run join shape in
       List.for_all
         (fun pos ->
           let witnesses = Truth.matches doc (Pattern.v shape pos) in
@@ -150,7 +151,7 @@ let prop_simple_frequency_upper_bound =
       let doc = Doc.of_tree tree in
       let summary = Summary.build doc in
       let join = Path_join.create summary in
-      let result = Path_join.run join (Pattern.Simple spine) in
+      let result = run join (Pattern.Simple spine) in
       List.for_all
         (fun i ->
           let pos = Pattern.In_trunk i in
@@ -173,7 +174,7 @@ let test_theorem_4_1_exact_on_regular_data () =
       let q = Pattern.of_string qs in
       match Pattern.shape q with
       | Pattern.Simple spine ->
-          let result = Path_join.run join (Pattern.Simple spine) in
+          let result = run join (Pattern.Simple spine) in
           List.iteri
             (fun i _ ->
               let pos = Pattern.In_trunk i in
@@ -252,9 +253,9 @@ module Reference = struct
 
   let some_bit pid f = List.exists (fun bit -> f (bit + 1)) (Bitvec.set_bits pid)
 
-  let chain_keeps table (c : Plan.chain) i pid =
+  let chain_keeps table spec (c : Plan.chain) i pid =
     some_bit pid (fun encoding ->
-        (chain_feasibility table ~anchored:c.Plan.anchored ~steps:c.Plan.steps
+        (chain_feasibility table ~anchored:c.Plan.anchored ~steps:(Plan.chain_steps spec c)
            encoding).(i))
 
   let edge_keeps table ~axis ~anc ~desc pid =
@@ -272,9 +273,9 @@ module Reference = struct
     if chain_pruning then
       List.iter
         (fun (c : Plan.chain) ->
-          List.iteri
+          Array.iteri
             (fun i id ->
-              rows.(id) <- List.filter (fun (pid, _) -> chain_keeps table c i pid) rows.(id))
+              rows.(id) <- List.filter (fun (pid, _) -> chain_keeps table spec c i pid) rows.(id))
             c.Plan.node_ids)
         spec.Plan.chains;
     (match spec.Plan.first_axis with
@@ -364,12 +365,12 @@ let test_masks_match_per_bit_rules name () =
       let row id = Summary.tag_pids summary spec.Plan.nodes.(id).Plan.tag in
       List.iter
         (fun (c : Plan.chain) ->
-          let masks = Path_join.chain_masks join c in
-          List.iteri
+          let masks = Path_join.chain_masks join spec c in
+          Array.iteri
             (fun i id ->
               List.iter
                 (fun (pid, _) ->
-                  if Bitvec.intersects pid masks.(i) <> Reference.chain_keeps table c i pid
+                  if Bitvec.intersects pid masks.(i) <> Reference.chain_keeps table spec c i pid
                   then
                     Alcotest.failf "%s: chain node %d, pid %s" label i
                       (Bitvec.to_string pid))
@@ -387,7 +388,7 @@ let test_masks_match_per_bit_rules name () =
               | x :: (y :: _ as rest) -> (x = e.Plan.parent && y = e.Plan.child) || adjacent rest
               | _ -> false
             in
-            adjacent c.Plan.node_ids
+            adjacent (Array.to_list c.Plan.node_ids)
           in
           if not (List.exists on_chain spec.Plan.chains) then
             Alcotest.failf "%s: edge n%d-n%d lies on no chain" label e.Plan.parent
@@ -395,8 +396,8 @@ let test_masks_match_per_bit_rules name () =
         spec.Plan.edges;
       List.iter
         (fun (c : Plan.chain) ->
-          let masks = Path_join.chain_masks join c in
-          let steps = Array.of_list c.Plan.steps in
+          let masks = Path_join.chain_masks join spec c in
+          let steps = Array.of_list (Plan.chain_steps spec c) in
           Array.iteri
             (fun i mask ->
               if i > 0 then begin
@@ -472,12 +473,12 @@ let test_unknown_tag () =
   List.iter
     (fun chain_pruning ->
       let join = Path_join.create ~chain_pruning summary in
-      let r = Path_join.run join (shape_of "//Zebra") in
+      let r = run join (shape_of "//Zebra") in
       Alcotest.(check (list string)) "no pids" [] (pids r (Pattern.In_trunk 0));
       Alcotest.(check (float 0.0)) "f = 0" 0.0 (Path_join.frequency r (Pattern.In_trunk 0));
-      let r = Path_join.run join (shape_of "//A/Zebra") in
+      let r = run join (shape_of "//A/Zebra") in
       Alcotest.(check (list string)) "A emptied" [] (pids r (Pattern.In_trunk 0));
-      let r = Path_join.run join (shape_of "//Zebra//D") in
+      let r = run join (shape_of "//Zebra//D") in
       Alcotest.(check (list string)) "D emptied" [] (pids r (Pattern.In_trunk 1)))
     [ true; false ]
 
@@ -489,9 +490,10 @@ let test_anchored_chain () =
   Alcotest.(check bool) "anchored" true chain.Plan.anchored;
   Alcotest.(check (list string)) "masks"
     [ "0011"; "0011"; "0011" ]
-    (Array.to_list (Array.map Bitvec.to_string (Path_join.chain_masks join chain)));
+    (Array.to_list (Array.map Bitvec.to_string (Path_join.chain_masks join spec chain)));
   let unanchored =
-    Path_join.chain_masks join { chain with Plan.steps = [ (Pattern.Child, "A") ] }
+    let a = Plan.join_of_shape (shape_of "/A") in
+    Path_join.chain_masks join a (List.hd a.Plan.chains)
   in
   Alcotest.(check string) "A is not the root" "0000" (Bitvec.to_string unanchored.(0));
   let r = Path_join.exec join spec in
@@ -505,7 +507,7 @@ let test_anchored_chain () =
   (* /A without chain pruning, which would empty A first: the anchor
      drops all three A pids, none of which is the root's *)
   Counters.with_enabled (fun () ->
-      ignore (Path_join.run (Path_join.create ~chain_pruning:false summary) (shape_of "/A")));
+      ignore (run (Path_join.create ~chain_pruning:false summary) (shape_of "/A")));
   Alcotest.(check int) "anchor pruned" 3 (pruned "anchor")
 
 (* Row sets of more than two words: XMark's parlist row spans four,
@@ -523,7 +525,7 @@ let test_wide_row_sets () =
   List.iter
     (fun chain_pruning ->
       let join = Path_join.create ~chain_pruning summary in
-      let r = Path_join.run join (shape_of "//parlist") in
+      let r = run join (shape_of "//parlist") in
       if bits_of_row (Path_join.pids r (Pattern.In_trunk 0)) <> bits_of_row (row "parlist")
       then Alcotest.fail "//parlist keeps its row";
       List.iter
@@ -559,7 +561,7 @@ let test_wide_slice_index () =
                 Alcotest.failf "%s (chain pruning %b): node %d rows differ" q chain_pruning id)
             (Reference.run ~chain_pruning summary spec))
         [ "/r/c7"; "//r//c299/x"; "//r/x"; "//c0/x" ];
-      let r = Path_join.run join (shape_of "/r/c299/x") in
+      let r = run join (shape_of "/r/c299/x") in
       Alcotest.(check (float 0.0)) "f(r)" 1.0 (Path_join.frequency r (Pattern.In_trunk 0));
       Alcotest.(check (float 0.0)) "f(x)" 1.0 (Path_join.frequency r (Pattern.In_trunk 2)))
     [ true; false ]

@@ -115,6 +115,96 @@ let test_pp_smoke () =
     [ "equation_3"; "second[0]" ]
 
 (* ------------------------------------------------------------------ *)
+(* Order specs: one plan per order equation, every spec it carries.    *)
+
+let shape_of q = Pattern.shape (Pattern.of_string q)
+
+let check_shape label q (spec : Plan.join_spec) =
+  Alcotest.(check bool) (label ^ " = " ^ q) true (spec.Plan.shape = shape_of q)
+
+let check_position label expected actual =
+  Alcotest.(check string) label (Plan.position_name expected) (Plan.position_name actual)
+
+let order_of q =
+  let plan = Plan.compile (Pattern.of_string q) in
+  match plan.Plan.order with
+  | Some o ->
+      (* the counterpart spec is the counterpart's own compiled join *)
+      Alcotest.(check bool) "counterpart spec" true
+        (o.Plan.counterpart = Plan.join_of_shape (Pattern.counterpart (shape_of q)));
+      (plan, o)
+  | None -> Alcotest.failf "%s: no order specs" q
+
+let check_head (h : Plan.order_head) ~head ~reduced ~reduced_head ~via ~own ~other ~region =
+  check_position "head" head h.Plan.head;
+  check_shape "reduced" reduced h.Plan.reduced;
+  check_position "head in reduced" reduced_head h.Plan.reduced_head;
+  check_shape "via" via h.Plan.via.Plan.q_prime;
+  Alcotest.(check (pair string string)) "tags" (own, other) (h.Plan.own_tag, h.Plan.other_tag);
+  Alcotest.(check bool) "region" true (h.Plan.region = region)
+
+let test_order_specs_eq3 () =
+  let _, o = order_of "//A[/C/folls::{B}/D]" in
+  check_shape "counterpart" "//A[/C]/B/D" o.Plan.counterpart;
+  match o.Plan.bound with
+  | Plan.Off_trunk { target; head } ->
+      check_head head ~head:(Pattern.In_second 0) ~reduced:"//A[/C]/B/D"
+        ~reduced_head:(Pattern.In_tail 0) ~via:"//A/B/D" ~own:"B" ~other:"C" ~region:Plan.After;
+      (* the first branch is one step: cutting it changes nothing *)
+      Alcotest.(check bool) "reduced is the counterpart" true (head.Plan.reduced == o.Plan.counterpart);
+      Alcotest.(check bool) "the target is the head" true (target == head.Plan.via);
+      check_position "n_i" (Pattern.In_trunk 0) target.Plan.ni;
+      check_position "target in Q'" (Pattern.In_trunk 1) target.Plan.pos_in_q'
+  | Plan.On_trunk _ -> Alcotest.fail "equation 3 with a trunk bound"
+
+let test_order_specs_eq4 () =
+  let _, o = order_of "//A[/C/E/folls::B/{D}]" in
+  check_shape "counterpart" "//A[/C/E]/B/D" o.Plan.counterpart;
+  match o.Plan.bound with
+  | Plan.Off_trunk { target; head } ->
+      check_head head ~head:(Pattern.In_second 0) ~reduced:"//A[/C]/B/D"
+        ~reduced_head:(Pattern.In_tail 0) ~via:"//A/B/D" ~own:"B" ~other:"C" ~region:Plan.After;
+      Alcotest.(check bool) "Q' shared with the head" true
+        (target.Plan.q_prime == head.Plan.via.Plan.q_prime);
+      check_position "target in Q'" (Pattern.In_trunk 2) target.Plan.pos_in_q'
+  | Plan.On_trunk _ -> Alcotest.fail "equation 4 with a trunk bound"
+
+let test_order_specs_eq5 () =
+  let plan, o = order_of "//{A}[/C/E/pres::B/D]" in
+  check_shape "counterpart" "//A[/C/E]/B/D" o.Plan.counterpart;
+  (match o.Plan.bound with
+  | Plan.On_trunk { first; second } ->
+      check_head first ~head:(Pattern.In_first 0) ~reduced:"//A[/C/E]/B"
+        ~reduced_head:(Pattern.In_branch 0) ~via:"//A/C/E" ~own:"C" ~other:"B" ~region:Plan.After;
+      check_head second ~head:(Pattern.In_second 0) ~reduced:"//A[/C]/B/D"
+        ~reduced_head:(Pattern.In_tail 0) ~via:"//A/B/D" ~own:"B" ~other:"C" ~region:Plan.Before
+  | Plan.Off_trunk _ -> Alcotest.fail "equation 5 with an off-trunk bound");
+  Alcotest.(check (list string)) "plan dump"
+    [
+      "  order     Q = //A[/C/E]/B/D (the order axis dropped)";
+      "  head      first[0] = C, after B: Q' = //A[/C/E]/B at branch[0], Eq. 2 via //A/C/E";
+      "  head      second[0] = B, before C: Q' = //A[/C]/B/D at tail[0], Eq. 2 via //A/B/D";
+    ]
+    (List.filter
+       (fun line -> String.starts_with ~prefix:"  order" line || String.starts_with ~prefix:"  head" line)
+       (String.split_on_char '\n' (Plan.to_string plan)))
+
+(* Conversion 5.3 carries no order specs: its sibling-axis rewrites
+   depend on the summary and compile at execution. *)
+let test_order_specs_conversion () =
+  let plan = Plan.compile (Pattern.of_string "//A[/C/foll::{B}]") in
+  Alcotest.(check bool) "no order specs" true (plan.Plan.order = None);
+  Alcotest.check_raises "not a sibling-order query"
+    (Invalid_argument "Plan.compile_order: not a sibling-order query") (fun () ->
+      ignore (Plan.compile_order (shape_of "//A[/C/foll::{B}]") (Pattern.In_second 0)));
+  let o = Plan.compile_order (shape_of "//A[/C/folls::X/B]") (Pattern.In_second 1) in
+  match o.Plan.bound with
+  | Plan.Off_trunk { target; head } ->
+      check_shape "via" "//A/X/B" head.Plan.via.Plan.q_prime;
+      check_position "target in Q'" (Pattern.In_trunk 2) target.Plan.pos_in_q'
+  | Plan.On_trunk _ -> Alcotest.fail "a gap rewrite with a trunk bound"
+
+(* ------------------------------------------------------------------ *)
 (* Plan_cache: bounded LRU.                                            *)
 
 let test_cache_basics () =
@@ -195,6 +285,10 @@ let () =
           Alcotest.test_case "join spec" `Quick test_join_spec;
           Alcotest.test_case "eq2 precompiled" `Quick test_eq2_precompiled;
           Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
+          Alcotest.test_case "order specs (equation 3)" `Quick test_order_specs_eq3;
+          Alcotest.test_case "order specs (equation 4)" `Quick test_order_specs_eq4;
+          Alcotest.test_case "order specs (equation 5)" `Quick test_order_specs_eq5;
+          Alcotest.test_case "order specs (conversion)" `Quick test_order_specs_conversion;
         ] );
       ( "cache",
         [

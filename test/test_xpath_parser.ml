@@ -125,6 +125,51 @@ let test_roundtrip () =
       "/descendant::Play/child::Act";
     ]
 
+(* Every axis name, the paper's abbreviations included, parses in
+   place to its axis, and only when "::" follows it. *)
+let test_axis_table () =
+  List.iter
+    (fun (name, axis) ->
+      Alcotest.check path_testable (name ^ "::")
+        (Ast.path [ step Ast.Descendant "A"; Ast.step axis (Ast.Name "B") ])
+        (Parser.parse_string ("//A/" ^ name ^ "::B"));
+      Alcotest.check path_testable (name ^ " as a tag")
+        (Ast.path [ step Ast.Descendant "A"; step Ast.Child name ])
+        (Parser.parse_string ("//A/" ^ name)))
+    [
+      ("self", Ast.Self); ("child", Ast.Child); ("descendant", Ast.Descendant);
+      ("descendant-or-self", Ast.Descendant_or_self); ("parent", Ast.Parent);
+      ("ancestor", Ast.Ancestor); ("following-sibling", Ast.Following_sibling);
+      ("preceding-sibling", Ast.Preceding_sibling); ("following", Ast.Following);
+      ("preceding", Ast.Preceding); ("folls", Ast.Following_sibling);
+      ("pres", Ast.Preceding_sibling); ("foll", Ast.Following); ("prec", Ast.Preceding);
+    ]
+
+(* [parse_marked] reads a {name} marker where it stands and numbers
+   the name tests in textual order, predicates included; without
+   markers, braces are syntax errors. *)
+let test_marker_ordinals () =
+  let ordinal s = snd (Parser.parse_marked s) in
+  Alcotest.(check (option int)) "none" None (ordinal "//A/B");
+  Alcotest.(check (option int)) "first" (Some 0) (ordinal "//{A}/B");
+  Alcotest.(check (option int)) "in a predicate" (Some 2) (ordinal "//A[/C/{F}]/B/D");
+  Alcotest.(check (option int)) "after a predicate" (Some 4) (ordinal "//A[/C/F]/B/{D}");
+  Alcotest.(check (option int)) "after an axis" (Some 2) (ordinal "//A[/C/folls::{B}/D]");
+  Alcotest.check path_testable "the path without the braces"
+    (Parser.parse_string "//A[/C/F]/B/D")
+    (fst (Parser.parse_marked "//A[/C/F]/B/{D}"));
+  let position s =
+    match Parser.parse_string s with
+    | exception Parser.Syntax_error { position; _ } -> position
+    | _ -> -1
+  in
+  Alcotest.(check int) "braces outside markers" 4 (position "//A/{B}");
+  match Parser.parse_marked "//{A}/{B}" with
+  | exception Parser.Syntax_error { position; message } ->
+      Alcotest.(check (pair int string)) "second marker" (6, "two target markers")
+        (position, message)
+  | _ -> Alcotest.fail "two markers accepted"
+
 let () =
   Alcotest.run "xpath_parser"
     [
@@ -144,5 +189,7 @@ let () =
           Alcotest.test_case "names with digits/dots" `Quick
             test_names_with_digits_dots;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
+          Alcotest.test_case "axis table" `Quick test_axis_table;
+          Alcotest.test_case "marker ordinals" `Quick test_marker_ordinals;
         ] );
     ]
