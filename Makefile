@@ -1,8 +1,8 @@
-# Convenience targets; `make check` is what CI runs.
+# Convenience targets; `make ci` (alias `make check`) is what CI runs.
 
 DUNE ?= dune
 
-.PHONY: all build test check ci differential chaos stress thrash pipeline overload degrade join hot bench bench-json clean
+.PHONY: all build test check ci differential chaos stress thrash pipeline overload degrade join hot bench clean
 
 all: build
 
@@ -11,14 +11,6 @@ build:
 
 test:
 	$(DUNE) runtest
-
-# Full verification: compile everything, run the unit suites, then run
-# the randomized differential suite explicitly.  The differential
-# tests use fixed seeds (see test/test_differential.ml), so this
-# target is deterministic and reproducible in CI.
-check: build
-	$(DUNE) runtest
-	$(DUNE) exec test/test_differential.exe
 
 differential:
 	$(DUNE) exec test/test_differential.exe
@@ -43,11 +35,10 @@ stress:
 	$(DUNE) exec test/test_catalog_concurrent.exe
 	$(DUNE) exec test/test_counters.exe
 
-# Cache-core suite: the segmented-vs-LRU reference differential,
-# qcheck properties of the unified bounded cache (cost conservation,
-# pin-never-evicted, segment-size invariants), the deterministic
-# scan-resistance thrash trace, and the bit-identity differential of
-# engine estimates under either policy.
+# Cache-core suite: the LRU reference differential, qcheck properties
+# of the unified bounded cache (cost conservation, pin-never-evicted,
+# segment-size invariants), and the deterministic scan-resistance
+# thrash trace (segmented vs plain LRU).
 thrash:
 	$(DUNE) exec test/test_bounded_cache.exe
 
@@ -55,7 +46,9 @@ thrash:
 # the pipeline differentials (blocking loads vs loader pools of 1/2/4
 # — bit-identical results, errors, stats and clock, including keyed
 # chaos twins; looped inside test_parallel_differential's pipeline
-# group), and the loader-raises-mid-flight chaos twin.  All seeds are
+# group), the overlap check (4 load domains hold two loads in flight
+# where the blocking twin holds one), and the loader-raises-mid-flight
+# chaos twin.  All seeds are
 # fixed, so this target is deterministic and reproducible in CI.
 pipeline:
 	$(DUNE) exec test/test_loader_pool.exe
@@ -114,29 +107,19 @@ hot:
 	$(DUNE) exec test/test_engine_batch.exe
 	$(DUNE) build @test/cli_catalog_info @test/cli_query_errors
 
+# The paper's evaluation (tables, figures) and the bechamel
+# micro-benchmarks.  Throughput is measured by the ledger
+# (perfbench/README.md), not here.
 bench:
 	$(DUNE) exec bench/main.exe
 
-# Machine-readable estimation-engine benchmark: plan build time, cold
-# vs plan-cached throughput, batch vs scalar speedup per dataset, and
-# the multi-dataset catalog serving section.
-bench-json:
-	$(DUNE) exec bench/main.exe -- --engine-only --scale 0.1 --engine-json BENCH_engine.json
-
-# The whole gate in one target: compile, run every suite exactly once
-# (`dune runtest` covers the unit, differential, chaos, stress, thrash,
-# pipeline, overload, degradation and join suites; the topic targets above
-# re-run subsets for local use), regenerate the engine benchmark, and
-# fail if cold-path or fault-free serving throughput regressed more
-# than 30% against the committed BENCH_engine.json (or the segmented
-# policy stopped out-hitting plain LRU, or the pipelined cold batch
-# stopped beating the blocking one under loader latency, or the
-# sketch tier stopped answering 100% of a blacked-out dataset's
-# queries).
-ci: build
+# The whole gate: compile, then run every suite exactly once.  `dune
+# runtest` covers the unit, differential, chaos, stress, thrash,
+# pipeline, overload, degradation and join suites (the topic targets
+# above re-run subsets for local use).  Every seed is fixed, so the
+# gate is deterministic.
+check ci: build
 	$(DUNE) runtest
-	$(MAKE) bench-json
-	sh tools/check_bench_regression.sh BENCH_engine.json
 
 clean:
 	$(DUNE) clean

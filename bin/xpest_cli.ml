@@ -1388,9 +1388,9 @@ let estimate_cmd =
       | Some path -> or_die_e (Synopsis_io.load_typed path)
       | None -> Summary.build ~p_variance ~o_variance (Lazy.force doc)
     in
-    (* named datasets get cache capacities tuned from the benchmark's
-       recorded working-set peaks; files and unknown names keep the
-       shared default *)
+    (* named datasets get cache capacities sized from their workloads'
+       working-set peaks (Cache_config.for_dataset); files and unknown
+       names keep the shared default *)
     let config =
       match source with
       | `Dataset name -> Cache_config.for_dataset (Registry.to_string name)

@@ -231,13 +231,12 @@ type key_health = {
    cache: plans are summary-independent, so a query compiled for one
    summary is a plan-cache hit when routed to any other.
 
-   Residency runs on the segmented (scan-resistant) policy by default:
-   a cyclic scan over more tenants than fit resident is LRU's worst
-   case — every access evicts the summary it will need next round —
-   while under the segmented policy the re-used (twice-touched)
-   summaries sit in the protected segment and survive the scan (the
-   eviction-policy item in ROADMAP.md, measured by the s1_thrash bench
-   section).  [~resident_policy] restores plain LRU for comparison.
+   Residency runs on the segmented (scan-resistant) policy: a cyclic
+   scan over more tenants than fit resident is LRU's worst case —
+   every access evicts the summary it will need next round — while
+   under the segmented policy the re-used (twice-touched) summaries
+   sit in the protected segment and survive the scan (test_catalog's
+   thrash trace pins the hit count).
 
    The bound is either the historical entry count
    ([resident_capacity]) or, when [config.resident_bytes] is set, a
@@ -306,8 +305,7 @@ let default_resident_capacity = 8
    last-resort answer tier for hundreds of datasets. *)
 let default_sketch_bytes = 262144
 
-let create_r ?(resident_capacity = default_resident_capacity)
-    ?(resident_policy = Bounded_cache.segmented) ?config
+let create_r ?(resident_capacity = default_resident_capacity) ?config
     ?(resilience = default_resilience) ?(admission = Admission.unlimited)
     ?(sketch_bytes = default_sketch_bytes) ?(verify = fun _ -> Ok ()) ~loader
     () =
@@ -356,7 +354,8 @@ let create_r ?(resident_capacity = default_resident_capacity)
       Estimator.create_plan_cache ~capacity:config.Cache_config.plan
         ~synchronized:true ();
     residents =
-      Bounded_cache.create ~capacity:resident_budget ~policy:resident_policy
+      Bounded_cache.create ~capacity:resident_budget
+        ~policy:Bounded_cache.segmented
         ?cost:resident_cost ~synchronized:true ~hit:c_hit ~miss:c_load
         ~evict:c_evict ();
     (* the sketch region is byte-budgeted by exact wire size and only
@@ -673,11 +672,10 @@ let sketch_check ?io ~dir (e : Manifest.sketch_entry) =
 let load_sketch ?io ~dir e =
   Result.bind (sketch_check ?io ~dir e) (Sketch.load_typed ?io)
 
-let of_manifest ?resident_capacity ?resident_policy ?config ?resilience
-    ?admission ?sketch_bytes ?io ~dir manifest =
+let of_manifest ?resident_capacity ?config ?resilience ?admission
+    ?sketch_bytes ?io ~dir manifest =
   let t =
-    create_r ?resident_capacity ?resident_policy ?config ?resilience
-      ?admission ?sketch_bytes
+    create_r ?resident_capacity ?config ?resilience ?admission ?sketch_bytes
       ~verify:(manifest_verify ?io ~dir manifest)
       ~loader:(manifest_loader ?io ~dir manifest)
       ()

@@ -210,7 +210,6 @@ type t
 
 val create_r :
   ?resident_capacity:int ->
-  ?resident_policy:Xpest_util.Bounded_cache.policy ->
   ?config:Xpest_plan.Cache_config.t ->
   ?resilience:resilience ->
   ?admission:Admission.config ->
@@ -231,12 +230,10 @@ val create_r :
     estimators) stay in memory at once (default
     {!default_resident_capacity}) — unless [config.resident_bytes] is
     set, which replaces the count bound with a byte budget costed by
-    each summary's exact wire size ({!Summary.size_bytes}).
-    [resident_policy] (default {!Xpest_util.Bounded_cache.segmented})
-    picks the resident set's replacement policy; pass [Lru] to compare
-    against plain LRU (the s1_thrash bench section does).  [config]
-    also sets the per-cache capacities of the shared plan cache
-    ([config.plan]) and of every pooled estimator's join caches.
+    each summary's exact wire size ({!Summary.size_bytes}).  The
+    resident set is segmented LRU ({!Xpest_util.Bounded_cache.segmented}).
+    [config] also sets the per-cache capacities of the shared plan
+    cache ([config.plan]) and of every pooled estimator's join caches.
     [admission] (default {!Admission.unlimited}, a no-op) enables
     overload protection on the batch entry points — see the preamble.
     [sketch_bytes] (default {!default_sketch_bytes}) budgets the
@@ -268,7 +265,6 @@ val install_sketch : t -> string -> Xpest_synopsis.Sketch.t -> (unit, E.t) resul
 
 val of_manifest :
   ?resident_capacity:int ->
-  ?resident_policy:Xpest_util.Bounded_cache.policy ->
   ?config:Xpest_plan.Cache_config.t ->
   ?resilience:resilience ->
   ?admission:Admission.config ->
@@ -415,8 +411,7 @@ type stats = {
       (** exact wire bytes of the resident summaries (equals
           [resident_cost] under a byte budget) *)
   resident_probationary : int;
-      (** residents in the probationary segment (all of them under a
-          plain-LRU [resident_policy]) *)
+      (** residents in the probationary segment (touched once) *)
   resident_protected : int;
       (** residents promoted to the protected segment (touched at
           least twice; survive cold scans) *)
@@ -599,10 +594,9 @@ val last_batch_metrics : t -> (key * (string * int) list) list
     batch, or before any batch ran. *)
 
 val keys_by_recency : t -> key list
-(** Resident keys in retention order: under the default segmented
-    policy the protected segment first (most-recent first), then
-    probationary — the reverse of eviction order; under a plain-LRU
-    [resident_policy], most-recently used first (test/debug aid). *)
+(** Resident keys in retention order: the protected segment first
+    (most-recent first), then probationary — the reverse of eviction
+    order (test/debug aid). *)
 
 (** {1 Pinning}
 

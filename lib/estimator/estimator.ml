@@ -44,22 +44,18 @@ type t = {
    estimators and compiles each distinct query once.  [synchronized]
    makes that sharing safe across domains. *)
 let create_plan_cache ?(capacity = Plan_cache.default_capacity)
-    ?(policy = Xpest_util.Bounded_cache.Lru) ?(synchronized = false) () =
-  Plan_cache.create ~capacity ~policy ~synchronized ~hit:c_plan_hit
-    ~miss:c_plan_miss ~evict:c_plan_evict ()
+    ?(synchronized = false) () =
+  Plan_cache.create ~capacity ~synchronized ~hit:c_plan_hit ~miss:c_plan_miss
+    ~evict:c_plan_evict ()
 
 let create ?chain_pruning ?(config = Cache_config.default) ?plans summary =
-  let policy =
-    if config.Cache_config.segmented then Xpest_util.Bounded_cache.segmented
-    else Xpest_util.Bounded_cache.Lru
-  in
   {
     summary;
     join = Path_join.create ?chain_pruning ~config summary;
     plans =
       (match plans with
       | Some cache -> cache
-      | None -> create_plan_cache ~capacity:config.Cache_config.plan ~policy ());
+      | None -> create_plan_cache ~capacity:config.Cache_config.plan ());
     config;
     chain_pruning;
     tracing = None;

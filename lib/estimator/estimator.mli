@@ -26,7 +26,6 @@ type t
 
 val create_plan_cache :
   ?capacity:int ->
-  ?policy:Xpest_util.Bounded_cache.policy ->
   ?synchronized:bool ->
   unit ->
   (Xpest_xpath.Pattern.t, Xpest_plan.Plan.t) Xpest_plan.Plan_cache.t
@@ -34,8 +33,7 @@ val create_plan_cache :
     hit/miss/evict counters.  Plans are summary-independent, so one
     cache can be shared by many estimators ([create ~plans]): a pool
     serving several summaries then compiles each distinct query once
-    (the catalog's router does exactly this).  [policy] (default
-    [Lru]) picks the replacement policy.  [synchronized] (default
+    (the catalog's router does exactly this).  [synchronized] (default
     false) makes the cache safe to share across domains — required
     when the owning router runs parallel batches.  Default capacity
     {!Xpest_plan.Plan_cache.default_capacity}. *)

@@ -157,13 +157,6 @@ let build_row slot entries =
 let empty_row = { entries = [||]; words = 0; wide = 1; index = Bytes.empty; slices = [||] }
 
 let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
-  (* Cached values are pure functions of (summary, key), so the
-     replacement policy only decides which entries stay resident —
-     estimates are bit-identical under either policy. *)
-  let policy =
-    if config.Cache_config.segmented then Bounded_cache.segmented
-    else Bounded_cache.Lru
-  in
   let tag_id = Hashtbl.create 64 in
   let intern tag =
     match Hashtbl.find_opt tag_id tag with
@@ -226,8 +219,8 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
         tags;
     scratch = [||];
     run_cache =
-      Bounded_cache.create ~capacity:config.Cache_config.run ~policy
-        ~hit:c_run_hit ~miss:c_run_miss ~evict:c_run_evict ();
+      Bounded_cache.create ~capacity:config.Cache_config.run ~hit:c_run_hit
+        ~miss:c_run_miss ~evict:c_run_evict ();
   }
 
 let cache_stats t = [ ("run", Bounded_cache.stats t.run_cache) ]

@@ -67,8 +67,8 @@ val create :
     fixpoint — see DESIGN.md "known deviations"; pass [false] to
     reproduce the paper's literal pairwise join (the A2 ablation).
     [config] bounds the run cache ([Cache_config.run]; default
-    {!Xpest_plan.Cache_config.default}: 4096 entries) and picks its
-    policy. *)
+    {!Xpest_plan.Cache_config.default}: 4096 entries); the run cache
+    is plain LRU. *)
 
 val cache_stats : t -> (string * Xpest_plan.Plan_cache.stats) list
 (** Working-set report of the run cache, as [[("run", stats)]]. *)

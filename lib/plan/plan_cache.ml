@@ -26,12 +26,12 @@ type stats = Bounded_cache.stats = {
 
 let default_capacity = Bounded_cache.default_capacity
 
-let create ?(capacity = default_capacity) ?(policy = Bounded_cache.Lru)
-    ?(synchronized = false) ?hit ?miss ?evict () =
+let create ?(capacity = default_capacity) ?(synchronized = false) ?hit ?miss
+    ?evict () =
   (* validated here too so callers keep seeing this module's name in
      the historical error message *)
   if capacity < 1 then invalid_arg "Plan_cache.create: capacity must be >= 1";
-  Bounded_cache.create ~capacity ~policy ~synchronized ?hit ?miss ?evict ()
+  Bounded_cache.create ~capacity ~synchronized ?hit ?miss ?evict ()
 
 let capacity = Bounded_cache.capacity
 let length = Bounded_cache.length

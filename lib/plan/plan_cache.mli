@@ -1,9 +1,9 @@
 (** Bounded cache for the estimation engine — a thin instantiation of
     {!Xpest_util.Bounded_cache} with unit cost (capacity in entries)
-    and plain-LRU replacement by default.
+    and plain-LRU replacement.
 
     Backs the estimator's compiled-plan cache; the path join's run
-    cache instantiates [Bounded_cache] directly.  With the default policy, lookups
+    cache instantiates [Bounded_cache] directly.  Lookups
     promote an entry to most-recently-used and inserting past capacity
     evicts the least-recently-used entry — bit-identical to the
     standalone LRU this module used to carry.  All operations are
@@ -36,15 +36,13 @@ val default_capacity : int
 
 val create :
   ?capacity:int ->
-  ?policy:Xpest_util.Bounded_cache.policy ->
   ?synchronized:bool ->
   ?hit:Xpest_util.Counters.t ->
   ?miss:Xpest_util.Counters.t ->
   ?evict:Xpest_util.Counters.t ->
   unit ->
   ('k, 'v) t
-(** [policy] defaults to [Lru] (the historical behaviour),
-    [synchronized] to [false].
+(** [synchronized] defaults to [false].
     @raise Invalid_argument if [capacity < 1]. *)
 
 val capacity : ('k, 'v) t -> int
@@ -55,8 +53,8 @@ val synchronized : ('k, 'v) t -> bool
 val contention : ('k, 'v) t -> int
 (** Lock acquisitions that found the mutex held and had to wait
     (always 0 for unsynchronized caches).  A cheap congestion signal
-    for the pool-shared caches, reported in the parallel bench
-    section. *)
+    for the pool-shared caches, reported as [Catalog.stats]'s
+    [plan_contention] (the CLI's [parallel:] stats line). *)
 
 val races : ('k, 'v) t -> int
 (** {!find_or_add} calls whose computed value was discarded because
@@ -69,8 +67,8 @@ val evictions : ('k, 'v) t -> int
 
 val peak : ('k, 'v) t -> int
 (** Largest occupancy the cache ever reached — the working-set size a
-    capacity must cover to avoid evictions (reported per cache in
-    [BENCH_engine.json]). *)
+    capacity must cover to avoid evictions (reported per engine cache by
+    [Estimator.cache_stats]). *)
 
 type stats = Xpest_util.Bounded_cache.stats = {
   s_capacity : int;

@@ -91,8 +91,8 @@ val synchronized : ('k, 'v) t -> bool
 val contention : ('k, 'v) t -> int
 (** Lock acquisitions that found the mutex held and had to wait
     (always 0 for unsynchronized caches).  A cheap congestion signal
-    for the pool-shared caches, reported in the parallel bench
-    section. *)
+    for the pool-shared caches, reported as [Catalog.stats]'s
+    [plan_contention] (the CLI's [parallel:] stats line). *)
 
 val races : ('k, 'v) t -> int
 (** {!find_or_add} calls whose computed value was discarded because
@@ -106,8 +106,8 @@ val evictions : ('k, 'v) t -> int
 
 val peak : ('k, 'v) t -> int
 (** Largest entry count the cache ever reached — the working-set size
-    a capacity must cover to avoid evictions (reported per cache in
-    [BENCH_engine.json]). *)
+    a capacity must cover to avoid evictions (reported per engine cache by
+    [Estimator.cache_stats]). *)
 
 type stats = {
   s_capacity : int;  (** capacity in cost units *)

@@ -13,18 +13,9 @@
      [protected_ratio] of capacity (unit cost);
    - scan resistance: on a hot-keys-plus-cold-scan workload at the
      same budget, Segmented strictly out-hits plain Lru — the
-     deterministic core of the S1-thrash bench section;
-   - engine differential: estimates are bit-identical with
-     [Cache_config.segmented] on and off (cache policy affects
-     residency, never values). *)
+     deterministic core of the catalog's thrash trace (test_catalog). *)
 
 module Bounded_cache = Xpest_util.Bounded_cache
-module Cache_config = Xpest_plan.Cache_config
-module Pattern = Xpest_xpath.Pattern
-module Registry = Xpest_datasets.Registry
-module Summary = Xpest_synopsis.Summary
-module Estimator = Xpest_estimator.Estimator
-module Workload = Xpest_workload.Workload
 
 (* ------------------------------------------------------------------ *)
 (* Op sequences over a small key space.                                *)
@@ -223,7 +214,7 @@ let test_segment_bound =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Scan resistance: the deterministic core of the S1-thrash bench.     *)
+(* Scan resistance: the cache-core twin of the catalog thrash trace.  *)
 
 (* Hot keys are touched twice in a row each round (second touch =
    2Q promotion), then a cold scan wider than the budget flushes the
@@ -250,45 +241,6 @@ let test_scan_resistance () =
   Alcotest.(check int) "segmented hits" 30 seg;
   Alcotest.(check bool) "segmented strictly out-hits lru" true (seg > lru)
 
-(* ------------------------------------------------------------------ *)
-(* Engine differential: policy changes residency, never estimates.     *)
-
-let test_engine_policy_differential () =
-  let name =
-    match Registry.of_string "ssplays" with
-    | Some n -> n
-    | None -> Alcotest.fail "ssplays not registered"
-  in
-  let doc = Registry.generate ~scale:0.02 name in
-  let summary = Summary.build doc in
-  let workload =
-    Workload.generate
-      ~config:
-        {
-          Workload.default_config with
-          num_simple = 120;
-          num_branch = 120;
-          seed = 42;
-        }
-      doc
-  in
-  let queries = Workload.patterns (Workload.all_items workload) in
-  Alcotest.(check bool) "workload is non-trivial" true (Array.length queries > 50);
-  (* tiny caches so both runs actually evict, exercising the policies *)
-  let small segmented =
-    { Cache_config.default with plan = 8; run = 8; segmented }
-  in
-  let est_lru = Estimator.create ~config:(small false) summary in
-  let est_seg = Estimator.create ~config:(small true) summary in
-  Array.iteri
-    (fun i q ->
-      let a = Estimator.estimate est_lru q
-      and b = Estimator.estimate est_seg q in
-      if Int64.bits_of_float a <> Int64.bits_of_float b then
-        Alcotest.failf "query %d (%s): lru %.17g <> segmented %.17g" i
-          (Pattern.to_string q) a b)
-    queries
-
 let () =
   Alcotest.run "bounded_cache"
     [
@@ -304,10 +256,5 @@ let () =
         [
           Alcotest.test_case "scan resistance (hot + cold scan)" `Quick
             test_scan_resistance;
-        ] );
-      ( "differential",
-        [
-          Alcotest.test_case "segmented vs lru estimates bit-identical" `Quick
-            test_engine_policy_differential;
         ] );
     ]

@@ -303,8 +303,7 @@ let test_shedding_deterministic_across_domains () =
 
 (* Shed groups must not tick the clock: an admission-controlled batch
    on a saturating workload advances the logical clock strictly less
-   than the uncontrolled twin — the bounded-worst-case property the
-   bench regression gate holds. *)
+   than the uncontrolled twin — the bounded-worst-case property. *)
 let test_shed_groups_spend_no_clock () =
   let pairs = routed_pairs () in
   let plain = make_cat () in
@@ -322,7 +321,59 @@ let test_shed_groups_spend_no_clock () =
     Alcotest.failf "controlled batch spent %d ticks, uncontrolled %d"
       controlled_ticks uncontrolled_ticks;
   let s = Catalog.stats controlled in
-  Alcotest.(check bool) "something was shed" true (s.Catalog.shed_queries > 0)
+  Alcotest.(check bool) "something was shed" true (s.Catalog.shed_queries > 0);
+  (* a saturating burst under the Degrade policy: twelve tenants, eight
+     queries each, against four resident slots, so an uncontrolled
+     batch pays a cold load per group round after round; the
+     controlled twin's worst batch must spend strictly fewer ticks *)
+  let nkeys = 12 in
+  let base = Summary.collect (Registry.generate ~scale:0.02 Registry.Ssplays) in
+  let tenants =
+    Array.init nkeys (fun i ->
+        let v = float_of_int i in
+        Summary.assemble ~p_variance:v ~o_variance:v base)
+  in
+  let loader (k : Catalog.key) =
+    Ok tenants.(int_of_float k.Catalog.variance)
+  in
+  let qs =
+    Array.map Pattern.of_string
+      [|
+        "//SPEECH/LINE"; "//ACT[/{SCENE}]"; "//PLAY//{SPEECH}";
+        "//SPEECH//{WORD}"; "//SCENE/{SPEECH}"; "//ACT/SCENE/{TITLE}";
+        "//SPEECH/{SPEAKER}"; "//PLAY/{ACT}";
+      |]
+  in
+  let burst =
+    Array.init (nkeys * Array.length qs) (fun i ->
+        (key "ssplays" (float_of_int (i mod nkeys)), qs.(i / nkeys)))
+  in
+  let worst_batch ?admission () =
+    let cat = Catalog.create_r ?admission ~resident_capacity:4 ~loader () in
+    let worst = ref 0 in
+    for _round = 1 to 3 do
+      let before = Catalog.clock cat in
+      ignore (Catalog.estimate_batch_r cat burst);
+      worst := max !worst (Catalog.clock cat - before)
+    done;
+    (!worst, Catalog.stats cat)
+  in
+  let uncontrolled_worst, _ = worst_batch () in
+  let controlled_worst, s =
+    worst_batch
+      ~admission:
+        {
+          Admission.unlimited with
+          Admission.deadline = Some 40;
+          max_queued_loads = Some 3;
+        }
+      ()
+  in
+  if controlled_worst >= uncontrolled_worst then
+    Alcotest.failf "burst: controlled worst batch spent %d ticks, uncontrolled %d"
+      controlled_worst uncontrolled_worst;
+  Alcotest.(check bool) "burst: something was shed" true
+    (s.Catalog.shed_queries > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The degraded fallback tier.                                         *)

@@ -86,7 +86,9 @@ let test_tiny_capacity (name, scale, wseed) () =
   in
   let tiny =
     Estimator.estimate_many
-      (Estimator.create ~config:(Cache_config.uniform 8) summary)
+      (Estimator.create
+         ~config:{ Cache_config.default with plan = 8; run = 8 }
+         summary)
       patterns
   in
   check_bit_identical ~label:"capacity-8 batch vs default scalar" scalar tiny;
@@ -101,7 +103,9 @@ let test_tiny_capacity (name, scale, wseed) () =
   in
   check_bit_identical ~label:"skewed capacities vs default scalar" scalar skewed;
   let tiny_scalar_est =
-    Estimator.create ~config:(Cache_config.uniform 2) summary
+    Estimator.create
+      ~config:{ Cache_config.default with plan = 2; run = 2 }
+      summary
   in
   let tiny_scalar =
     Array.map (fun q -> Estimator.estimate tiny_scalar_est q) patterns

@@ -114,6 +114,37 @@ let test_estimate_many_differential () =
             again))
     domain_counts
 
+(* A pool of one stays on the sequential path: handing estimate_many a
+   1-domain pool must cost nothing over no pool at all.  The warm
+   second pass returns the first pass's bits, compiles nothing, joins
+   nothing afresh, and never enters the pool (the parallel path would
+   run its single chunk through Domain_pool.run_all). *)
+let test_pool_of_one_stays_sequential () =
+  let doc = Registry.generate ~scale:0.05 Registry.Dblp in
+  let summary = Summary.build ~p_variance:0.0 ~o_variance:0.0 doc in
+  let qs = patterns_with_duplicates ~wseed:9204 doc in
+  Domain_pool.with_pool ~domains:1 (fun pool ->
+      let est = Estimator.create summary in
+      let cold = Estimator.estimate_many ~pool est qs in
+      let warm =
+        Counters.with_enabled (fun () -> Estimator.estimate_many ~pool est qs)
+      in
+      Array.iteri
+        (fun i v ->
+          check_bits (Printf.sprintf "warm pass, query %d" i) cold.(i) v)
+        warm;
+      let count name =
+        Option.value ~default:0 (List.assoc_opt name (Counters.counters ()))
+      in
+      Alcotest.(check int) "no plan-cache miss" 0
+        (count "estimator.plan_cache.miss");
+      Alcotest.(check int) "no run-cache miss" 0
+        (count "path_join.run_cache.miss");
+      Alcotest.(check int) "the pool was never entered" 0
+        (count "domain_pool.calls");
+      Alcotest.(check bool) "the warm pass did hit the run cache" true
+        (count "path_join.run_cache.hit" > 0))
+
 (* try_estimate_many: same contract through the error-isolating
    wrapper. *)
 let test_try_estimate_many_differential () =
@@ -354,6 +385,70 @@ let test_pipeline_latency_differential () =
           done))
     load_domain_counts
 
+(* The pipeline overlaps loads.  Eight cold keys, each one group; the
+   loader counts the calls in flight and waits (at most one second per
+   run) until it has seen two at once, so a schedule that overlaps
+   loads finishes at once and one that cannot pays the wait.  Four
+   load domains must reach two loads in flight and prefetch; the
+   blocking twin never has more than one; both return the same bits,
+   stats and clock. *)
+let test_pipeline_overlaps_loads () =
+  let nkeys = 8 in
+  let base = Summary.collect (Registry.generate ~scale:0.02 Registry.Ssplays) in
+  let variants =
+    Array.init nkeys (fun i ->
+        let v = float_of_int i in
+        Summary.assemble ~p_variance:v ~o_variance:v base)
+  in
+  let qs =
+    Array.map Pattern.of_string
+      [| "//SPEECH/LINE"; "//ACT[/{SCENE}]"; "//PLAY//{SPEECH}" |]
+  in
+  let pairs =
+    Array.init (nkeys * Array.length qs) (fun i ->
+        (key "ssplays" (float_of_int (i mod nkeys)), qs.(i / nkeys)))
+  in
+  let run ?loads () =
+    let in_flight = Atomic.make 0 and peak = Atomic.make 0 in
+    let deadline = Atomic.make 0.0 in
+    let loader (k : Catalog.key) =
+      ignore
+        (Atomic.compare_and_set deadline 0.0 (Unix.gettimeofday () +. 1.0));
+      let now_in = 1 + Atomic.fetch_and_add in_flight 1 in
+      let rec raise_peak () =
+        let p = Atomic.get peak in
+        if now_in > p && not (Atomic.compare_and_set peak p now_in) then
+          raise_peak ()
+      in
+      raise_peak ();
+      while Atomic.get peak < 2 && Unix.gettimeofday () < Atomic.get deadline do
+        Unix.sleepf 0.0005
+      done;
+      Atomic.decr in_flight;
+      Ok variants.(int_of_float k.Catalog.variance)
+    in
+    let cat = Catalog.create_r ~resident_capacity:nkeys ~loader () in
+    let results = Catalog.estimate_batch_r ?loads cat pairs in
+    (results, cat, Atomic.get peak)
+  in
+  let blocking, blocking_cat, blocking_peak = run () in
+  Alcotest.(check int) "blocking: one load in flight at a time" 1
+    blocking_peak;
+  Alcotest.(check int) "blocking: nothing prefetched" 0
+    (Catalog.stats blocking_cat).Catalog.prefetched_loads;
+  Domain_pool.with_pool ~domains:4 (fun lp ->
+      let pipelined, cat, peak = run ~loads:(Loader_pool.over lp) () in
+      if peak < 2 then
+        Alcotest.failf "4 load domains: peak %d loads in flight, want >= 2"
+          peak;
+      if (Catalog.stats cat).Catalog.prefetched_loads = 0 then
+        Alcotest.fail "4 load domains: no load was prefetched";
+      compare_results "4 load domains vs blocking" blocking pipelined;
+      check_same_stats "4 load domains vs blocking" (Catalog.stats blocking_cat)
+        (Catalog.stats cat);
+      Alcotest.(check int) "same clock" (Catalog.clock blocking_cat)
+        (Catalog.clock cat))
+
 (* Load fan-out and execute fan-out composed: loads overlap each other
    while acquired groups execute across a second pool. *)
 let test_pipeline_with_execute_pool_differential () =
@@ -535,6 +630,8 @@ let () =
             test_estimate_many_differential;
           Alcotest.test_case "try_estimate_many pool vs sequential" `Quick
             test_try_estimate_many_differential;
+          Alcotest.test_case "pool of one stays sequential" `Quick
+            test_pool_of_one_stays_sequential;
         ] );
       ( "catalog",
         [
@@ -549,6 +646,8 @@ let () =
         [
           Alcotest.test_case "loader latency, loads 1/2/4 vs blocking" `Quick
             test_pipeline_latency_differential;
+          Alcotest.test_case "loads overlap at 4 load domains" `Quick
+            test_pipeline_overlaps_loads;
           Alcotest.test_case "load pool composed with execute pool" `Quick
             test_pipeline_with_execute_pool_differential;
           Alcotest.test_case "chaos: keyed faults through the pipeline" `Quick
