@@ -796,7 +796,7 @@ let read_routed_file path =
 
 let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
     pins metrics fault_rate fault_seed domains load_domains health_state
-    deadline max_queued_loads breaker_threshold shed_policy =
+    deadline max_queued_loads breaker_threshold =
     (* one typed one-line error contract for every count-valued knob *)
     let require_at_least_1 flag v =
       if v < 1 then begin
@@ -814,12 +814,7 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
     Option.iter (require_at_least_1 "max-queued-loads") max_queued_loads;
     Option.iter (require_at_least_1 "breaker-threshold") breaker_threshold;
     let admission =
-      {
-        Admission.deadline;
-        max_queued_loads;
-        breaker_threshold;
-        policy = shed_policy;
-      }
+      { Admission.deadline; max_queued_loads; breaker_threshold }
     in
     let admission_active =
       deadline <> None || max_queued_loads <> None || breaker_threshold <> None
@@ -831,10 +826,11 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
     end;
     let m = load_manifest dir in
     (* --fault-rate substitutes a fault-injecting storage interface: a
-       reproducible chaos demo of the quarantine/degraded machinery.
-       With loads fanned out, the schedule must not depend on cross-key
-       read order — the keyed injector (per-path deterministic) keeps
-       the demo reproducible at any --load-domains. *)
+       reproducible chaos demo of the quarantine machinery and the
+       degradation ladder.  With loads fanned out, the schedule must
+       not depend on cross-key read order — the keyed injector
+       (per-path deterministic) keeps the demo reproducible at any
+       --load-domains. *)
     let io =
       if fault_rate <= 0.0 then None
       else
@@ -946,11 +942,8 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
         s.Catalog.resident_protected s.Catalog.resident_probationary
         s.Catalog.resident_pinned;
       if s.Catalog.failures > 0 || s.Catalog.retries > 0 then
-        Printf.printf
-          "resilience: %d failures, %d retries, %d quarantines, %d degraded \
-           hits\n"
-          s.Catalog.failures s.Catalog.retries s.Catalog.quarantines
-          s.Catalog.degraded_hits;
+        Printf.printf "resilience: %d failures, %d retries, %d quarantines\n"
+          s.Catalog.failures s.Catalog.retries s.Catalog.quarantines;
       (* the degradation ladder's answer mix: how many queries each
          rung actually served this run *)
       let answered = Array.length pairs - !failed in
@@ -1031,11 +1024,11 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
 let catalog_estimate_cmd =
   let run dir queries_file resident resident_bytes sketch_bytes pins metrics
       fault_rate fault_seed domains load_domains health_state deadline
-      max_queued_loads breaker_threshold shed_policy =
+      max_queued_loads breaker_threshold =
     try
       run_catalog_estimate dir queries_file resident resident_bytes
         sketch_bytes pins metrics fault_rate fault_seed domains load_domains
-        health_state deadline max_queued_loads breaker_threshold shed_policy
+        health_state deadline max_queued_loads breaker_threshold
     with Invalid_argument msg | Sys_error msg ->
       (* non-serving failures: unparseable queries, unreadable files
          (the serving path itself reports per-query typed errors) *)
@@ -1153,8 +1146,9 @@ let catalog_estimate_cmd =
           ~doc:"Per-batch deadline budget in logical ticks: a resident hit \
                 costs 1 tick, a cold load costs 8.  Queries whose modeled \
                 cost no longer fits the remaining budget are shed with a \
-                typed DEADLINE-EXCEEDED error before any I/O happens (see \
-                $(b,--shed-policy)).  Unset means unbounded.")
+                typed DEADLINE-EXCEEDED error before any I/O happens; a \
+                catalog with fallback sketches answers them from the \
+                degradation ladder instead.  Unset means unbounded.")
   in
   let max_queued_loads =
     Arg.(
@@ -1179,25 +1173,6 @@ let catalog_estimate_cmd =
                 after a doubling cooldown (base 16 ticks, cap 256) decides \
                 whether to close it.  Unset disables the breaker.")
   in
-  let shed_policy =
-    let policy_conv =
-      Arg.enum
-        [
-          ("degrade", Admission.Degrade);
-          ("reject", Admission.Reject);
-        ]
-    in
-    Arg.(
-      value
-      & opt policy_conv Admission.Degrade
-      & info [ "shed-policy" ] ~docv:"POLICY"
-          ~doc:"What happens to a shed query: $(b,degrade) (default) walks \
-                the degradation ladder — an already-resident sibling \
-                variance of the same dataset when one exists (status \
-                FALLBACK), else the dataset's always-resident fallback \
-                sketch when the catalog has one (status SKETCH); \
-                $(b,reject) always fails it with the typed error.")
-  in
   Cmd.v
     (Cmd.info "estimate"
        ~doc:"Route a batch of (key, query) pairs across the catalog's \
@@ -1208,7 +1183,7 @@ let catalog_estimate_cmd =
       const run $ catalog_dir_arg $ queries_file $ resident $ resident_bytes
       $ sketch_bytes $ pins $ metrics $ fault_rate $ fault_seed $ domains
       $ load_domains $ health_state $ deadline $ max_queued_loads
-      $ breaker_threshold $ shed_policy)
+      $ breaker_threshold)
 
 let catalog_clear_quarantine_cmd =
   let run dir keys all health_file =
@@ -1242,7 +1217,6 @@ let catalog_clear_quarantine_cmd =
           match h.Catalog.h_state with
           | Catalog.Quarantined { until } ->
               Printf.sprintf "quarantined until tick %d" until
-          | Catalog.Degraded -> "degraded"
           | Catalog.Healthy -> "healthy"
         in
         Printf.printf

@@ -31,13 +31,10 @@
 module E = Xpest_util.Xpest_error
 module Counters = Xpest_util.Counters
 
-type policy = Reject | Degrade
-
 type config = {
   deadline : int option;
   max_queued_loads : int option;
   breaker_threshold : int option;
-  policy : policy;
 }
 
 let load_cost = 8
@@ -46,12 +43,7 @@ let breaker_cooldown_base = 16
 let breaker_cooldown_max = 256
 
 let unlimited =
-  {
-    deadline = None;
-    max_queued_loads = None;
-    breaker_threshold = None;
-    policy = Degrade;
-  }
+  { deadline = None; max_queued_loads = None; breaker_threshold = None }
 
 type breaker_state = Closed | Open of { until : int } | Half_open
 
@@ -111,8 +103,6 @@ let create config =
     breaker_opens = 0;
     probes = 0;
   }
-
-let policy t = t.config.policy
 
 let active t =
   t.config.deadline <> None

@@ -8,7 +8,10 @@
     ({!Xpest_util.Xpest_error.Deadline_exceeded} /
     {!Xpest_util.Xpest_error.Overloaded}) before any I/O happens, so
     an overloaded catalog fails fast instead of queueing itself to
-    death.
+    death.  The controller only decides; what a refused group gets is
+    the catalog's business, and it treats a shed exactly like a failed
+    acquire: down the degradation ladder when the catalog holds a
+    sketch, the typed error otherwise (see {!Xpest_catalog.Catalog}).
 
     {2 Cost model}
 
@@ -48,13 +51,6 @@
     controller leaves the catalog's behavior byte-identical to having
     no controller at all. *)
 
-type policy =
-  | Reject  (** shed queries fail with the typed error *)
-  | Degrade
-      (** shed queries fall back to an already-resident sibling
-          variance of the same dataset when one exists (answer marked
-          degraded), and fail typed otherwise *)
-
 type config = {
   deadline : int option;
       (** per-batch tick budget; [None] = unbounded *)
@@ -63,12 +59,11 @@ type config = {
   breaker_threshold : int option;
       (** consecutive loader failures that open the breaker; [None]
           disables the breaker entirely *)
-  policy : policy;  (** what the catalog does with a shed query *)
 }
 
 val unlimited : config
-(** No deadline, no queue bound, breaker disabled, [policy = Degrade].
-    An {!active}-false controller is a guaranteed no-op. *)
+(** No deadline, no queue bound, breaker disabled.  An {!active}-false
+    controller is a guaranteed no-op. *)
 
 val load_cost : int
 (** 8 modeled ticks per cold load. *)
@@ -86,8 +81,6 @@ type t
 val create : config -> t
 (** @raise Invalid_argument on malformed bounds (negative budgets,
     [breaker_threshold < 1]). *)
-
-val policy : t -> policy
 
 val active : t -> bool
 (** Any limit set (deadline, queue bound, or breaker).  When [false],

@@ -29,7 +29,6 @@ let c_retry = Counters.create "catalog.load_retries"
 let c_fail = Counters.create "catalog.load_failures"
 let c_quarantine = Counters.create "catalog.quarantined"
 let c_quarantine_skip = Counters.create "catalog.quarantine_skips"
-let c_degraded = Counters.create "catalog.degraded_hits"
 let c_prefetch = Counters.create "catalog.prefetched_loads"
 let c_shed = Counters.create "catalog.shed_queries"
 let c_fallback = Counters.create "catalog.fallback_queries"
@@ -173,45 +172,32 @@ let key_of_filename name =
        clock reaches [until]; the first attempt at/after [until] probes
        the loader.  Probe failure re-quarantines with doubled backoff
        (capped at backoff_max); probe success resets to Healthy and
-       backoff_base.
-     Degraded: the key is resident but its manifest re-verification
-       failed and [stale_if_error] kept serving the in-memory copy;
-       cleared by the next successful verification or reload.          *)
+       backoff_base.                                                   *)
 
 type resilience = {
   max_retries : int;
   failure_threshold : int;
   backoff_base : int;
   backoff_max : int;
-  verify_resident : bool;
-  stale_if_error : bool;
-  max_tracked : int;
 }
 
 let default_resilience =
-  {
-    max_retries = 2;
-    failure_threshold = 3;
-    backoff_base = 4;
-    backoff_max = 64;
-    verify_resident = false;
-    stale_if_error = true;
-    max_tracked = 4096;
-  }
+  { max_retries = 2; failure_threshold = 3; backoff_base = 4; backoff_max = 64 }
+
+(* Bound on the per-key health table (see [prune_health]). *)
+let max_tracked = 4096
 
 type hstate = {
   mutable consecutive : int;
   mutable failures : int;
   mutable retries : int;
   mutable quarantines : int;
-  mutable degraded_hits : int;
   mutable backoff : int;  (* length of the next quarantine, in ticks *)
   mutable until : int;  (* quarantined while clock < until *)
-  mutable is_degraded : bool;
   mutable last_error : E.t option;
 }
 
-type health_state = Healthy | Quarantined of { until : int } | Degraded
+type health_state = Healthy | Quarantined of { until : int }
 
 type key_health = {
   h_key : key;
@@ -220,7 +206,6 @@ type key_health = {
   h_failures : int;
   h_retries : int;
   h_quarantines : int;
-  h_degraded_hits : int;
   h_next_backoff : int;
   h_last_error : E.t option;
 }
@@ -268,7 +253,6 @@ type served = Exact of Estimator.t | Via_sketch of Sketch_exec.t
 
 type t = {
   loader : key -> (Summary.t, E.t) result;
-  verify : key -> (unit, E.t) result;
   config : Cache_config.t;
   resilience : resilience;
   admission : Admission.t;
@@ -284,7 +268,6 @@ type t = {
   mutable failures : int;
   mutable retries : int;
   mutable quarantines : int;
-  mutable degraded_hits : int;
   mutable prefetches : int;
   mutable sheds : int;  (* queries refused by admission control *)
   mutable fallbacks : int;
@@ -307,8 +290,7 @@ let default_sketch_bytes = 262144
 
 let create_r ?(resident_capacity = default_resident_capacity) ?config
     ?(resilience = default_resilience) ?(admission = Admission.unlimited)
-    ?(sketch_bytes = default_sketch_bytes) ?(verify = fun _ -> Ok ()) ~loader
-    () =
+    ?(sketch_bytes = default_sketch_bytes) ~loader () =
   if resident_capacity < 1 then
     invalid_arg "Catalog.create_r: resident_capacity must be >= 1";
   if sketch_bytes < 1 then
@@ -317,7 +299,6 @@ let create_r ?(resident_capacity = default_resident_capacity) ?config
     resilience.max_retries < 0 || resilience.failure_threshold < 1
     || resilience.backoff_base < 1
     || resilience.backoff_max < resilience.backoff_base
-    || resilience.max_tracked < 1
   then invalid_arg "Catalog.create_r: malformed resilience policy";
   let config = match config with Some c -> c | None -> Cache_config.default in
   (* [config.resident_bytes] switches the resident bound from entry
@@ -343,7 +324,6 @@ let create_r ?(resident_capacity = default_resident_capacity) ?config
   in
   {
     loader;
-    verify;
     config;
     resilience;
     admission = Admission.create admission;
@@ -373,7 +353,6 @@ let create_r ?(resident_capacity = default_resident_capacity) ?config
     failures = 0;
     retries = 0;
     quarantines = 0;
-    degraded_hits = 0;
     prefetches = 0;
     sheds = 0;
     fallbacks = 0;
@@ -423,23 +402,19 @@ let fresh_hstate t =
     failures = 0;
     retries = 0;
     quarantines = 0;
-    degraded_hits = 0;
     backoff = t.resilience.backoff_base;
     until = 0;
-    is_degraded = false;
     last_error = None;
   }
 
 (* Drop fully-healthy entries when the table reaches its bound; the
    bound only bites under a storm of distinct failing keys. *)
 let prune_health t =
-  if Hashtbl.length t.health_tbl >= t.resilience.max_tracked then begin
+  if Hashtbl.length t.health_tbl >= max_tracked then begin
     let victims =
       Hashtbl.fold
         (fun k h acc ->
-          if h.consecutive = 0 && h.until <= t.clock && not h.is_degraded then
-            k :: acc
-          else acc)
+          if h.consecutive = 0 && h.until <= t.clock then k :: acc else acc)
         t.health_tbl []
     in
     List.iter (Hashtbl.remove t.health_tbl) victims
@@ -452,7 +427,7 @@ let hstate_tracked t key =
   | Some h -> Ok h
   | None ->
       prune_health t;
-      if Hashtbl.length t.health_tbl >= t.resilience.max_tracked then
+      if Hashtbl.length t.health_tbl >= max_tracked then
         Error
           (E.Capacity
              (Printf.sprintf
@@ -466,21 +441,10 @@ let hstate_tracked t key =
         Ok h
       end
 
-(* Soft form for resident keys (bounded by the resident set anyway). *)
-let hstate_force t key =
-  match Hashtbl.find_opt t.health_tbl key with
-  | Some h -> h
-  | None ->
-      prune_health t;
-      let h = fresh_hstate t in
-      Hashtbl.add t.health_tbl key h;
-      h
-
 let note_success t (h : hstate) =
   h.consecutive <- 0;
   h.until <- 0;
   h.backoff <- t.resilience.backoff_base;
-  h.is_degraded <- false;
   h.last_error <- None
 
 let note_failure t (h : hstate) e =
@@ -536,33 +500,7 @@ let acquire_with t ~prefetched key =
   match Bounded_cache.find_opt t.residents key with
   | Some r ->
       t.hits <- t.hits + 1;
-      if not t.resilience.verify_resident then Ok r.estimator
-      else (
-        match t.verify key with
-        | Ok () ->
-            (match Hashtbl.find_opt t.health_tbl key with
-            | Some h ->
-                h.is_degraded <- false;
-                h.last_error <- None
-            | None -> ());
-            Ok r.estimator
-        | Error e ->
-            let h = hstate_force t key in
-            if t.resilience.stale_if_error then begin
-              (* degraded mode: the in-memory copy verified when it was
-                 loaded; serving it beats failing the query *)
-              h.is_degraded <- true;
-              h.last_error <- Some e;
-              h.degraded_hits <- h.degraded_hits + 1;
-              t.degraded_hits <- t.degraded_hits + 1;
-              Counters.incr c_degraded;
-              Ok r.estimator
-            end
-            else begin
-              Bounded_cache.remove t.residents key;
-              note_failure t h e;
-              Error e
-            end)
+      Ok r.estimator
   | None -> (
       match hstate_tracked t key with
       | Error e -> Error e
@@ -638,10 +576,10 @@ let save_sketch ~dir manifest dataset sketch =
       s_checksum = i.Synopsis_io.checksum;
     }
 
-(* Re-verification of one catalog file (synopsis or sketch) against
-   its manifest record: shared by resident re-validation, the eager
-   sketch install and the CLI's info report.  The lazy loader checks
-   and decodes on one read instead ([Synopsis_io.load_verified]). *)
+(* Verification of one catalog file (synopsis or sketch) against its
+   manifest record: shared by the eager sketch install and the CLI's
+   info report.  The lazy loader checks and decodes on one read
+   instead ([Synopsis_io.load_verified]). *)
 let check_file ?io ~dir file ~bytes ~checksum =
   let path = Filename.concat dir file in
   Result.map (fun () -> path) (Synopsis_io.verify ?io ~bytes ~checksum path)
@@ -676,7 +614,6 @@ let of_manifest ?resident_capacity ?config ?resilience ?admission
     ?sketch_bytes ?io ~dir manifest =
   let t =
     create_r ?resident_capacity ?config ?resilience ?admission ?sketch_bytes
-      ~verify:(manifest_verify ?io ~dir manifest)
       ~loader:(manifest_loader ?io ~dir manifest)
       ()
   in
@@ -718,12 +655,10 @@ let would_load t key =
      | None ->
          (* mirror [hstate_tracked]: room in the table, or the prune
             it triggers would free at least one fully-healthy slot *)
-         Hashtbl.length t.health_tbl < t.resilience.max_tracked
+         Hashtbl.length t.health_tbl < max_tracked
          || Hashtbl.fold
               (fun _ h free ->
-                free
-                || (h.consecutive = 0 && h.until <= t.clock + 1
-                   && not h.is_degraded))
+                free || (h.consecutive = 0 && h.until <= t.clock + 1))
               t.health_tbl false)
 
 (* The degraded fallback tier: an already-resident summary of the same
@@ -817,7 +752,7 @@ let prefetch_planner t =
       && (match Hashtbl.find_opt t.health_tbl key with
          | Some h -> clock_at_turn >= h.until
          | None -> true)
-      && Hashtbl.length t.health_tbl + !will_add < t.resilience.max_tracked
+      && Hashtbl.length t.health_tbl + !will_add < max_tracked
       && Admission.provable t.admission ~groups_before:(!pos - 1)
     in
     if not has_entry then incr will_add;
@@ -866,39 +801,33 @@ let estimate_batch_r ?pool ?loads t pairs =
      are stored; everything else is [Served]). *)
   let gstatus : (key, slot_status) Hashtbl.t = Hashtbl.create 4 in
   let group_size k = Array.length (Pipeline.group_indices routed k) in
-  (* The ladder's lower rungs, shared by both failure paths (admission
-     shed, failed acquire): a resident sibling variance first, the
-     dataset's pinned sketch second.  Both run at the single-owner
-     commit point, so rung choice is a pure function of sequential
-     catalog state — deterministic at any fan-out. *)
-  let fallback_rung k =
-    match resident_sibling t k with
-    | Some (sib, r) ->
-        let n = group_size k in
-        t.fallbacks <- t.fallbacks + n;
-        Counters.add c_fallback n;
-        Hashtbl.replace gstatus k (Fallback sib);
-        Some (Exact r.estimator)
-    | None -> (
-        match sketch_of t k.dataset with
-        | Some sr ->
-            let n = group_size k in
-            t.sketch_served <- t.sketch_served + n;
-            Counters.add c_sketch n;
-            Hashtbl.replace gstatus k Sketch;
-            Some (Via_sketch sr.sexec)
-        | None -> None)
-  in
-  (* The exact tier, with the ladder under it: an acquire failure of an
+  (* The ladder, the one way a group degrades.  An error of an
      eligible kind (unhealthy storage or pressure — never Unknown_key
-     or Internal) degrades instead of erroring, but only when the
-     catalog was provisioned with sketches; an unprovisioned catalog
-     keeps the historical fail-fast contract bit-for-bit. *)
+     or Internal), whether a failed acquire or an admission shed,
+     descends to a resident sibling variance first and the dataset's
+     pinned sketch second — iff the catalog holds a sketch; a sketch-free
+     catalog fails fast with the error.  Descent runs at the
+     single-owner commit point, so rung choice is a pure function of
+     sequential catalog state — deterministic at any fan-out. *)
   let descend k = function
     | Ok est -> Ok (Exact est)
+    | Error e when not (ladder_armed t && rung_eligible e) -> Error e
     | Error e -> (
-        if not (ladder_armed t && rung_eligible e) then Error e
-        else match fallback_rung k with Some s -> Ok s | None -> Error e)
+        let n = group_size k in
+        match resident_sibling t k with
+        | Some (sib, r) ->
+            t.fallbacks <- t.fallbacks + n;
+            Counters.add c_fallback n;
+            Hashtbl.replace gstatus k (Fallback sib);
+            Ok (Exact r.estimator)
+        | None -> (
+            match sketch_of t k.dataset with
+            | Some sr ->
+                t.sketch_served <- t.sketch_served + n;
+                Counters.add c_sketch n;
+                Hashtbl.replace gstatus k Sketch;
+                Ok (Via_sketch sr.sexec)
+            | None -> Error e))
   in
   (* The stage-boundary admission check wraps the acquire step.  A
      shed consults nothing downstream: no clock tick, no I/O, no
@@ -921,24 +850,19 @@ let estimate_batch_r ?pool ?loads t pairs =
             Admission.note_load_result t.admission ~clock:t.clock
               ~ok:(Result.is_ok r);
           descend k r
-      | Admission.Shed e -> (
+      | Admission.Shed e ->
           let n = group_size k in
           t.sheds <- t.sheds + n;
           Counters.add c_shed n;
-          match
-            if Admission.policy t.admission = Admission.Degrade then
-              fallback_rung k
-            else None
-          with
-          | Some (Via_sketch _ as s) ->
+          let r = descend k (Error e) in
+          (match r with
+          | Ok (Via_sketch _) ->
               (* a sketch answer costs what a resident hit costs, and
                  is never queued — the last rung cannot be shed *)
-              Admission.charge_sketch_answer t.admission;
-              Ok s
-          | Some s -> Ok s
-          | None ->
-              Hashtbl.replace gstatus k Shed;
-              Error e)
+              Admission.charge_sketch_answer t.admission
+          | Ok (Exact _) -> ()
+          | Error _ -> Hashtbl.replace gstatus k Shed);
+          r
     end
   in
   let ops =
@@ -1005,7 +929,6 @@ type stats = {
   failures : int;
   retries : int;
   quarantines : int;
-  degraded_hits : int;
   prefetched_loads : int;
   shed_queries : int;
   fallback_queries : int;
@@ -1043,7 +966,6 @@ let stats t =
     failures = t.failures;
     retries = t.retries;
     quarantines = t.quarantines;
-    degraded_hits = t.degraded_hits;
     prefetched_loads = t.prefetches;
     shed_queries = t.sheds;
     fallback_queries = t.fallbacks;
@@ -1064,14 +986,11 @@ let key_health_of_hstate t k (h : hstate) =
   {
     h_key = k;
     h_state =
-      (if h.until > t.clock then Quarantined { until = h.until }
-       else if h.is_degraded then Degraded
-       else Healthy);
+      (if h.until > t.clock then Quarantined { until = h.until } else Healthy);
     h_consecutive_failures = h.consecutive;
     h_failures = h.failures;
     h_retries = h.retries;
     h_quarantines = h.quarantines;
-    h_degraded_hits = h.degraded_hits;
     h_next_backoff = h.backoff;
     h_last_error = h.last_error;
   }
@@ -1084,7 +1003,7 @@ let health t =
 
 (* Operator override: forget a key's accumulated failure history so
    the next acquire probes the loader immediately — quarantine
-   deadline, doubled backoff, degraded flag, everything.  Returns the
+   deadline, doubled backoff, lifetime counts, everything.  Returns the
    state being discarded so the CLI can show what was cleared. *)
 let clear_quarantine t key =
   match Hashtbl.find_opt t.health_tbl key with
@@ -1132,7 +1051,7 @@ let pinned t key = Bounded_cache.pinned t.residents key
    the counts and the deadline, not the stale diagnosis. *)
 
 let health_filename = "catalog.health"
-let health_magic = "xpest-catalog-health/3"
+let health_magic = "xpest-catalog-health/4"
 
 (* Lines starting with '!' are directives; '!' cannot start a key row
    (escape_dataset %-encodes it), so the directive space is
@@ -1168,34 +1087,29 @@ let save_health ?io t path =
          String.compare (key_to_string a) (key_to_string b))
   |> List.iter (fun (k, (h : hstate)) ->
          Buffer.add_string buf
-           (Printf.sprintf "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n"
+           (Printf.sprintf "%s\t%d\t%d\t%d\t%d\t%d\t%d\n"
               (escape_dataset (key_to_string k))
-              h.consecutive h.failures h.retries h.quarantines h.degraded_hits
-              h.backoff
-              (max 0 (h.until - t.clock))
-              (if h.is_degraded then 1 else 0)));
+              h.consecutive h.failures h.retries h.quarantines h.backoff
+              (max 0 (h.until - t.clock))));
   Fault.atomic_write ?io path (Buffer.contents buf)
 
 let load_health t path =
   let corrupt reason = Error (E.Corrupt { path; section = "health"; reason }) in
   let parse_row line =
     match String.split_on_char '\t' line with
-    | [ ek; consecutive; failures; retries; quarantines; degraded_hits;
-        backoff; remaining; degraded ] -> (
+    | [ ek; consecutive; failures; retries; quarantines; backoff; remaining ]
+      -> (
         let ints =
           List.map int_of_string_opt
-            [ consecutive; failures; retries; quarantines; degraded_hits;
-              backoff; remaining; degraded ]
+            [ consecutive; failures; retries; quarantines; backoff; remaining ]
         in
         match (unescape_dataset ek, ints) with
         | ( Ok ks,
             [ Some consecutive; Some failures; Some retries; Some quarantines;
-              Some degraded_hits; Some backoff; Some remaining; Some degraded ] )
+              Some backoff; Some remaining ] )
           when List.for_all (fun f -> f >= 0)
-                 [ consecutive; failures; retries; quarantines; degraded_hits;
-                   remaining ]
-               && backoff >= 1
-               && (degraded = 0 || degraded = 1) -> (
+                 [ consecutive; failures; retries; quarantines; remaining ]
+               && backoff >= 1 -> (
             match key_of_string ks with
             | Error reason -> Error reason
             | Ok key ->
@@ -1206,10 +1120,8 @@ let load_health t path =
                       failures;
                       retries;
                       quarantines;
-                      degraded_hits;
                       backoff;
                       until = (if remaining > 0 then t.clock + remaining else 0);
-                      is_degraded = degraded = 1;
                       last_error = None;
                     } ))
         | Error reason, _ -> Error reason

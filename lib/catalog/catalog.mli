@@ -43,11 +43,11 @@
       {e without touching storage} until the clock reaches the
       quarantine deadline, at which point one probe load is allowed.
       A failed probe re-quarantines with doubled backoff (capped at
-      [backoff_max]); a success resets the key to healthy;
-    - {e degraded serving}: with [verify_resident] on, resident
-      summaries are re-verified on every hit; if verification fails
-      and [stale_if_error] is set, the resident (known-good when
-      loaded) copy keeps serving and the key is marked [Degraded].
+      [backoff_max]); a success resets the key to healthy.
+
+    A summary's bytes are checked once, when it loads (size and body
+    checksum against the manifest); a resident hit serves the
+    in-memory copy without touching storage.
 
     {2 Overload protection}
 
@@ -59,11 +59,8 @@
     breaker over the loader seam.  A query group that fails the check
     is {e shed}: refused with a typed [Deadline_exceeded] or
     [Overloaded] error before any I/O, without ticking the clock or
-    touching per-key health.  Under the [Degrade] shed policy, a shed
-    group whose dataset has an already-resident sibling variance is
-    served from that sibling instead and marked
-    {!slot_status.Fallback} in {!last_batch_statuses} — a degraded
-    answer beats no answer, and the caller can tell them apart.
+    touching per-key health.  A shed error then meets the same
+    degradation ladder as a failed acquire (below).
 
     {2 The degradation ladder}
 
@@ -76,20 +73,22 @@
     region ([?sketch_bytes]), pinned so the resident-set evictor can
     never reclaim them, and are loaded eagerly at construction
     ({!of_manifest}) — never lazily on the failure path they exist to
-    cover.  The lower rungs engage on two paths: an admission shed
-    under the [Degrade] policy (as above, now with Sketch below
-    Fallback), and — {e only when the catalog holds at least one
-    sketch} — a failed acquire of an eligible error kind (unhealthy
-    storage or pressure: [Io_failure], [Corrupt], [Stale_manifest],
-    [Quarantined], [Capacity], [Deadline_exceeded], [Overloaded]; a
-    malformed query's [Unknown_key] and bugs' [Internal] still fail).
-    A catalog without sketches keeps the historical fail-fast contract
-    bit-for-bit.  Sketch answers cost one admission tick (a resident
-    hit's price) and are never queued, so the last rung cannot itself
-    be shed; rung choice happens at the single-owner commit point, so
-    the ladder is deterministic at any domain fan-out.  Each slot's
-    rung is reported in {!last_batch_statuses} and the per-tier totals
-    in {!stats}.
+    cover.
+
+    One rule arms the lower rungs: {e the catalog holds at least one
+    sketch}.  Then a group whose error is of an eligible kind
+    (unhealthy storage or pressure: [Io_failure], [Corrupt],
+    [Stale_manifest], [Quarantined], [Capacity], [Deadline_exceeded],
+    [Overloaded]) descends, whichever path raised it — a failed
+    acquire or an admission shed; a malformed query's [Unknown_key]
+    and bugs' [Internal] still fail.  A catalog without sketches fails
+    fast with the typed error on both paths, even when a sibling
+    variance is resident.  Sketch answers cost one admission tick (a
+    resident hit's price) and are never queued, so the last rung
+    cannot itself be shed; rung choice happens at the single-owner
+    commit point, so the ladder is deterministic at any domain
+    fan-out.  Each slot's rung ({!slot_status}) is reported in
+    {!last_batch_statuses} and the per-tier totals in {!stats}.
 
     Admission decisions are a pure function of (configuration,
     logical clock, route order): shedding reproduces bit-identically
@@ -189,18 +188,11 @@ type resilience = {
   backoff_base : int;
       (** first quarantine length in clock ticks (default 4) *)
   backoff_max : int;  (** backoff doubling cap, in ticks (default 64) *)
-  verify_resident : bool;
-      (** re-verify resident summaries on every hit (default false —
-          the load-time checksum already guards the bytes) *)
-  stale_if_error : bool;
-      (** serve the resident copy when re-verification fails, marking
-          the key [Degraded], instead of failing the query
-          (default true) *)
-  max_tracked : int;
-      (** bound on the per-key health table; beyond it, fully healthy
-          entries are pruned and — if everything tracked is unhealthy —
-          new cold keys are refused with [Capacity] (default 4096) *)
 }
+(** The per-key health table itself is bounded at 4096 keys: at the
+    bound, fully healthy entries are pruned, and if everything tracked
+    is unhealthy a new cold key is refused with [Capacity] without a
+    loader call. *)
 
 val default_resilience : resilience
 
@@ -214,7 +206,6 @@ val create_r :
   ?resilience:resilience ->
   ?admission:Admission.config ->
   ?sketch_bytes:int ->
-  ?verify:(key -> (unit, E.t) result) ->
   loader:(key -> (Summary.t, E.t) result) ->
   unit ->
   t
@@ -224,10 +215,8 @@ val create_r :
     the typed taxonomy ([Sys_error] → [Io_failure],
     [Xpest_error.Error e] → [e], [Invalid_argument] / [Failure] →
     [Internal]), so it flows through the same retry/quarantine
-    machinery on any domain.  [verify] (default: always [Ok])
-    re-validates a resident key when [resilience.verify_resident] is
-    set.  [resident_capacity] bounds how many summaries (and their
-    estimators) stay in memory at once (default
+    machinery on any domain.  [resident_capacity] bounds how many
+    summaries (and their estimators) stay in memory at once (default
     {!default_resident_capacity}) — unless [config.resident_bytes] is
     set, which replaces the count bound with a byte budget costed by
     each summary's exact wire size ({!Summary.size_bytes}).  The
@@ -242,7 +231,7 @@ val create_r :
     @raise Invalid_argument if [resident_capacity < 1],
     [sketch_bytes < 1], or the resilience policy is malformed
     ([max_retries < 0], [failure_threshold < 1], [backoff_base < 1],
-    [backoff_max < backoff_base], or [max_tracked < 1]), or if
+    or [backoff_max < backoff_base]), or if
     [config.resident_bytes] is [Some b] with [b < 1], or if the
     [admission] configuration is malformed (see {!Admission.create}). *)
 
@@ -282,8 +271,8 @@ val of_manifest :
     [Stale_manifest], an absent manifest row is [Unknown_key], and
     file damage surfaces as [Io_failure] or [Corrupt].  [io]
     substitutes the storage interface (fault injection under test,
-    see {!Xpest_util.Fault.io}); it is threaded through both loading
-    and resident re-verification.
+    see {!Xpest_util.Fault.io}); it is threaded through summary and
+    sketch loading.
 
     Every sketch in the manifest's sketch table is loaded {e eagerly}
     here (verified against its recorded size and checksum, through the
@@ -341,7 +330,7 @@ val manifest_verify :
 val acquire_r : t -> key -> (Estimator.t, E.t) result
 (** One acquire attempt (one clock tick): return [key]'s pooled
     estimator, loading the summary if it is not resident.  This is
-    where the retry/quarantine/degraded machinery runs; see the
+    where the retry/quarantine machinery runs; see the
     module preamble.  The estimator is only guaranteed valid until
     the next acquire (eviction may retire it) — prefer
     {!estimate_r}/{!estimate_batch_r} unless batching manually. *)
@@ -422,7 +411,6 @@ type stats = {
   failures : int;  (** failed acquire attempts (counted after retries) *)
   retries : int;  (** transient-failure retries across all keys *)
   quarantines : int;  (** quarantine entries across all keys *)
-  degraded_hits : int;  (** stale-if-error serves across all keys *)
   prefetched_loads : int;
       (** loads the pipeline started ahead of their acquire turn
           (0 without a concurrent [loads] policy); counts submissions,
@@ -433,9 +421,9 @@ type stats = {
           or breaker) — each one got a typed error or a fallback
           answer, never silence *)
   fallback_queries : int;
-      (** queries served degraded from a resident sibling variance —
-          shed ones under the [Degrade] policy, plus acquire failures
-          the ladder absorbed (sketch-armed catalogs only) *)
+      (** queries served degraded from a resident sibling variance:
+          sheds and acquire failures the ladder absorbed (sketch-armed
+          catalogs only) *)
   sketch_queries : int;
       (** queries answered from the sketch tier (the ladder's last
           rung) *)
@@ -467,7 +455,6 @@ type health_state =
   | Healthy
   | Quarantined of { until : int }
       (** refused without I/O while [clock t < until] *)
-  | Degraded  (** resident copy serving despite failed re-verification *)
 
 type key_health = {
   h_key : key;
@@ -476,7 +463,6 @@ type key_health = {
   h_failures : int;  (** lifetime failed attempts *)
   h_retries : int;
   h_quarantines : int;
-  h_degraded_hits : int;
   h_next_backoff : int;  (** length of the next quarantine, in ticks *)
   h_last_error : E.t option;
 }
@@ -488,11 +474,11 @@ val health : t -> key_health list
 
 val clear_quarantine : t -> key -> key_health option
 (** Operator override: discard [key]'s entire failure history —
-    quarantine deadline, accumulated backoff, degraded flag, lifetime
-    counts — so the next acquire probes the loader immediately with a
-    fresh state.  Returns the discarded state ([None] if the key was
-    not tracked).  Does not touch the resident set: a resident,
-    serving summary stays resident. *)
+    quarantine deadline, accumulated backoff, lifetime counts — so the
+    next acquire probes the loader immediately with a fresh state.
+    Returns the discarded state ([None] if the key was not tracked).
+    Does not touch the resident set: a resident, serving summary stays
+    resident. *)
 
 val clear_all_quarantine : t -> key_health list
 (** {!clear_quarantine} over every tracked key at once (the CLI's
@@ -510,22 +496,24 @@ type slot_status =
   | Served  (** answered exactly, from the key's own summary *)
   | Fallback of key
       (** answered degraded from this resident sibling variance of the
-          same dataset — after a shed ([Degrade] policy) or an
-          eligible acquire failure on a sketch-armed catalog; the
-          result array holds the sibling's estimate *)
+          same dataset — after a shed or an eligible acquire failure
+          on a sketch-armed catalog; the result array holds the
+          sibling's estimate *)
   | Sketch
       (** answered coarsely from the dataset's pinned fallback sketch,
           the ladder's last rung; the result array holds the sketch
           estimate *)
   | Shed
-      (** refused outright; the result array holds the typed error *)
+      (** shed and not absorbed by the ladder (a sketch-free catalog,
+          or no rung for the dataset); the result array holds the
+          typed error *)
 
 val last_batch_statuses : t -> slot_status array
 (** How each query slot of the most recent {!estimate_batch_r} was
     answered, parallel to its result array (empty before any batch).
-    All-[Served] whenever the ladder never engaged (admission inactive
-    or nothing shed, and no eligible acquire failure on a
-    sketch-armed catalog). *)
+    All-[Served] whenever nothing was shed and the ladder never
+    engaged.  A failed acquire the ladder does not absorb keeps
+    [Served]; its row carries the typed error. *)
 
 val admission_stats : t -> Admission.stats
 (** Lifetime shed/breaker counters of the catalog's admission
@@ -543,8 +531,7 @@ val breaker : t -> Admission.breaker_view
     as {e remaining ticks} and re-anchored on the loading catalog's
     {!clock} — logical clocks are per-instance, absolute deadlines
     would not survive a restart.  [h_last_error] is deliberately not
-    persisted (a stale diagnosis); counts, backoff, deadline and the
-    degraded flag are. *)
+    persisted (a stale diagnosis); counts, backoff and deadline are. *)
 
 val health_filename : string
 (** ["catalog.health"] — the conventional file name inside a catalog
@@ -553,7 +540,7 @@ val health_filename : string
 val save_health : ?io:Xpest_util.Fault.Io.t -> t -> string -> unit
 (** Write the health table to [path], crash-safely
     ({!Xpest_util.Fault.atomic_write}: temp file + atomic rename, a
-    killed process never leaves a torn file).  The format (v3) also
+    killed process never leaves a torn file).  The format (v4) also
     carries the circuit breaker's state as a [!breaker] directive
     line, with its probe deadline stored as remaining ticks like
     quarantine deadlines.  [io] substitutes the write interface
@@ -564,10 +551,11 @@ val load_health : t -> string -> (int, E.t) result
 (** Merge the health file at [path] into the catalog
     ([Hashtbl.replace] per key — on-file state wins; a persisted
     breaker state is re-anchored on this catalog's {!clock}) and
-    return how many keys were loaded.  Only the current (v3) format is
-    accepted; any other header is corrupt.  Forward compatibility: an
-    unknown [!directive] line — one whose first tab-field is not
-    [!breaker] — is skipped and counted in
+    return how many keys were loaded.  Only the current (v4) format is
+    accepted; any other header is corrupt (a v3 file, written before
+    the degraded-hit columns were dropped, must be deleted).  Forward
+    compatibility: an unknown [!directive] line — one whose first
+    tab-field is not [!breaker] — is skipped and counted in
     [stats.skipped_directives], so state written by a newer binary
     still loads; a malformed [!breaker] is still corruption.
     Otherwise all-or-nothing: a malformed file is

@@ -76,9 +76,6 @@ let sibling t =
 
 let summary t = t.summary
 
-let cache_stats t =
-  ("plan", Plan_cache.stats t.plans) :: Path_join.cache_stats t.join
-
 let plan_of t q = Plan_cache.find_or_add t.plans q Plan.compile
 
 (* Derivation tracing for [explain]: estimation functions [note] their

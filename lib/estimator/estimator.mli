@@ -55,10 +55,6 @@ val create :
 
 val summary : t -> Xpest_synopsis.Summary.t
 
-val cache_stats : t -> (string * Xpest_plan.Plan_cache.stats) list
-(** Working-set report of the two engine caches, as
-    [("plan" | "run", stats)] — capacity, current
-    and peak occupancy, evictions.  Tracked unconditionally. *)
 
 val plan_of : t -> Xpest_xpath.Pattern.t -> Xpest_plan.Plan.t
 (** The compiled plan the estimator will execute for this query,

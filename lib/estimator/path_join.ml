@@ -223,8 +223,6 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
         ~miss:c_run_miss ~evict:c_run_evict ();
   }
 
-let cache_stats t = [ ("run", Bounded_cache.stats t.run_cache) ]
-
 (* A tag outside the summary gets id -1: it is on no path and has no
    pids. *)
 let id_of t tag = Option.value ~default:(-1) (Hashtbl.find_opt t.tag_id tag)

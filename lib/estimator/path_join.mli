@@ -70,9 +70,6 @@ val create :
     {!Xpest_plan.Cache_config.default}: 4096 entries); the run cache
     is plain LRU. *)
 
-val cache_stats : t -> (string * Xpest_plan.Plan_cache.stats) list
-(** Working-set report of the run cache, as [[("run", stats)]]. *)
-
 val chain_masks :
   t -> Xpest_plan.Plan.join_spec -> Xpest_plan.Plan.chain -> Xpest_util.Bitvec.t array
 (** Per chain node i, the paths into which the whole chain embeds in

@@ -6,10 +6,18 @@ let default =
   let c = Plan_cache.default_capacity in
   caps c c
 
-(* Per-dataset capacities sized from the engine caches' working-set
-   peaks at scale 0.1 (a power of two above each observed peak).
-   Observed peaks — SSPlays: plan 1357 / run 1353; DBLP: plan 2170 /
-   run 1689; XMark: plan 1510 / run 1983. *)
+(* Per-dataset capacities against the engine caches' working-set peaks
+   observed at scale 0.1 (capacity / peak):
+
+     dataset   plan          run
+     SSPlays   2048 / 1357   2048 / 1353
+     DBLP      4096 / 2170   4096 / 1689
+     XMark     2048 / 1510   4096 / 1983
+
+   Each capacity is a power of two at or above its peak, so none of
+   these workloads evicts.  Four are the next power of two; the
+   DBLP and XMark run caches are one doubling above that, for reasons
+   not recorded. *)
 let for_dataset dataset =
   match String.lowercase_ascii dataset with
   | "ssplays" -> caps 2048 2048

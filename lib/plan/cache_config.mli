@@ -28,4 +28,5 @@ val for_dataset : string -> t
 (** Tuned capacities for the benchmark datasets ([ssplays], [dblp],
     [xmark]; case-insensitive): each capacity is a power of two above
     the cache's working-set peak observed on the dataset's generated
-    workload at scale 0.1.  Unknown names get {!default}. *)
+    workload at scale 0.1 (the table, with its peaks, is in
+    [cache_config.ml]).  Unknown names get {!default}. *)

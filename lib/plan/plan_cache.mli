@@ -67,8 +67,8 @@ val evictions : ('k, 'v) t -> int
 
 val peak : ('k, 'v) t -> int
 (** Largest occupancy the cache ever reached — the working-set size a
-    capacity must cover to avoid evictions (reported per engine cache by
-    [Estimator.cache_stats]). *)
+    capacity must cover to avoid evictions (the catalog reports its
+    shared plan cache's in [Catalog.stats]). *)
 
 type stats = Xpest_util.Bounded_cache.stats = {
   s_capacity : int;

@@ -106,8 +106,7 @@ val evictions : ('k, 'v) t -> int
 
 val peak : ('k, 'v) t -> int
 (** Largest entry count the cache ever reached — the working-set size
-    a capacity must cover to avoid evictions (reported per engine cache by
-    [Estimator.cache_stats]). *)
+    a capacity must cover to avoid evictions. *)
 
 type stats = {
   s_capacity : int;  (** capacity in cost units *)

@@ -8,9 +8,8 @@
 module Admission = Xpest_catalog.Admission
 module E = Xpest_util.Xpest_error
 
-let cfg ?deadline ?max_queued_loads ?breaker_threshold
-    ?(policy = Admission.Degrade) () =
-  { Admission.deadline; max_queued_loads; breaker_threshold; policy }
+let cfg ?deadline ?max_queued_loads ?breaker_threshold () =
+  { Admission.deadline; max_queued_loads; breaker_threshold }
 
 let admit ?(label = "admitted") t ~clock ~key ~would_load =
   match Admission.decide t ~clock ~key ~would_load with

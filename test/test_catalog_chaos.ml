@@ -166,8 +166,7 @@ let test_quarantine_backoff () =
   in
   let resilience =
     {
-      Catalog.default_resilience with
-      max_retries = 0;
+      Catalog.max_retries = 0;
       failure_threshold = 3;
       backoff_base = 2;
       backoff_max = 8;
@@ -196,7 +195,6 @@ let test_quarantine_backoff () =
           match h.Catalog.h_state with
           | Catalog.Healthy -> "healthy"
           | Catalog.Quarantined { until } -> Printf.sprintf "quarantined:%d" until
-          | Catalog.Degraded -> "degraded"
         in
         Alcotest.(check string) (label ^ ": health state") expected got
     | hs -> Alcotest.failf "%s: expected one tracked key, got %d" label
@@ -265,72 +263,42 @@ let test_retry_transient () =
   Alcotest.(check int) "no retries on permanent errors" 0
     (Catalog.stats cat2).Catalog.retries
 
-let test_degraded_serving () =
-  let k = key "ssplays" 0.0 in
-  let q = Pattern.of_string "//SPEECH/LINE" in
-  let verdict = ref (Ok ()) in
-  let make stale_if_error =
-    Catalog.create_r
-      ~resilience:
-        {
-          Catalog.default_resilience with
-          verify_resident = true;
-          stale_if_error;
-        }
-      ~verify:(fun _ -> !verdict)
-      ~loader:(fun k -> Ok (summary_for k))
-      ()
+(* The health table is bounded at 4096 keys.  With a threshold of one
+   and a permanent loader error, every distinct key is quarantined on
+   its first attempt, so nothing tracked is prunable: the next cold
+   key is refused with [Capacity] before the loader is called. *)
+let test_health_table_bound () =
+  let bound = 4096 in
+  let loader_calls = ref 0 in
+  let loader k =
+    incr loader_calls;
+    Error
+      (E.Stale_manifest
+         { path = Catalog.key_to_string k; reason = "rebuilt behind it" })
   in
-  (* stale-if-error on: failed re-verification serves the resident
-     copy, bit-identical, and marks the key Degraded *)
-  verdict := Ok ();
-  let cat = make true in
-  let v0 =
-    match Catalog.estimate_r cat k q with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "warm-up failed: %s" (E.to_string e)
+  let resilience =
+    { Catalog.default_resilience with max_retries = 0; failure_threshold = 1 }
   in
-  verdict := Error (E.Corrupt { path = "x"; section = "body"; reason = "flip" });
-  (match Catalog.estimate_r cat k q with
-  | Ok v ->
-      Alcotest.(check bool) "degraded hit serves the same float" true
-        (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v0))
-  | Error e -> Alcotest.failf "stale_if_error did not serve: %s" (E.to_string e));
-  Alcotest.(check int) "degraded hit counted" 1
-    (Catalog.stats cat).Catalog.degraded_hits;
-  (match Catalog.health cat with
-  | [ h ] ->
-      Alcotest.(check bool) "state is Degraded" true
-        (h.Catalog.h_state = Catalog.Degraded)
-  | hs -> Alcotest.failf "expected one tracked key, got %d" (List.length hs));
-  (* verification healing clears the degraded mark *)
-  verdict := Ok ();
-  (match Catalog.estimate_r cat k q with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "healed hit failed: %s" (E.to_string e));
-  (match Catalog.health cat with
-  | [ h ] ->
-      Alcotest.(check bool) "healed back to Healthy" true
-        (h.Catalog.h_state = Catalog.Healthy)
-  | _ -> Alcotest.fail "tracking lost");
-  (* stale-if-error off: the same failure drops the resident and
-     surfaces the error instead *)
-  verdict := Ok ();
-  let cat2 = make false in
-  ignore (Catalog.estimate_r cat2 k q);
-  verdict := Error (E.Corrupt { path = "x"; section = "body"; reason = "flip" });
-  (match Catalog.estimate_r cat2 k q with
-  | Error (E.Corrupt _) -> ()
-  | Ok _ -> Alcotest.fail "stale_if_error=false still served"
-  | Error e -> Alcotest.failf "wrong error class: %s" (E.to_string e));
-  (* the distrusted resident is gone: healing the verifier makes the
-     next attempt reload from the loader *)
-  verdict := Ok ();
-  (match Catalog.estimate_r cat2 k q with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "reload after drop failed: %s" (E.to_string e));
-  Alcotest.(check int) "dropped resident was reloaded" 2
-    (Catalog.stats cat2).Catalog.loads
+  let cat = Catalog.create_r ~resilience ~loader () in
+  for i = 1 to bound do
+    match Catalog.acquire_r cat (key "tenant" (float_of_int i)) with
+    | Error (E.Stale_manifest _) -> ()
+    | Error e -> Alcotest.failf "key %d: wrong error %s" i (E.to_string e)
+    | Ok _ -> Alcotest.failf "key %d: loaded" i
+  done;
+  Alcotest.(check int) "one loader call per key" bound !loader_calls;
+  Alcotest.(check int) "every key quarantined" bound
+    (Catalog.stats cat).Catalog.quarantines;
+  Alcotest.(check int) "every key tracked" bound
+    (List.length (Catalog.health cat));
+  (match Catalog.acquire_r cat (key "tenant" (float_of_int (bound + 1))) with
+  | Error (E.Capacity _) -> ()
+  | Error e -> Alcotest.failf "cold key past the bound: %s" (E.to_string e)
+  | Ok _ -> Alcotest.fail "cold key past the bound loaded");
+  Alcotest.(check int) "no loader call for the refused key" bound
+    !loader_calls;
+  Alcotest.(check int) "the refused key is not tracked" bound
+    (List.length (Catalog.health cat))
 
 let test_per_query_isolation () =
   let good = key "ssplays" 0.0 and bad = key "dblp" 0.0 in
@@ -457,7 +425,8 @@ let () =
           Alcotest.test_case "quarantine + backoff" `Quick
             test_quarantine_backoff;
           Alcotest.test_case "transient retry" `Quick test_retry_transient;
-          Alcotest.test_case "degraded serving" `Quick test_degraded_serving;
+          Alcotest.test_case "health table bound" `Quick
+            test_health_table_bound;
           Alcotest.test_case "per-query isolation" `Quick
             test_per_query_isolation;
         ] );

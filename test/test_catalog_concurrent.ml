@@ -275,11 +275,11 @@ let test_health_load_rejects_corruption () =
   in
   check_corrupt "bad magic" "not-a-health-file\n";
   check_corrupt "empty" "";
-  check_corrupt "short row" "xpest-catalog-health/3\nssplays%400\t1\t2\n";
+  check_corrupt "short row" "xpest-catalog-health/4\nssplays%400\t1\t2\n";
   check_corrupt "bad int"
-    "xpest-catalog-health/3\nssplays%400\tx\t0\t0\t0\t0\t4\t0\t0\n";
+    "xpest-catalog-health/4\nssplays%400\tx\t0\t0\t0\t4\t0\n";
   check_corrupt "bad backoff"
-    "xpest-catalog-health/3\nssplays%400\t0\t0\t0\t0\t0\t0\t0\t0\n";
+    "xpest-catalog-health/4\nssplays%400\t0\t0\t0\t0\t0\t0\n";
   (* a missing file is an I/O failure, not corruption *)
   match Catalog.load_health cat (temp_path "never_written") with
   | Error (E.Io_failure _) -> ()

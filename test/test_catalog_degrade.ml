@@ -12,8 +12,10 @@
    - the pinned sketch region never exceeds its byte budget;
    - chaos: under injected storage faults every failed acquire lands
      on a rung (never a typed error) when the ladder is armed;
-   - the v3 health file skips unknown !directives (counted) while v2
-     keeps its all-or-nothing strictness. *)
+   - one arming rule: a shed and a failed acquire descend alike on an
+     armed catalog and fail typed alike on a sketch-free one;
+   - the v4 health file skips unknown !directives (counted) while any
+     older version keeps its all-or-nothing strictness. *)
 
 module Domain_pool = Xpest_util.Domain_pool
 module Loader_pool = Xpest_util.Loader_pool
@@ -238,6 +240,66 @@ let test_rung_order () =
   | Error (E.Deadline_exceeded _) -> ()
   | Error e -> Alcotest.failf "unexpected error kind: %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "sketch-free twin served a shed sibling-less key")
+
+(* One arming rule: a key with a resident sibling lands on the same
+   rung whichever path raised its error.  Once it is shed (deadline
+   20: two loads leave 4 ticks), once it is quarantined (a health file
+   benches it without I/O); on the armed catalog both answers are the
+   sibling's own bits, on the sketch-free twin both are typed errors. *)
+let test_shed_and_quarantine_descend_alike () =
+  let q = Pattern.of_string "//SPEECH/LINE" in
+  let q_dblp = Pattern.of_string "//article/{author}" in
+  let shed_pairs = [| (k_ss0, q); (k_dblp, q_dblp); (k_ss2, q) |] in
+  let quarantine_pairs = [| (k_ss0, q); (k_ss2, q) |] in
+  let path =
+    Filename.concat (Lazy.force catalog_dir) "ss2_quarantined.health"
+  in
+  let oc = open_out path in
+  output_string oc "xpest-catalog-health/4\n";
+  output_string oc "ssplays%402\t3\t3\t0\t1\t8\t100\n";
+  close_out oc;
+  let quarantined cat =
+    (match Catalog.load_health cat path with
+    | Ok 1 -> ()
+    | Ok n -> Alcotest.failf "expected one restored key, got %d" n
+    | Error e -> Alcotest.failf "load_health: %s" (E.to_string e));
+    cat
+  in
+  let run cat pairs =
+    let results = Catalog.estimate_batch_r cat pairs in
+    let last = Array.length pairs - 1 in
+    (results.(0), results.(last), (Catalog.last_batch_statuses cat).(last))
+  in
+  let armed_cases =
+    [
+      ("shed", run (make_armed ~admission:tight ()) shed_pairs);
+      ( "quarantined",
+        run (quarantined (make_armed ())) quarantine_pairs );
+    ]
+  in
+  let sibling_bits = ref None in
+  List.iter
+    (fun (label, (direct, degraded, status)) ->
+      Alcotest.(check string)
+        (label ^ ": lands on the sibling rung")
+        "fallback:ssplays@0" (status_to_string status);
+      match (direct, degraded) with
+      | Ok direct, Ok degraded -> (
+          check_bits (label ^ ": sibling's estimate") direct degraded;
+          match !sibling_bits with
+          | None -> sibling_bits := Some degraded
+          | Some first ->
+              check_bits (label ^ ": same bits as shed") first degraded)
+      | _ -> Alcotest.failf "%s: expected Ok for the sibling and the key" label)
+    armed_cases;
+  (match run (make_plain ~admission:tight ()) shed_pairs with
+  | _, Error (E.Deadline_exceeded _), Catalog.Shed -> ()
+  | _, Error e, _ -> Alcotest.failf "sketch-free shed: %s" (E.to_string e)
+  | _, Ok _, _ -> Alcotest.fail "sketch-free twin served a shed key");
+  match run (quarantined (make_plain ())) quarantine_pairs with
+  | _, Error (E.Quarantined _), _ -> ()
+  | _, Error e, _ -> Alcotest.failf "sketch-free quarantine: %s" (E.to_string e)
+  | _, Ok _, _ -> Alcotest.fail "sketch-free twin served a quarantined key"
 
 (* The sketch answer is the order-1 Markov baseline's answer: the wire
    round-trip through the export must not perturb a single bit. *)
@@ -466,12 +528,11 @@ let test_blackout_region_stays_within_budget () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Chaos: with the ladder armed and the Degrade policy, every injected *)
-(* fault path lands on a rung — no typed error ever escapes.           *)
+(* Chaos: with the ladder armed, every injected fault path lands on a  *)
+(* rung — no typed error ever escapes.                                 *)
 
 let chaos_cfg =
   {
-    Admission.unlimited with
     Admission.deadline = Some 40;
     max_queued_loads = Some 2;
     breaker_threshold = Some 2;
@@ -611,15 +672,15 @@ let test_sketch_roundtrip_and_kind () =
   | Ok _ -> Alcotest.fail "corrupted sketch decoded"
 
 (* ------------------------------------------------------------------ *)
-(* Health file v3: unknown directives skip, old versions are corrupt.  *)
+(* Health file v4: unknown directives skip, old versions are corrupt.  *)
 
 let health_path name =
   Filename.concat (Lazy.force catalog_dir) (name ^ ".health")
 
-let test_health_v3_skips_unknown_directives () =
-  let path = health_path "v3_unknown" in
+let test_health_v4_skips_unknown_directives () =
+  let path = health_path "v4_unknown" in
   let oc = open_out path in
-  output_string oc "xpest-catalog-health/3\n";
+  output_string oc "xpest-catalog-health/4\n";
   output_string oc "!breaker\topen\t5\t2\t16\n";
   (* an invented directive from some future writer *)
   output_string oc "!sketch-epoch\t7\tfe3a\n";
@@ -628,7 +689,7 @@ let test_health_v3_skips_unknown_directives () =
   let cat = make_plain ~admission:breaker_cfg () in
   (match Catalog.load_health cat path with
   | Ok n -> Alcotest.(check int) "no rows in the file" 0 n
-  | Error e -> Alcotest.failf "v3 load failed on unknown directive: %s"
+  | Error e -> Alcotest.failf "v4 load failed on unknown directive: %s"
                  (E.to_string e));
   (* the known directive still applied, the unknown ones were counted *)
   Alcotest.(check bool)
@@ -641,11 +702,11 @@ let test_health_v3_skips_unknown_directives () =
 (* Only the current format loads: an older version header is corrupt
    and applies nothing, even when every line after it would parse. *)
 let test_health_old_version_rejected () =
-  let path = health_path "v2_header" in
+  let path = health_path "v3_header" in
   let oc = open_out path in
-  output_string oc "xpest-catalog-health/2\n!breaker\topen\t5\t2\t16\n";
+  output_string oc "xpest-catalog-health/3\n!breaker\topen\t5\t2\t16\n";
   output_string oc "!sketch-epoch\t7\tfe3a\n";
-  output_string oc "ssplays%400\t1\t1\t0\t0\t0\t4\t0\t0\n";
+  output_string oc "ssplays%400\t1\t1\t0\t0\t4\t0\n";
   close_out oc;
   let cat = make_plain ~admission:breaker_cfg () in
   match Catalog.load_health cat path with
@@ -671,6 +732,8 @@ let () =
             test_rung_order;
           Alcotest.test_case "sketch matches the Markov baseline" `Quick
             test_sketch_matches_markov_baseline;
+          Alcotest.test_case "shed and quarantine descend alike" `Quick
+            test_shed_and_quarantine_descend_alike;
         ] );
       ( "blackout",
         [
@@ -705,8 +768,8 @@ let () =
         ] );
       ( "health",
         [
-          Alcotest.test_case "v3 skips unknown directives" `Quick
-            test_health_v3_skips_unknown_directives;
+          Alcotest.test_case "v4 skips unknown directives" `Quick
+            test_health_v4_skips_unknown_directives;
           Alcotest.test_case "old version header is corrupt" `Quick
             test_health_old_version_rejected;
         ] );

@@ -1,7 +1,7 @@
 (* Overload-protection tests for the serving catalog: the admission
    layer's bit-identity contract, deterministic shedding across domain
    counts, the degraded-fallback tier, the loader circuit breaker seen
-   end to end, and the v2 health file that persists it.
+   end to end, and the v4 health file that persists it.
 
    The two contracts under test:
 
@@ -23,6 +23,7 @@ module E = Xpest_util.Xpest_error
 module Pattern = Xpest_xpath.Pattern
 module Summary = Xpest_synopsis.Summary
 module Manifest = Xpest_synopsis.Manifest
+module Sketch = Xpest_synopsis.Sketch
 module Registry = Xpest_datasets.Registry
 module Catalog = Xpest_catalog.Catalog
 module Admission = Xpest_catalog.Admission
@@ -56,6 +57,31 @@ let summary_for (k : Catalog.key) =
       in
       Hashtbl.add summaries (k.Catalog.dataset, k.Catalog.variance) s;
       s
+
+(* Fallback sketches arm the degradation ladder: the one switch that
+   lets a shed group descend to a resident sibling or a sketch. *)
+let sketches : (string, Sketch.t) Hashtbl.t = Hashtbl.create 2
+
+let sketch_for dataset =
+  match Hashtbl.find_opt sketches dataset with
+  | Some s -> s
+  | None ->
+      let name =
+        match Registry.of_string dataset with
+        | Some n -> n
+        | None -> Alcotest.failf "unknown dataset %s" dataset
+      in
+      let s = Sketch.build (Registry.generate ~scale:0.02 name) in
+      Hashtbl.add sketches dataset s;
+      s
+
+let arm cat datasets =
+  List.iter
+    (fun d ->
+      match Catalog.install_sketch cat d (sketch_for d) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "install_sketch %s: %s" d (E.to_string e))
+    datasets
 
 let key d v = { Catalog.dataset = d; variance = v }
 let k_ss0 = key "ssplays" 0.0
@@ -100,10 +126,14 @@ let routed_pairs () =
     (k_ss0, p "//SPEECH//{WORD}");
   |]
 
-let make_cat ?admission ?io () =
+let make_cat ?(armed = false) ?admission ?io () =
   let dir = Lazy.force catalog_dir in
-  Catalog.of_manifest ?admission ?io ~resident_capacity:2 ~dir
-    (load_manifest dir)
+  let cat =
+    Catalog.of_manifest ?admission ?io ~resident_capacity:2 ~dir
+      (load_manifest dir)
+  in
+  if armed then arm cat [ "ssplays"; "dblp" ];
+  cat
 
 let check_same_stats label (a : Catalog.stats) (b : Catalog.stats) =
   let field name v_a v_b =
@@ -116,7 +146,6 @@ let check_same_stats label (a : Catalog.stats) (b : Catalog.stats) =
   field "failures" a.Catalog.failures b.Catalog.failures;
   field "retries" a.Catalog.retries b.Catalog.retries;
   field "quarantines" a.Catalog.quarantines b.Catalog.quarantines;
-  field "degraded_hits" a.Catalog.degraded_hits b.Catalog.degraded_hits;
   field "shed_queries" a.Catalog.shed_queries b.Catalog.shed_queries;
   field "fallback_queries" a.Catalog.fallback_queries b.Catalog.fallback_queries
 
@@ -251,10 +280,9 @@ let tight =
 let test_shedding_deterministic_across_domains () =
   let pairs = routed_pairs () in
   List.iter
-    (fun (policy_name, policy) ->
-      let admission = { tight with Admission.policy } in
+    (fun (ladder_name, armed) ->
       (* sequential reference: fresh catalog, 3 rounds *)
-      let seq_cat = make_cat ~admission () in
+      let seq_cat = make_cat ~armed ~admission:tight () in
       let reference =
         Array.init 3 (fun _ -> Catalog.estimate_batch_r seq_cat pairs)
       in
@@ -276,30 +304,27 @@ let test_shedding_deterministic_across_domains () =
       in
       List.iter
         (fun domains ->
-          let cat = make_cat ~admission () in
+          let cat = make_cat ~armed ~admission:tight () in
           Domain_pool.with_pool ~domains (fun pool ->
               check_twin
-                (Printf.sprintf "policy %s, %d domains"
-                   policy_name
-                   domains)
+                (Printf.sprintf "%s, %d domains" ladder_name domains)
                 (Array.init 3 (fun _ ->
                      Catalog.estimate_batch_r ~pool cat pairs))
                 cat))
         domain_counts;
       List.iter
         (fun load_domains ->
-          let cat = make_cat ~admission () in
+          let cat = make_cat ~armed ~admission:tight () in
           Domain_pool.with_pool ~domains:load_domains (fun lp ->
               let loads = Loader_pool.over lp in
               check_twin
-                (Printf.sprintf "policy %s, %d load domains"
-                   policy_name
+                (Printf.sprintf "%s, %d load domains" ladder_name
                    load_domains)
                 (Array.init 3 (fun _ ->
                      Catalog.estimate_batch_r ~loads cat pairs))
                 cat))
         load_domain_counts)
-    [ ("reject", Admission.Reject); ("degrade", Admission.Degrade) ]
+    [ ("sketch-free", false); ("sketch-armed", true) ]
 
 (* Shed groups must not tick the clock: an admission-controlled batch
    on a saturating workload advances the logical clock strictly less
@@ -308,10 +333,7 @@ let test_shed_groups_spend_no_clock () =
   let pairs = routed_pairs () in
   let plain = make_cat () in
   let controlled =
-    make_cat
-      ~admission:
-        { tight with Admission.deadline = Some 10; policy = Admission.Reject }
-      ()
+    make_cat ~admission:{ tight with Admission.deadline = Some 10 } ()
   in
   ignore (Catalog.estimate_batch_r plain pairs);
   ignore (Catalog.estimate_batch_r controlled pairs);
@@ -322,7 +344,7 @@ let test_shed_groups_spend_no_clock () =
       controlled_ticks uncontrolled_ticks;
   let s = Catalog.stats controlled in
   Alcotest.(check bool) "something was shed" true (s.Catalog.shed_queries > 0);
-  (* a saturating burst under the Degrade policy: twelve tenants, eight
+  (* a saturating burst on a sketch-armed catalog: twelve tenants, eight
      queries each, against four resident slots, so an uncontrolled
      batch pays a cold load per group round after round; the
      controlled twin's worst batch must spend strictly fewer ticks *)
@@ -350,6 +372,7 @@ let test_shed_groups_spend_no_clock () =
   in
   let worst_batch ?admission () =
     let cat = Catalog.create_r ?admission ~resident_capacity:4 ~loader () in
+    arm cat [ "ssplays" ];
     let worst = ref 0 in
     for _round = 1 to 3 do
       let before = Catalog.clock cat in
@@ -385,7 +408,8 @@ let test_degrade_falls_back_to_resident_sibling () =
   let q = p "//SPEECH/LINE" in
   let pairs = [| (k_ss0, q); (k_dblp, p "//article/{author}"); (k_ss2, q) |] in
   let cat =
-    make_cat ~admission:{ tight with Admission.deadline = Some 20 } ()
+    make_cat ~armed:true ~admission:{ tight with Admission.deadline = Some 20 }
+      ()
   in
   let results = Catalog.estimate_batch_r cat pairs in
   let statuses = Catalog.last_batch_statuses cat in
@@ -407,6 +431,8 @@ let test_degrade_falls_back_to_resident_sibling () =
        (fun h -> Catalog.key_to_string h.Catalog.h_key = "ssplays@2")
        (Catalog.health cat))
 
+(* A sketch-free catalog never descends: the shed query fails typed
+   even though its sibling ssplays@0 is resident. *)
 let test_reject_fails_typed () =
   let p = Pattern.of_string in
   let pairs =
@@ -417,10 +443,7 @@ let test_reject_fails_typed () =
     |]
   in
   let cat =
-    make_cat
-      ~admission:
-        { tight with Admission.deadline = Some 20; policy = Admission.Reject }
-      ()
+    make_cat ~admission:{ tight with Admission.deadline = Some 20 } ()
   in
   let results = Catalog.estimate_batch_r cat pairs in
   (match results.(2) with
@@ -437,8 +460,8 @@ let test_reject_fails_typed () =
     "no fallbacks under reject" 0 (Catalog.stats cat).Catalog.fallback_queries
 
 let test_no_sibling_fails_even_under_degrade () =
-  (* dblp has no sibling variance in this catalog: a shed dblp query
-     under Degrade still fails typed *)
+  (* dblp has no sibling variance in this catalog, and the catalog has
+     no sketch: a shed dblp query fails typed *)
   let p = Pattern.of_string in
   let pairs =
     [|
@@ -517,12 +540,12 @@ let test_breaker_opens_and_recovers () =
     ((Catalog.admission_stats cat).Admission.s_probes > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Health file v2: breaker persistence.                                *)
+(* Health file v4: breaker persistence.                                *)
 
 let health_path name =
   Filename.concat (Lazy.force catalog_dir) (name ^ ".health")
 
-let test_health_v2_roundtrip_with_breaker () =
+let test_health_v4_roundtrip_with_breaker () =
   let io =
     Fault.io (Fault.create_keyed (Fault.uniform ~seed:11 ~rate:1.0))
       Fault.Io.default
@@ -537,12 +560,12 @@ let test_health_v2_roundtrip_with_breaker () =
   Alcotest.(check bool) "breaker open at save" true (v.Admission.state = `Open);
   let path = health_path "roundtrip" in
   Catalog.save_health cat path;
-  (* the file leads with the current (v3) magic and carries the directive *)
+  (* the file leads with the current (v4) magic and carries the directive *)
   let ic = open_in path in
   let magic = input_line ic in
   let directive = input_line ic in
   close_in ic;
-  Alcotest.(check string) "v3 magic" "xpest-catalog-health/3" magic;
+  Alcotest.(check string) "v4 magic" "xpest-catalog-health/4" magic;
   Alcotest.(check bool)
     "breaker directive" true
     (String.length directive > 0 && directive.[0] = '!');
@@ -564,7 +587,7 @@ let test_health_corrupt_directive_rejected () =
   let path = health_path "corrupt" in
   let oc = open_out path in
   output_string oc
-    "xpest-catalog-health/3\n!breaker\topen\tnot-a-number\t0\t16\n";
+    "xpest-catalog-health/4\n!breaker\topen\tnot-a-number\t0\t16\n";
   close_out oc;
   let cat = make_cat ~admission:breaker_cfg () in
   match Catalog.load_health cat path with
@@ -638,8 +661,8 @@ let () =
         ] );
       ( "health",
         [
-          Alcotest.test_case "v3 round-trips the breaker" `Quick
-            test_health_v2_roundtrip_with_breaker;
+          Alcotest.test_case "v4 round-trips the breaker" `Quick
+            test_health_v4_roundtrip_with_breaker;
           Alcotest.test_case "corrupt directives rejected" `Quick
             test_health_corrupt_directive_rejected;
         ] );

@@ -233,8 +233,7 @@ let check_same_stats label (a : Catalog.stats) (b : Catalog.stats) =
   field "evictions" a.Catalog.evictions b.Catalog.evictions;
   field "failures" a.Catalog.failures b.Catalog.failures;
   field "retries" a.Catalog.retries b.Catalog.retries;
-  field "quarantines" a.Catalog.quarantines b.Catalog.quarantines;
-  field "degraded_hits" a.Catalog.degraded_hits b.Catalog.degraded_hits
+  field "quarantines" a.Catalog.quarantines b.Catalog.quarantines
 
 let compare_results label reference results =
   Alcotest.(check int)
@@ -490,8 +489,8 @@ let test_pipeline_with_execute_pool_differential () =
    schedule depends only on (seed, path, per-path attempt), so a
    keyed-injector catalog served through a concurrent loader pool must
    match a keyed-injector catalog served blocking — same injected
-   faults, same retries, same quarantine transitions, same degraded
-   serves, at every load-domain count. *)
+   faults, same retries, same quarantine transitions, at every
+   load-domain count. *)
 let test_pipeline_chaos_keyed_differential () =
   let dir = Lazy.force catalog_dir in
   let m = load_manifest dir in
