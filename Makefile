@@ -79,14 +79,18 @@ degrade:
 	$(DUNE) exec test/test_catalog_chaos.exe
 
 # Path-join suites: the join's unit cases and mask oracle (chain and
-# edge masks, chain masks inside edge masks, every joined row and
-# frequency against the per-bit reference with chain pruning on and
-# off, on three datasets), the pinned per-stage pruning counts and
-# wide row sets, the paper's worked examples, the estimator's
-# equations with their pinned derivations, and the batched-engine
-# bit-identity suite.  Deterministic in CI.
+# edge masks, copied out of the join's scratch, chain masks inside
+# edge masks, every joined row and frequency against the per-bit
+# reference with chain pruning on and off, on three datasets), the
+# pinned per-stage pruning counts, the bound on the minor words an
+# uncached XMark join allocates beyond its result, and wide row sets;
+# the plan suite's run-cache keys (two specs of the workloads share a
+# key iff their shapes are equal); the paper's worked examples, the
+# estimator's equations with their pinned derivations, and the
+# batched-engine bit-identity suite.  Deterministic in CI.
 join:
 	$(DUNE) exec test/test_path_join.exe
+	$(DUNE) exec test/test_plan.exe
 	$(DUNE) exec test/test_paper_examples.exe
 	$(DUNE) exec test/test_estimator.exe
 	$(DUNE) exec test/test_engine_batch.exe

@@ -975,7 +975,7 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
            served degraded\n"
           (Admission.total_sheds a)
           a.Admission.s_deadline_sheds a.Admission.s_overload_sheds
-          a.Admission.s_breaker_sheds s.Catalog.fallback_queries;
+          a.Admission.s_breaker_sheds s.Catalog.shed_served_queries;
         if breaker_threshold <> None then
           Printf.printf "breaker: %s; %d open(s), %d probe(s)\n"
             (render_breaker (Catalog.breaker cat))

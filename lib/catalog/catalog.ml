@@ -253,6 +253,9 @@ type served = Exact of Estimator.t | Via_sketch of Sketch_exec.t
 
 type t = {
   loader : key -> (Summary.t, E.t) result;
+  known : key -> bool;
+      (* false only for a key the loader cannot know (a file-backed
+         catalog's manifest has no row for it) *)
   config : Cache_config.t;
   resilience : resilience;
   admission : Admission.t;
@@ -270,6 +273,7 @@ type t = {
   mutable quarantines : int;
   mutable prefetches : int;
   mutable sheds : int;  (* queries refused by admission control *)
+  mutable shed_served : int;  (* shed queries a ladder rung answered *)
   mutable fallbacks : int;
       (* shed or load-failed queries served by a resident sibling *)
   mutable sketch_served : int;  (* queries answered from the sketch tier *)
@@ -288,7 +292,7 @@ let default_resident_capacity = 8
    last-resort answer tier for hundreds of datasets. *)
 let default_sketch_bytes = 262144
 
-let create_r ?(resident_capacity = default_resident_capacity) ?config
+let make ~known ?(resident_capacity = default_resident_capacity) ?config
     ?(resilience = default_resilience) ?(admission = Admission.unlimited)
     ?(sketch_bytes = default_sketch_bytes) ~loader () =
   if resident_capacity < 1 then
@@ -324,6 +328,7 @@ let create_r ?(resident_capacity = default_resident_capacity) ?config
   in
   {
     loader;
+    known;
     config;
     resilience;
     admission = Admission.create admission;
@@ -355,6 +360,7 @@ let create_r ?(resident_capacity = default_resident_capacity) ?config
     quarantines = 0;
     prefetches = 0;
     sheds = 0;
+    shed_served = 0;
     fallbacks = 0;
     sketch_served = 0;
     sketch_failures = 0;
@@ -362,6 +368,8 @@ let create_r ?(resident_capacity = default_resident_capacity) ?config
     last_metrics = [];
     last_statuses = [||];
   }
+
+let create_r = make ~known:(fun _ -> true)
 
 (* Install one dataset's fallback sketch into the pinned region.
    Admission is pre-checked against the byte budget: [Bounded_cache]
@@ -613,7 +621,10 @@ let load_sketch ?io ~dir e =
 let of_manifest ?resident_capacity ?config ?resilience ?admission
     ?sketch_bytes ?io ~dir manifest =
   let t =
-    create_r ?resident_capacity ?config ?resilience ?admission ?sketch_bytes
+    make
+      ~known:(fun key ->
+        Option.is_some (Manifest.find manifest ~dataset:key.dataset ~variance:key.variance))
+      ?resident_capacity ?config ?resilience ?admission ?sketch_bytes
       ~loader:(manifest_loader ?io ~dir manifest)
       ()
   in
@@ -834,9 +845,11 @@ let estimate_batch_r ?pool ?loads t pairs =
      per-key health mutation — the refusal is about the system, not
      the key.  Admitted cold loads report their final outcome to the
      breaker at this same single-owner point, in route order, which is
-     what keeps breaker transitions deterministic at any fan-out. *)
+     what keeps breaker transitions deterministic at any fan-out.  A
+     key the catalog cannot know is never charged: its acquire fails
+     [Unknown_key], which does not descend, as without admission. *)
   let commit k ~prefetched =
-    if not (Admission.active t.admission) then
+    if not (Admission.active t.admission && t.known k) then
       descend k (acquire_with t ~prefetched k)
     else begin
       let wl = would_load t k in
@@ -859,8 +872,9 @@ let estimate_batch_r ?pool ?loads t pairs =
           | Ok (Via_sketch _) ->
               (* a sketch answer costs what a resident hit costs, and
                  is never queued — the last rung cannot be shed *)
-              Admission.charge_sketch_answer t.admission
-          | Ok (Exact _) -> ()
+              Admission.charge_sketch_answer t.admission;
+              t.shed_served <- t.shed_served + n
+          | Ok (Exact _) -> t.shed_served <- t.shed_served + n
           | Error _ -> Hashtbl.replace gstatus k Shed);
           r
     end
@@ -931,6 +945,7 @@ type stats = {
   quarantines : int;
   prefetched_loads : int;
   shed_queries : int;
+  shed_served_queries : int;
   fallback_queries : int;
   sketch_queries : int;
   sketch_resident : int;
@@ -968,6 +983,7 @@ let stats t =
     quarantines = t.quarantines;
     prefetched_loads = t.prefetches;
     shed_queries = t.sheds;
+    shed_served_queries = t.shed_served;
     fallback_queries = t.fallbacks;
     sketch_queries = t.sketch_served;
     sketch_resident = Bounded_cache.length t.sketches;

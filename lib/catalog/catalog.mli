@@ -60,7 +60,10 @@
     is {e shed}: refused with a typed [Deadline_exceeded] or
     [Overloaded] error before any I/O, without ticking the clock or
     touching per-key health.  A shed error then meets the same
-    degradation ladder as a failed acquire (below).
+    degradation ladder as a failed acquire (below).  A key that a
+    file-backed catalog's manifest does not hold ({!of_manifest}) is
+    never charged or shed: its group fails [Unknown_key] exactly as it
+    does without admission.
 
     {2 The degradation ladder}
 
@@ -420,6 +423,10 @@ type stats = {
       (** queries refused by admission control (deadline, queue bound
           or breaker) — each one got a typed error or a fallback
           answer, never silence *)
+  shed_served_queries : int;
+      (** shed queries a rung of the ladder answered, from a resident
+          sibling or the sketch tier; acquire failures the ladder
+          absorbed are not sheds and are not counted *)
   fallback_queries : int;
       (** queries served degraded from a resident sibling variance:
           sheds and acquire failures the ladder absorbed (sketch-armed

@@ -38,8 +38,10 @@ let nth_bit bits b = int_of_float bits.(b)
    paths the tag holds get a slice: the set of entries whose pid holds
    the path.  [index] maps a path to 1 + its slice's number (0 where
    the tag does not hold the path), [wide] bytes per path; slice k is
-   at [slices.(k * words ..)]. *)
+   at [slices.(k * words ..)].  [tag] is the tag's id in the join's
+   depth index, -1 for a tag outside the summary. *)
 type row = {
+  tag : int;
   entries : entry array;
   words : int;
   wide : int;
@@ -54,35 +56,45 @@ type result = { nodes : jnode array }
 
 (* A pid is a bitvector over root-to-leaf paths (bit b = the path with
    encoding b + 1), so "a per-path property holds on some path of this
-   pid" is one [Bitvec.intersects pid mask] against the mask of paths
-   where it holds.  Masks are computed bit-parallel over all paths at
-   once from the depth index below, which is built once per summary
-   and only read afterwards. *)
+   pid" is one test of the pid's bits against the mask of paths where
+   it holds.  Masks are path sets of [nw] words, [mask_bits] paths a
+   word, computed bit-parallel over all paths at once from the depth
+   index below, which is built once per summary and only read
+   afterwards. *)
 type t = {
   summary : Summary.t;
   chain_pruning : bool;
   tag_id : (string, int) Hashtbl.t;  (* interned tags *)
+  npaths : int;
+  nw : int;  (* words per path set *)
   depths : int;  (* the longest path's length *)
-  at_depth : Bitvec.t array array;
-      (* tag id -> depth -> the paths carrying the tag at that depth
-         (the root at depth 0); [none] where no path does *)
+  cell : int array;
+      (* tag id * depths + depth -> the offset in [index] of the paths
+         carrying the tag at that depth (the root at depth 0), -1 where
+         no path does *)
+  index : int array;  (* the non-empty cells' path sets, packed *)
   occurs : int array array;
-      (* tag id -> the depths where [at_depth] is not [none], ascending *)
-  none : Bitvec.t;  (* the empty path set *)
+      (* tag id -> the depths where [cell] is not -1, ascending *)
   rows : row Lazy.t array;
       (* tag id -> its row.  Built on first use: every catalog load
          creates a join, and a query touches few tags.  The rows share
          one path-numbering buffer while they are built. *)
   mutable scratch : int array;
       (* the row sets a pruning step builds, reused by every step so
-         that a fixpoint visit allocates nothing.  Forcing [rows] and
-         writing [scratch] are safe because a join serves one domain
-         at a time, like its run cache (parallel batches give each
-         worker its own [Estimator.sibling]). *)
+         that a fixpoint visit allocates nothing *)
+  mutable paths : int array;
+      (* the path sets a mask computation builds *)
+  mutable live : Bytes.t;
+      (* per path set of a chain's recurrence in [paths]: whether it is
+         non-empty.  Forcing [rows] and writing the three scratch
+         buffers are safe because a join serves one domain at a time,
+         like its run cache (parallel batches give each worker its own
+         [Estimator.sibling]). *)
   (* one estimate joins the same shape repeatedly (counterpart,
      simplified counterpart, Q'), and join output only depends on the
-     shape given a fixed summary *)
-  run_cache : (Pattern.shape, result) Bounded_cache.t;
+     shape given a fixed summary: results are memoized on the spec's
+     compiled key, one per distinct shape *)
+  run_cache : (int, result) Bounded_cache.t;
 }
 
 (* Row sets: bit j of a set stands for row entry j, [slice_bits]
@@ -90,9 +102,14 @@ type t = {
 let slice_bits = 62
 let slice_words n = (n + slice_bits - 1) / slice_bits
 
+(* Path sets: bit p of word p / [mask_bits] stands for path p. *)
+let mask_bits = 62
+
 (* The set of all [n] entries. *)
 let full n =
-  Array.init (slice_words n) (fun i -> (1 lsl min slice_bits (n - (i * slice_bits))) - 1)
+  let set = Array.make (slice_words n) ((1 lsl slice_bits) - 1) in
+  if n mod slice_bits > 0 then set.(n / slice_bits) <- (1 lsl (n mod slice_bits)) - 1;
+  set
 
 (* The slice number of path [p] in [row], -1 if the tag does not
    hold it. *)
@@ -115,7 +132,7 @@ let set_slice_of row p k =
    the tags near the root of a document with many paths.  [slot], one
    cell per path, maps a held path to its number while the row is
    built and is -1 everywhere before and after. *)
-let build_row slot entries =
+let build_row slot tag entries =
   let n = Array.length entries and count = ref 0 in
   (* loops, not [Array.iter]: a closure would box each float *)
   for j = 0 to n - 1 do
@@ -132,7 +149,7 @@ let build_row slot entries =
   let wide = if !count < 0xFF then 1 else if !count < 0xFFFF then 2 else 4 in
   let slices = Array.make (!count * words) 0 in
   let row =
-    { entries; words; wide; index = Bytes.make (Array.length slot * wide) '\000'; slices }
+    { tag; entries; words; wide; index = Bytes.make (Array.length slot * wide) '\000'; slices }
   in
   for j = 0 to n - 1 do
     let bits = entries.(j).bits in
@@ -154,7 +171,8 @@ let build_row slot entries =
   done;
   row
 
-let empty_row = { entries = [||]; words = 0; wide = 1; index = Bytes.empty; slices = [||] }
+let empty_row =
+  { tag = -1; entries = [||]; words = 0; wide = 1; index = Bytes.empty; slices = [||] }
 
 let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
   let tag_id = Hashtbl.create 64 in
@@ -167,25 +185,53 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
         id
   in
   Array.iter (fun tag -> ignore (intern tag)) (Summary.tags summary);
+  (* Paths in encoding order mostly share a prefix with the one
+     before, whose ids the prefix keeps: hashing every tag of every
+     path cost XMark 0.05 ~140 us a join. *)
+  let prev_tags = ref [] and prev_ids = ref [||] in
   let paths =
-    List.map (List.map intern) (Encoding_table.paths (Summary.encoding_table summary))
+    Array.of_list
+      (List.map
+         (fun path ->
+           let ids = Array.make (List.length path) 0 in
+           let rec go d path prev =
+             match (path, prev) with
+             | tag :: rest, p :: prev when String.equal tag p ->
+                 ids.(d) <- !prev_ids.(d);
+                 go (d + 1) rest prev
+             | _ -> List.iteri (fun i tag -> ids.(d + i) <- intern tag) path
+           in
+           go 0 path !prev_tags;
+           prev_tags := path;
+           prev_ids := ids;
+           ids)
+         (Encoding_table.paths (Summary.encoding_table summary)))
   in
-  let npaths = List.length paths in
-  let depths = List.fold_left (fun m path -> max m (List.length path)) 0 paths in
-  let tags = Array.make (Hashtbl.length tag_id) "" in
-  Hashtbl.iter (fun tag id -> tags.(id) <- tag) tag_id;
-  (* tag id -> depth -> per-path flags, allocated at the first path
-     carrying the tag at that depth *)
-  let on = Array.map (fun _ -> Array.make depths [||]) tags in
-  List.iteri
-    (fun bit path ->
-      List.iteri
+  let npaths = Array.length paths in
+  let nw = (npaths + mask_bits - 1) / mask_bits in
+  let depths = Array.fold_left (fun m path -> max m (Array.length path)) 0 paths in
+  let ntags = Hashtbl.length tag_id in
+  (* offsets in path order of first occurrence, then the bits *)
+  let cell = Array.make (ntags * depths) (-1) and ncells = ref 0 in
+  Array.iter
+    (Array.iteri (fun d id ->
+         let c = (id * depths) + d in
+         if cell.(c) < 0 then begin
+           cell.(c) <- !ncells * nw;
+           incr ncells
+         end))
+    paths;
+  let index = Array.make (!ncells * nw) 0 in
+  Array.iteri
+    (fun p path ->
+      Array.iteri
         (fun d id ->
-          if Array.length on.(id).(d) = 0 then on.(id).(d) <- Array.make npaths false;
-          on.(id).(d).(bit) <- true)
+          let o = cell.((id * depths) + d) + (p / mask_bits) in
+          index.(o) <- index.(o) lor (1 lsl (p mod mask_bits)))
         path)
     paths;
-  let none = Bitvec.zero npaths in
+  let tags = Array.make ntags "" in
+  Hashtbl.iter (fun tag id -> tags.(id) <- tag) tag_id;
   let slot = Array.make npaths (-1) in
   let entry (pidx, pid, freq) =
     let bits = Array.make (Bitvec.popcount pid) 0.0 and n = ref 0 in
@@ -198,26 +244,25 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
     summary;
     chain_pruning;
     tag_id;
+    npaths;
+    nw;
     depths;
-    at_depth =
-      Array.map
-        (Array.map (fun flags -> if Array.length flags = 0 then none else Bitvec.of_bits flags))
-        on;
+    cell;
+    index;
     occurs =
-      Array.map
-        (fun by_depth ->
+      Array.init ntags (fun id ->
           Array.of_list
-            (List.filter (fun d -> Array.length by_depth.(d) > 0) (List.init depths Fun.id)))
-        on;
-    none;
+            (List.filter (fun d -> cell.((id * depths) + d) >= 0) (List.init depths Fun.id)));
     rows =
-      Array.map
-        (fun tag ->
+      Array.mapi
+        (fun id tag ->
           lazy
-            (build_row slot
+            (build_row slot id
                (Array.of_list (List.map entry (Summary.tag_entries summary tag)))))
         tags;
     scratch = [||];
+    paths = [||];
+    live = Bytes.empty;
     run_cache =
       Bounded_cache.create ~capacity:config.Cache_config.run ~hit:c_run_hit
         ~miss:c_run_miss ~evict:c_run_evict ();
@@ -225,112 +270,240 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
 
 (* A tag outside the summary gets id -1: it is on no path and has no
    pids. *)
-let id_of t tag = Option.value ~default:(-1) (Hashtbl.find_opt t.tag_id tag)
+let id_of t tag = match Hashtbl.find t.tag_id tag with id -> id | exception Not_found -> -1
 
-(* The paths carrying tag [id] at depth [d]; empty out of range. *)
-let at t id d = if id < 0 || d < 0 || d >= t.depths then t.none else t.at_depth.(id).(d)
+(* The offset in [t.index] of the paths carrying tag [id] at depth
+   [d]; -1 where none does or out of range. *)
+let at t id d = if id < 0 || d < 0 || d >= t.depths then -1 else t.cell.((id * t.depths) + d)
 
 (* The depths where tag [id] occurs, ascending. *)
 let occurs t id = if id < 0 then [||] else t.occurs.(id)
 
-(* Path-set intersection and union.  Every empty set in the mask
-   computations is [t.none] itself, so an operand that no path
-   carries costs one physical comparison. *)
-let inter t a b =
-  if a == t.none || b == t.none then t.none
-  else
-    let c = Bitvec.logand a b in
-    if Bitvec.is_zero c then t.none else c
+(* The path-set kernels: [nw]-word AND (with its zero test), OR and
+   membership tests over sets held in int arrays at word offsets,
+   written in place. *)
 
-let union t a b = if a == t.none then b else if b == t.none then a else Bitvec.logor a b
+(* [dst.(o ..) <- a.(ia ..) land b.(ib ..)]; true iff not empty. *)
+let inter_into dst o a ia b ib nw =
+  let any = ref 0 in
+  for i = 0 to nw - 1 do
+    let v = a.(ia + i) land b.(ib + i) in
+    dst.(o + i) <- v;
+    any := !any lor v
+  done;
+  !any <> 0
+
+(* [dst.(o ..) <- dst.(o ..) lor a.(ia ..)]. *)
+let union_into dst o a ia nw =
+  for i = 0 to nw - 1 do
+    dst.(o + i) <- dst.(o + i) lor a.(ia + i)
+  done
+
+(* [dst.(o ..) <- dst.(o ..) lor (a.(ia ..) land b.(ib ..))]. *)
+let union_inter_into dst o a ia b ib nw =
+  for i = 0 to nw - 1 do
+    dst.(o + i) <- dst.(o + i) lor (a.(ia + i) land b.(ib + i))
+  done
+
+(* True iff path [p] is in the set at [s.(o ..)]. *)
+let mem_path s o p = s.(o + (p / mask_bits)) land (1 lsl (p mod mask_bits)) <> 0
+
+(* True iff one of the paths [bits] lists is in the set at [s.(o ..)]. *)
+let meets s o bits =
+  let hit = ref false and b = ref 0 in
+  while (not !hit) && !b < Array.length bits do
+    hit := mem_path s o (nth_bit bits !b);
+    incr b
+  done;
+  !hit
+
+(* The non-empty flags of a chain's (node, depth) path sets. *)
+let is_live live c = Bytes.unsafe_get live c <> '\000'
+let mark live c = Bytes.unsafe_set live c '\001'
+
+(* [t.paths] and [t.live], grown to at least [size] words and
+   [flags] bytes. *)
+let path_scratch t size flags =
+  if Array.length t.paths < size then t.paths <- Array.make size 0;
+  if Bytes.length t.live < flags then t.live <- Bytes.make flags '\000';
+  t.paths
+
+(* The chain masks of [spec] in [t.paths]: a chain's recurrence works
+   below [masks_base], which leaves room for a chain through every
+   spec node, and the chains' masks follow, chain after chain. *)
+let masks_base t (spec : Plan.join_spec) =
+  ((2 * Array.length spec.Plan.nodes * t.depths) + 1) * t.nw
+
+let mask_scratch t (spec : Plan.join_spec) =
+  let k = Array.length spec.Plan.nodes in
+  ignore
+    (path_scratch t
+       (masks_base t spec + (List.length spec.Plan.chains * k * t.nw))
+       (2 * k * t.depths))
 
 (* Per chain node i, the paths into which the whole chain embeds with
-   node i somewhere on them.  Child steps demand adjacent depths,
-   descendant steps any deeper one; an anchored head must sit at depth
-   0.  The forward/backward embedding recurrence runs over depths, one
-   path set per (node, depth), so every path is decided at once.  A
-   node's sets are [none] wherever its tag does not occur, so each
-   loop walks only the occurrence depths of the tags it reads. *)
-let chain_masks t (spec : Plan.join_spec) (c : Plan.chain) =
-  let k = Array.length c.Plan.node_ids and depths = t.depths in
-  (* each chain node's incoming axis and interned tag *)
-  let axes = Array.map (fun id -> spec.Plan.node_axes.(id)) c.Plan.node_ids in
-  let ids = Array.map (fun id -> id_of t spec.Plan.nodes.(id).Plan.tag) c.Plan.node_ids in
-  (* forward.(i).(d): prefix s_0..s_i embeds with s_i at depth d *)
-  let forward = Array.make_matrix k depths t.none in
+   node i somewhere on them, written to [t.paths] at [m + i * nw]
+   ([mask_scratch] sized the buffers).  Child steps demand adjacent
+   depths, descendant steps any deeper one; an anchored head must sit
+   at depth 0.  The forward/backward embedding recurrence runs over
+   depths, one path set per (node, depth), so every path is decided at
+   once.  Set c (forward i * depths + d, backward k * depths + i *
+   depths + d) is at word c * nw, and flag c of [t.live] says it is
+   not empty.  A node's sets are empty wherever its tag does not
+   occur, so each loop walks only the occurrence depths of the tags it
+   reads.  [nodes] gives each spec node's tag id, through its row. *)
+let chain_masks_into t (spec : Plan.join_spec) nodes (c : Plan.chain) m =
+  let ids = c.Plan.node_ids and nw = t.nw and depths = t.depths and index = t.index in
+  let k = Array.length ids in
+  let cells = k * depths in
+  let acc = 2 * cells * nw and s = t.paths and live = t.live in
+  Bytes.fill live 0 (2 * cells) '\000';
+  (* forward (i, d): prefix s_0..s_i embeds with s_i at depth d *)
   for i = 0 to k - 1 do
-    let prev = if i = 0 then [||] else occurs t ids.(i - 1) in
-    let above = ref t.none (* forward.(i - 1) at some depth < d *) and p = ref 0 in
-    Array.iter
-      (fun d ->
-        forward.(i).(d) <-
-          (if i = 0 then if (not c.Plan.anchored) || d = 0 then at t ids.(0) d else t.none
-           else
-             match axes.(i) with
-             | Pattern.Child ->
-                 if d = 0 then t.none else inter t (at t ids.(i) d) forward.(i - 1).(d - 1)
-             | Pattern.Descendant ->
-                 while !p < Array.length prev && prev.(!p) < d do
-                   above := union t !above forward.(i - 1).(prev.(!p));
-                   incr p
-                 done;
-                 inter t (at t ids.(i) d) !above))
-      (occurs t ids.(i))
-  done;
-  (* backward.(i).(d): suffix s_i..s_{k-1} embeds with s_i at depth d *)
-  let backward = Array.make_matrix k depths t.none in
-  for i = k - 1 downto 0 do
-    let next = if i = k - 1 then [||] else occurs t ids.(i + 1) in
-    let below = ref t.none (* backward.(i + 1) at some depth > d *) in
-    let p = ref (Array.length next - 1) in
-    let ds = occurs t ids.(i) in
-    for n = Array.length ds - 1 downto 0 do
-      let d = ds.(n) in
-      backward.(i).(d) <-
-        (if i = k - 1 then at t ids.(i) d
-         else
-           match axes.(i + 1) with
-           | Pattern.Child ->
-               if d + 1 = depths then t.none
-               else inter t (at t ids.(i) d) backward.(i + 1).(d + 1)
-           | Pattern.Descendant ->
-               while !p >= 0 && next.(!p) > d do
-                 below := union t !below backward.(i + 1).(next.(!p));
-                 decr p
-               done;
-               inter t (at t ids.(i) d) !below)
-    done
-  done;
-  Array.init k (fun i ->
-      Array.fold_left
-        (fun mask d -> union t mask (inter t forward.(i).(d) backward.(i).(d)))
-        t.none
-        (occurs t ids.(i)))
-
-(* The paths on which [anc] stands in [axis]'s relation to [desc]:
-   immediately above it for a child step (∨_d at(anc, d-1) ∧
-   at(desc, d)), anywhere above it for a descendant step
-   (∨_d (∨_{p<d} at(anc, p)) ∧ at(desc, d)), d ranging over [desc]'s
-   depths. *)
-let edge_mask t ~axis ~anc ~desc =
-  let a = id_of t anc and b = id_of t desc in
-  let above_at = occurs t a in
-  let mask = ref t.none and above = ref t.none and p = ref 0 in
-  Array.iter
-    (fun d ->
-      let over =
-        match (axis : Pattern.axis) with
-        | Child -> at t a (d - 1)
-        | Descendant ->
-            while !p < Array.length above_at && above_at.(!p) < d do
-              above := union t !above (at t a above_at.(!p));
+    let id = nodes.(ids.(i)).row.tag and here = i * depths in
+    let ds = occurs t id in
+    if i = 0 then
+      for n = 0 to Array.length ds - 1 do
+        let d = ds.(n) in
+        if (not c.Plan.anchored) || d = 0 then begin
+          Array.blit index (at t id d) s ((here + d) * nw) nw;
+          mark live (here + d)
+        end
+      done
+    else begin
+      let prev = occurs t nodes.(ids.(i - 1)).row.tag and up = here - depths in
+      match spec.Plan.node_axes.(ids.(i)) with
+      | Pattern.Child ->
+          for n = 0 to Array.length ds - 1 do
+            let d = ds.(n) in
+            if
+              d > 0
+              && is_live live (up + d - 1)
+              && inter_into s ((here + d) * nw) index (at t id d) s ((up + d - 1) * nw) nw
+            then mark live (here + d)
+          done
+      | Pattern.Descendant ->
+          (* [acc]: forward (i - 1) at some depth < d *)
+          Array.fill s acc nw 0;
+          let above = ref false and p = ref 0 in
+          for n = 0 to Array.length ds - 1 do
+            let d = ds.(n) in
+            while !p < Array.length prev && prev.(!p) < d do
+              if is_live live (up + prev.(!p)) then begin
+                union_into s acc s ((up + prev.(!p)) * nw) nw;
+                above := true
+              end;
               incr p
             done;
-            !above
-      in
-      mask := union t !mask (inter t over (at t b d)))
-    (occurs t b);
-  !mask
+            if !above && inter_into s ((here + d) * nw) index (at t id d) s acc nw then
+              mark live (here + d)
+          done
+    end
+  done;
+  (* backward (i, d): suffix s_i..s_{k-1} embeds with s_i at depth d *)
+  for i = k - 1 downto 0 do
+    let id = nodes.(ids.(i)).row.tag and here = cells + (i * depths) in
+    let ds = occurs t id in
+    if i = k - 1 then
+      for n = 0 to Array.length ds - 1 do
+        let d = ds.(n) in
+        Array.blit index (at t id d) s ((here + d) * nw) nw;
+        mark live (here + d)
+      done
+    else begin
+      let next = occurs t nodes.(ids.(i + 1)).row.tag and down = here + depths in
+      match spec.Plan.node_axes.(ids.(i + 1)) with
+      | Pattern.Child ->
+          for n = 0 to Array.length ds - 1 do
+            let d = ds.(n) in
+            if
+              d + 1 < depths
+              && is_live live (down + d + 1)
+              && inter_into s ((here + d) * nw) index (at t id d) s ((down + d + 1) * nw) nw
+            then mark live (here + d)
+          done
+      | Pattern.Descendant ->
+          (* [acc]: backward (i + 1) at some depth > d *)
+          Array.fill s acc nw 0;
+          let below = ref false and p = ref (Array.length next - 1) in
+          for n = Array.length ds - 1 downto 0 do
+            let d = ds.(n) in
+            while !p >= 0 && next.(!p) > d do
+              if is_live live (down + next.(!p)) then begin
+                union_into s acc s ((down + next.(!p)) * nw) nw;
+                below := true
+              end;
+              decr p
+            done;
+            if !below && inter_into s ((here + d) * nw) index (at t id d) s acc nw then
+              mark live (here + d)
+          done
+    end
+  done;
+  (* mask i: the OR over depths of forward (i, d) AND backward (i, d) *)
+  for i = 0 to k - 1 do
+    let o = m + (i * nw) and ds = occurs t nodes.(ids.(i)).row.tag in
+    Array.fill s o nw 0;
+    for n = 0 to Array.length ds - 1 do
+      let f = (i * depths) + ds.(n) in
+      if is_live live f && is_live live (cells + f) then
+        union_inter_into s o s (f * nw) s ((cells + f) * nw) nw
+    done
+  done
+
+(* The paths on which tag [a] stands in [axis]'s relation to tag [b],
+   written to [s.(o ..)]: immediately above it for a child step
+   (∨_d at(a, d-1) ∧ at(b, d)), anywhere above it for a descendant
+   step (∨_d (∨_{p<d} at(a, p)) ∧ at(b, d)), d ranging over [b]'s
+   depths; [s.(acc ..)] accumulates the ∨_{p<d}. *)
+let edge_mask_into t s o ~acc ~(axis : Pattern.axis) a b =
+  let nw = t.nw and index = t.index in
+  let ds = occurs t b in
+  Array.fill s o nw 0;
+  match axis with
+  | Child ->
+      for n = 0 to Array.length ds - 1 do
+        let d = ds.(n) in
+        let up = at t a (d - 1) in
+        if up >= 0 then union_inter_into s o index up index (at t b d) nw
+      done
+  | Descendant ->
+      let above_at = occurs t a in
+      Array.fill s acc nw 0;
+      let above = ref false and p = ref 0 in
+      for n = 0 to Array.length ds - 1 do
+        let d = ds.(n) in
+        while !p < Array.length above_at && above_at.(!p) < d do
+          union_into s acc index (at t a above_at.(!p)) nw;
+          above := true;
+          incr p
+        done;
+        if !above then union_inter_into s o s acc index (at t b d) nw
+      done
+
+(* Every node of [spec] with its tag's whole row. *)
+let start_nodes t (spec : Plan.join_spec) =
+  Array.map
+    (fun (n : Plan.jnode) ->
+      let id = id_of t n.Plan.tag in
+      let row = if id < 0 then empty_row else Lazy.force t.rows.(id) in
+      { position = n.Plan.position; row; set = full (Array.length row.entries) })
+    spec.Plan.nodes
+
+(* The path set at [s.(o ..)] as a bitvector. *)
+let to_bitvec t s o = Bitvec.of_bits (Array.init t.npaths (mem_path s o))
+
+(* The oracle's views of the masks: copies out of the scratch. *)
+let chain_masks t spec c =
+  let nodes = start_nodes t spec and m = masks_base t spec in
+  mask_scratch t spec;
+  chain_masks_into t spec nodes c m;
+  Array.init (Array.length c.Plan.node_ids) (fun i -> to_bitvec t t.paths (m + (i * t.nw)))
+
+let edge_mask t ~axis ~anc ~desc =
+  let s = path_scratch t (2 * t.nw) 0 in
+  edge_mask_into t s 0 ~acc:t.nw ~axis (id_of t anc) (id_of t desc);
+  to_bitvec t s 0
 
 (* [t.scratch], at least [size] words long, its first [size] zeroed. *)
 let scratch t size =
@@ -349,27 +522,33 @@ let restrict counter node s at =
   Counters.add counter !dropped;
   !dropped
 
-(* Chain pruning: keep the entries whose pid holds a path of [mask],
-   the OR of those paths' slices. *)
-let chain_prune t node mask =
+(* Chain pruning: keep the entries whose pid holds a path of the mask
+   at [masks.(o ..)], the OR of those paths' slices. *)
+let chain_prune t node masks o =
   let row = node.row in
   let w = row.words in
   let s = scratch t w in
   if w > 0 then
-    Bitvec.iter_set_bits mask (fun p ->
-        let k = slice_of row p in
+    for wi = 0 to t.nw - 1 do
+      let word = ref masks.(o + wi) in
+      while !word <> 0 do
+        let low = !word land - !word in
+        let k = slice_of row ((wi * mask_bits) + Bitvec.bit_index low) in
         if k >= 0 then
           for i = 0 to w - 1 do
             s.(i) <- s.(i) lor row.slices.((k * w) + i)
-          done);
+          done;
+        word := !word lxor low
+      done
+    done;
   ignore (restrict c_chain_pruned node s 0)
 
 (* Anchor: keep only the entry (if any) whose pid is [root]. *)
 let anchor t node root =
-  let s = scratch t node.row.words in
-  Array.iteri
-    (fun j e -> if Bitvec.equal e.pid root then s.(j / slice_bits) <- 1 lsl (j mod slice_bits))
-    node.row.entries;
+  let s = scratch t node.row.words and entries = node.row.entries in
+  for j = 0 to Array.length entries - 1 do
+    if Bitvec.equal entries.(j).pid root then s.(j / slice_bits) <- 1 lsl (j mod slice_bits)
+  done;
   ignore (restrict c_anchor_pruned node s 0)
 
 (* Write into [s.(lo .. hi)] the entries of [xs] whose pid holds every
@@ -398,12 +577,13 @@ let partners s x xs ~lo ~hi bits =
 
 (* One fixpoint visit of the edge (x, y): a y pid survives iff some x
    pid contains it (and, without chain pruning, it meets the edge's
-   relation mask [rel]), an x pid iff it contains a surviving y pid.
-   A y pid's partners are the AND of x's set and the slices of the
-   y pid's paths, and x's survivors the OR of the surviving y pids'
-   partners.  The word loops run over the non-zero words of x's set
-   only: a large row's survivors usually fit in one word.  True iff
-   anything was pruned. *)
+   relation mask at [t.paths.(rel ..)]; [rel] is -1 with chain
+   pruning), an x pid iff it contains a surviving y pid.  A y pid's
+   partners are the AND of x's set and the slices of the y pid's
+   paths, and x's survivors the OR of the surviving y pids' partners.
+   The word loops run over the non-zero words of x's set only: a large
+   row's survivors usually fit in one word.  True iff anything was
+   pruned. *)
 let visit t x y rel =
   let xs = x.set and ys = y.set and w = x.row.words in
   let lo = ref 0 and hi = ref (w - 1) in
@@ -418,10 +598,7 @@ let visit t x y rel =
     while !word <> 0 do
       if !word land 1 <> 0 then begin
         let e = y.row.entries.((wi * slice_bits) + !b) in
-        if
-          (match rel with None -> true | Some mask -> Bitvec.intersects e.pid mask)
-          && partners s x.row xs ~lo ~hi e.bits
-        then
+        if (rel < 0 || meets t.paths rel e.bits) && partners s x.row xs ~lo ~hi e.bits then
           for i = lo to hi do
             s.(w + i) <- s.(w + i) lor s.(i)
           done
@@ -437,50 +614,66 @@ let visit t x y rel =
   Counters.add c_fixpoint_pruned !dropped;
   restrict c_fixpoint_pruned x s w > 0 || !dropped > 0
 
+(* The masks of the chains from the one whose masks go to [m] on. *)
+let rec chains_masks t spec nodes m = function
+  | [] -> ()
+  | (c : Plan.chain) :: rest ->
+      chain_masks_into t spec nodes c m;
+      chains_masks t spec nodes (m + (Array.length c.Plan.node_ids * t.nw)) rest
+
+(* Chain pruning: a pid can label a witness of chain node i only if
+   the entire chain embeds into one of the pid's path types with node
+   i somewhere on it. *)
+let rec prune_chains t nodes m = function
+  | [] -> ()
+  | (c : Plan.chain) :: rest ->
+      let ids = c.Plan.node_ids in
+      for i = 0 to Array.length ids - 1 do
+        chain_prune t nodes.(ids.(i)) t.paths (m + (i * t.nw))
+      done;
+      prune_chains t nodes (m + (Array.length ids * t.nw)) rest
+
+(* Without chain pruning: edge e's relation mask, to [t.paths] at
+   [e * nw]. *)
+let rec edge_masks t nodes ~acc e = function
+  | [] -> ()
+  | (edge : Plan.jedge) :: rest ->
+      edge_mask_into t t.paths (e * t.nw) ~acc ~axis:edge.Plan.axis
+        nodes.(edge.Plan.parent).row.tag nodes.(edge.Plan.child).row.tag;
+      edge_masks t nodes ~acc (e + 1) rest
+
+(* One round of the fixpoint over the edges from the [e]th on; true
+   iff anything was pruned. *)
+let rec visit_edges t nodes e changed = function
+  | [] -> changed
+  | (edge : Plan.jedge) :: rest ->
+      let rel = if t.chain_pruning then -1 else e * t.nw in
+      let pruned = visit t nodes.(edge.Plan.parent) nodes.(edge.Plan.child) rel in
+      visit_edges t nodes (e + 1) (changed || pruned) rest
+
 (* Execute a compiled join spec (the chain/edge extraction happened at
-   Plan compile time). *)
+   Plan compile time).  Masks and pruning steps work in the join's
+   scratch buffers: a run allocates its result's nodes, a few closures
+   and no path set. *)
 let run_uncached t (spec : Plan.join_spec) =
-  let nodes =
-    Array.map
-      (fun (n : Plan.jnode) ->
-        let id = id_of t n.Plan.tag in
-        let row = if id < 0 then empty_row else Lazy.force t.rows.(id) in
-        { position = n.Plan.position; row; set = full (Array.length row.entries) })
-      spec.Plan.nodes
-  in
-  (* Chain pruning: a pid can label a witness of chain node i only if
-     the entire chain embeds into one of the pid's path types with
-     node i somewhere on it.  Every edge (x, y) lies on a chain in
-     which x immediately precedes y, so y's chain mask lies inside the
-     edge's relation mask and the pids chain pruning keeps all meet
-     it: the edge masks are needed only without chain pruning.  Since
-     [Pid_Y ⊆ Pid_X], the paths an edge's two pids share are
-     [Pid_Y]'s, so the tag relation of an edge only depends on the
-     descendant-side pid. *)
-  let chains, edges =
-    Counters.time t_masks (fun () ->
-        ( (if t.chain_pruning then
-             List.map
-               (fun (c : Plan.chain) -> (c.Plan.node_ids, chain_masks t spec c))
-               spec.Plan.chains
-           else []),
-          List.map
-            (fun (e : Plan.jedge) ->
-              let x = nodes.(e.Plan.parent) and y = nodes.(e.Plan.child) in
-              ( x,
-                y,
-                if t.chain_pruning then None
-                else
-                  Some
-                    (edge_mask t ~axis:e.Plan.axis
-                       ~anc:spec.Plan.nodes.(e.Plan.parent).Plan.tag
-                       ~desc:spec.Plan.nodes.(e.Plan.child).Plan.tag) ))
-            spec.Plan.edges ))
-  in
-  List.iter
-    (fun (node_ids, masks) ->
-      Array.iteri (fun i id -> chain_prune t nodes.(id) masks.(i)) node_ids)
-    chains;
+  let nodes = start_nodes t spec in
+  (* Every edge (x, y) lies on a chain in which x immediately precedes
+     y, so y's chain mask lies inside the edge's relation mask and the
+     pids chain pruning keeps all meet it: the edge masks are needed
+     only without chain pruning.  Since [Pid_Y ⊆ Pid_X], the paths an
+     edge's two pids share are [Pid_Y]'s, so the tag relation of an
+     edge only depends on the descendant-side pid. *)
+  if t.chain_pruning then begin
+    let m = masks_base t spec in
+    mask_scratch t spec;
+    Counters.time t_masks (fun () -> chains_masks t spec nodes m spec.Plan.chains);
+    prune_chains t nodes m spec.Plan.chains
+  end
+  else begin
+    let acc = List.length spec.Plan.edges * t.nw in
+    ignore (path_scratch t (acc + t.nw) 0);
+    Counters.time t_masks (fun () -> edge_masks t nodes ~acc 0 spec.Plan.edges)
+  end;
   (* Anchor: a Child first step means "child of the virtual document
      node", i.e. the document root itself: only the root's pid (the
      all-paths vector) on a matching tag can survive. *)
@@ -488,20 +681,18 @@ let run_uncached t (spec : Plan.join_spec) =
   | Pattern.Descendant -> ()
   | Pattern.Child -> anchor t nodes.(0) (Summary.root_pid t.summary));
   Counters.time t_fixpoint (fun () ->
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        List.iter (fun (x, y, rel) -> if visit t x y rel then changed := true) edges
+      while visit_edges t nodes 0 false spec.Plan.edges do
+        ()
       done);
   { nodes }
 
-(* Memoized on the spec's shape. *)
+(* Memoized on the spec's compiled key: a hit is one int lookup. *)
 let exec t (spec : Plan.join_spec) =
-  match Bounded_cache.find_opt t.run_cache spec.Plan.shape with
-  | Some r -> r
-  | None ->
+  match Bounded_cache.find t.run_cache spec.Plan.key with
+  | r -> r
+  | exception Not_found ->
       let r = Counters.time t_run (fun () -> run_uncached t spec) in
-      Bounded_cache.add t.run_cache spec.Plan.shape r;
+      Bounded_cache.add t.run_cache spec.Plan.key r;
       r
 
 let same_position (a : Pattern.position) (b : Pattern.position) =

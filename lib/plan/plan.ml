@@ -55,7 +55,8 @@ type jedge = { parent : int; child : int; axis : Pattern.axis }
 type chain = { anchored : bool; node_ids : int array }
 
 type join_spec = {
-  shape : Pattern.shape;  (* canonical cache key of the spec *)
+  shape : Pattern.shape;
+  key : int;  (* the run-cache key: one per live shape, see [intern] *)
   nodes : jnode array;
   edges : jedge list;
   node_axes : Pattern.axis array;
@@ -64,81 +65,102 @@ type join_spec = {
   chains : chain list;
 }
 
+(* Specs are hash-consed on their shape: a process-wide table holds
+   every live spec under its shape, and compiling a shape that a live
+   spec has returns that spec.  Each new spec takes the next [key],
+   and keys are never reused, so two live specs have the same key iff
+   their shapes are equal: the path join's run cache looks results up
+   by [key] alone, neither hashing nor comparing a shape.  The table
+   is an ephemeron table keyed on the spec's own shape: it keeps no
+   spec alive, and a spec no plan holds any more leaves it at a major
+   collection; a later spec of its shape takes a fresh key (a
+   run-cache miss, never a wrong hit).  Plans compile on several
+   domains at once, so the table is used under a lock. *)
+module Specs = Ephemeron.K1.Make (struct
+  type t = Pattern.shape
+
+  let equal = Pattern.shape_equal
+  let hash = Pattern.shape_hash
+end)
+
+let specs : join_spec Specs.t = Specs.create 1024
+let specs_lock = Mutex.create ()
+let next_key = ref 0
+
+(* The live spec of [shape], or else [build key] under a fresh key. *)
+let intern shape build =
+  Mutex.protect specs_lock (fun () ->
+      match Specs.find_opt specs shape with
+      | Some spec -> spec
+      | None ->
+          let spec = build !next_key in
+          incr next_key;
+          Specs.add specs spec.shape spec;
+          spec)
+
 (* Flatten a shape into join nodes, parent-child edges and pattern
-   chains.  Ordered shapes join via their counterpart, but node
-   positions keep the original flavor so lookups can use
-   In_first/In_second. *)
-let join_of_shape (shape : Pattern.shape) =
-  let nodes = ref [] and edges = ref [] and count = ref 0 in
-  let add tag position =
-    nodes := { tag; position } :: !nodes;
-    incr count;
-    !count - 1
-  in
-  let add_spine spine ~anchor ~pos_of =
-    List.fold_left
-      (fun (i, parent) (s : Pattern.step) ->
-        let id = add s.tag (pos_of i) in
-        (match parent with
-        | Some p -> edges := { parent = p; child = id; axis = s.axis } :: !edges
-        | None -> ());
-        (i + 1, Some id))
-      (0, anchor) spine
-    |> snd
-  in
-  let head_axis spine =
-    match spine with [] -> Pattern.Child | s :: _ -> s.Pattern.axis
-  in
-  (match shape with
-  | Simple spine ->
-      ignore (add_spine spine ~anchor:None ~pos_of:(fun i -> Pattern.In_trunk i))
-  | Branch { trunk; branch; tail } ->
-      let attach =
-        add_spine trunk ~anchor:None ~pos_of:(fun i -> Pattern.In_trunk i)
-      in
-      ignore (add_spine branch ~anchor:attach ~pos_of:(fun i -> Pattern.In_branch i));
-      ignore (add_spine tail ~anchor:attach ~pos_of:(fun i -> Pattern.In_tail i))
-  | Ordered { trunk; first; axis; second } ->
-      let attach =
-        add_spine trunk ~anchor:None ~pos_of:(fun i -> Pattern.In_trunk i)
-      in
-      ignore (add_spine first ~anchor:attach ~pos_of:(fun i -> Pattern.In_first i));
-      (* The counterpart reattaches [second] under the trunk with the
-         axis implied by the order axis; Pattern.v has already forced
-         the head axis to match, so the spine is usable as-is. *)
-      ignore axis;
-      ignore (add_spine second ~anchor:attach ~pos_of:(fun i -> Pattern.In_second i)));
-  let nodes = Array.of_list (List.rev !nodes) in
-  let edges = List.rev !edges in
-  let first_axis =
+   chains: the trunk first, then the two branch parts (branch and
+   tail, or first and second), each hanging off the last trunk node.
+   Ordered shapes join via their counterpart, but node positions keep
+   the original flavor so lookups can use In_first/In_second. *)
+let build_spec (shape : Pattern.shape) key =
+  let trunk, (left, in_left), (right, in_right) =
     match shape with
-    | Simple spine | Branch { trunk = spine; _ } | Ordered { trunk = spine; _ } ->
-        head_axis spine
-  in
-  let node_axes = Array.make (Array.length nodes) first_axis in
-  List.iter (fun { child; axis; _ } -> node_axes.(child) <- axis) edges;
-  (* chains of node indices: trunk alone (Simple) or trunk extended by
-     each branch part *)
-  let chain_ids =
-    let len l = List.length l in
-    let ids lo n = List.init n (fun i -> lo + i) in
-    match shape with
-    | Simple spine -> [ ids 0 (len spine) ]
-    | Branch { trunk; branch; tail } ->
-        let t = len trunk and b = len branch and a = len tail in
-        (ids 0 t @ ids t b)
-        :: (if a > 0 then [ ids 0 t @ ids (t + b) a ] else [])
+    | Simple trunk -> (trunk, ([], `Branch), ([], `Tail))
+    | Branch { trunk; branch; tail } -> (trunk, (branch, `Branch), (tail, `Tail))
     | Ordered { trunk; first; second; _ } ->
-        let t = len trunk and f = len first and s = len second in
-        [ ids 0 t @ ids t f; ids 0 t @ ids (t + f) s ]
+        (* The counterpart reattaches [second] under the trunk with the
+           axis implied by the order axis; Pattern.v has already forced
+           the head axis to match, so the spine is usable as-is. *)
+        (trunk, (first, `First), (second, `Second))
+  in
+  let t = List.length trunk and l = List.length left and r = List.length right in
+  let first_axis = match trunk with [] -> Pattern.Child | s :: _ -> s.Pattern.axis in
+  let nodes = Array.make (t + l + r) { tag = ""; position = Pattern.In_trunk 0 } in
+  let node_axes = Array.make (t + l + r) first_axis in
+  let edges = ref [] in
+  (* lay [spine] out from node [base], its head under [parent] (-1:
+     none); edges are listed in the order they are laid *)
+  let rec lay spine part i base parent =
+    match spine with
+    | [] -> ()
+    | (s : Pattern.step) :: rest ->
+        let id = base + i in
+        let position : Pattern.position =
+          match part with
+          | `Trunk -> In_trunk i
+          | `Branch -> In_branch i
+          | `Tail -> In_tail i
+          | `First -> In_first i
+          | `Second -> In_second i
+        in
+        nodes.(id) <- { tag = s.tag; position };
+        if parent >= 0 then begin
+          node_axes.(id) <- s.axis;
+          edges := { parent; child = id; axis = s.axis } :: !edges
+        end;
+        lay rest part (i + 1) base id
+  in
+  lay trunk `Trunk 0 0 (-1);
+  lay left in_left 0 t (t - 1);
+  lay right in_right 0 (t + l) (t - 1);
+  (* chains of node indices: the trunk alone (Simple) or the trunk
+     extended by each branch part *)
+  let chain lo len =
+    {
+      anchored = first_axis = Pattern.Child;
+      node_ids = Array.init (t + len) (fun i -> if i < t then i else lo + i - t);
+    }
   in
   let chains =
-    List.map
-      (fun ids ->
-        { anchored = first_axis = Pattern.Child; node_ids = Array.of_list ids })
-      chain_ids
+    match shape with
+    | Simple _ -> [ chain 0 0 ]
+    | Branch _ -> chain t l :: (if r > 0 then [ chain (t + l) r ] else [])
+    | Ordered _ -> [ chain t l; chain (t + l) r ]
   in
-  { shape; nodes; edges; node_axes; first_axis; chains }
+  { shape; key; nodes; edges = List.rev !edges; node_axes; first_axis; chains }
+
+let join_of_shape shape = intern shape (build_spec shape)
 
 let chain_steps spec c =
   List.map (fun id -> (spec.node_axes.(id), spec.nodes.(id).tag)) (Array.to_list c.node_ids)
@@ -195,16 +217,19 @@ type order = { counterpart : join_spec; bound : order_bound }
    join graph (Pattern.v has made the second head a child step, the
    axis the counterpart gives it), with branch/tail positions. *)
 let counterpart_spec (join : join_spec) =
-  {
-    join with
-    shape = Pattern.counterpart join.shape;
-    nodes =
-      Array.map
-        (fun (n : jnode) ->
-          let position = Pattern.counterpart_position n.position in
-          if position == n.position then n else { n with position })
-        join.nodes;
-  }
+  let shape = Pattern.counterpart join.shape in
+  intern shape (fun key ->
+      {
+        join with
+        shape;
+        key;
+        nodes =
+          Array.map
+            (fun (n : jnode) ->
+              let position = Pattern.counterpart_position n.position in
+              if position == n.position then n else { n with position })
+            join.nodes;
+      })
 
 (* [join] is the order query's spec ([join_of_shape] of its shape). *)
 let order_of_join (join : join_spec) target =

@@ -48,7 +48,10 @@ type chain = { anchored : bool; node_ids : int array }
     the path join tests these against a pid's path types. *)
 
 type join_spec = {
-  shape : Pattern.shape;  (** canonical cache key of the spec *)
+  shape : Pattern.shape;
+  key : int;
+      (** the path join's run-cache key, fixed at compile time: two
+          live specs have the same key iff their shapes are equal *)
   nodes : jnode array;
   edges : jedge list;
   node_axes : Pattern.axis array;
@@ -60,6 +63,10 @@ type join_spec = {
     shape alone. *)
 
 val join_of_shape : Pattern.shape -> join_spec
+(** The spec of a shape.  Specs are hash-consed: while a spec of an
+    equal shape is live (held by a plan or a caller), this returns
+    that spec; otherwise it builds one under a key no other spec ever
+    had.  Safe to call from several domains. *)
 
 val chain_steps : join_spec -> chain -> (Pattern.axis * string) list
 (** Each chain node's incoming axis and tag, head first. *)
@@ -132,7 +139,10 @@ type t = {
 }
 
 val compile : Pattern.t -> t
-(** Summary-independent compilation; pure and deterministic.
+(** Summary-independent compilation, deterministic: two compiles of
+    equal patterns give interchangeable plans, whose specs are the
+    same hash-consed values while either is live
+    ({!join_of_shape}).
 
     {b Invariant.}  Compilation can only raise on a shape/position
     pair that {!Pattern.v} would never produce (an order position in

@@ -336,6 +336,11 @@ let of_sections sections =
     let buckets =
       get_list r (fun r ->
           let pid_indices = get_array r get_int in
+          (* estimation indexes [pids] by these: a bad one is a
+             corrupt file here, not an [Internal] error on every
+             query *)
+          if Array.exists (fun i -> i < 0 || i >= Array.length pids) pid_indices then
+            fail r "p-histogram pid index out of range";
           let frequencies = get_array r get_int in
           P_histogram.bucket_of_parts ~pid_indices ~frequencies)
     in

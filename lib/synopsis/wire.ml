@@ -94,12 +94,19 @@ let get_string r =
   r.pos <- r.pos + n;
   s
 
-let get_list r get =
+(* Every element takes at least one byte, so a count above the bytes
+   left is corrupt; checked before [Array.init] allocates the slots. *)
+let get_count r =
   let n = get_int r in
+  if n < 0 || n > String.length r.data - r.pos then fail r "count exceeds the bytes left";
+  n
+
+let get_list r get =
+  let n = get_count r in
   List.init n (fun _ -> get r)
 
 let get_array r get =
-  let n = get_int r in
+  let n = get_count r in
   Array.init n (fun _ -> get r)
 
 let get_bitvec r =

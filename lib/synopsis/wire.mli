@@ -49,7 +49,12 @@ val get_float : reader -> float
 val get_int64 : reader -> int64
 val get_string : reader -> string
 val get_list : reader -> (reader -> 'a) -> 'a list
+
 val get_array : reader -> (reader -> 'a) -> 'a array
+(** Like {!get_list}.  Both read a count, then that many elements;
+    each element must take at least one byte, so a count above the
+    bytes left fails before anything is allocated. *)
+
 val get_bitvec : reader -> Xpest_util.Bitvec.t
 val expect_end : reader -> unit
 

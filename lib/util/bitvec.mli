@@ -73,6 +73,11 @@ val popcount_word : int -> int
 (** Number of set bits of a non-negative int, one step per set bit.
     For callers that keep their own word arrays. *)
 
+val bit_index : int -> int
+(** The index of the only set bit of a power of two below 2{^62}, in
+    six steps: [bit_index (w land -w)] is the lowest set bit of a
+    non-zero word [w].  For callers that keep their own word arrays. *)
+
 val iter_set_bits : t -> (int -> unit) -> unit
 (** [iter_set_bits v f] applies [f] to each set bit position in
     increasing order. *)

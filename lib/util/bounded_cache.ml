@@ -182,18 +182,32 @@ let unlink t node =
   l.lcost <- l.lcost - node.cost;
   l.lcount <- l.lcount - 1
 
-(* Push a node onto the front of [seg]'s list; the node must be
-   detached.  Sets [node.seg]. *)
-let push_front t seg node =
+(* The [Some node] cell its list links [node] through (the head's, or
+   its predecessor's [next]); a linked node only.  A move reuses it,
+   so that a hit allocates nothing. *)
+let cell_of t node =
+  match node.prev with Some p -> p.next | None -> (list_of t node).head
+
+(* Push a node onto the front of [seg]'s list through [cell], its
+   [Some node]; the node must be detached.  Sets [node.seg]. *)
+let push_front_cell t seg node cell =
   node.seg <- seg;
   let l = list_of t node in
   node.next <- l.head;
   node.prev <- None;
-  (match l.head with Some h -> h.prev <- Some node | None -> ());
-  l.head <- Some node;
-  if l.tail = None then l.tail <- Some node;
+  (match l.head with Some h -> h.prev <- cell | None -> ());
+  l.head <- cell;
+  if l.tail = None then l.tail <- cell;
   l.lcost <- l.lcost + node.cost;
   l.lcount <- l.lcount + 1
+
+let push_front t seg node = push_front_cell t seg node (Some node)
+
+(* Move a linked node to the front of [seg]'s list. *)
+let move_front t seg node =
+  let cell = cell_of t node in
+  unlink t node;
+  push_front_cell t seg node cell
 
 (* Rebalance after a promotion: the protected list sheds its tail back
    to probationary most-recent until it fits its budget.  The [> 1]
@@ -203,9 +217,7 @@ let shed_protected t =
   while t.prot.lcost > t.protected_capacity && t.prot.lcount > 1 do
     match t.prot.tail with
     | None -> assert false
-    | Some victim ->
-        unlink t victim;
-        push_front t Probationary victim
+    | Some victim -> move_front t Probationary victim
   done
 
 (* A hit: Lru promotes within the single list; Segmented promotes a
@@ -216,21 +228,16 @@ let touch t node =
   | Lru -> (
       match t.prob.head with
       | Some h when h == node -> ()
-      | _ ->
-          unlink t node;
-          push_front t Probationary node)
+      | _ -> move_front t Probationary node)
   | Segmented _ -> (
       match node.seg with
       | Probationary ->
-          unlink t node;
-          push_front t Protected node;
+          move_front t Protected node;
           shed_protected t
       | Protected -> (
           match t.prot.head with
           | Some h when h == node -> ()
-          | _ ->
-              unlink t node;
-              push_front t Protected node))
+          | _ -> move_front t Protected node))
 
 (* Oldest unpinned node of one list, or None. *)
 let victim_of t l =
@@ -259,17 +266,26 @@ let evict_one t =
       bump t.evict;
       true
 
-let find_opt_unlocked t key =
-  match Hashtbl.find_opt t.table key with
-  | Some node ->
+let find_unlocked t key =
+  match Hashtbl.find t.table key with
+  | node ->
       t.hits <- t.hits + 1;
       bump t.hit;
       touch t node;
-      Some node.value
-  | None ->
+      node.value
+  | exception Not_found ->
       t.misses <- t.misses + 1;
       bump t.miss;
-      None
+      raise Not_found
+
+let find_opt_unlocked t key =
+  match find_unlocked t key with v -> Some v | exception Not_found -> None
+
+(* An unsynchronized hit allocates nothing: no closure, no option. *)
+let find t key =
+  match t.lock with
+  | None -> find_unlocked t key
+  | Some _ -> with_lock t (fun () -> find_unlocked t key)
 
 let find_opt t key = with_lock t (fun () -> find_opt_unlocked t key)
 let mem t key = with_lock t (fun () -> Hashtbl.mem t.table key)

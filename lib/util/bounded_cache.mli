@@ -131,6 +131,11 @@ val find_opt : ('k, 'v) t -> 'k -> 'v option
     under {!Lru}; probationary entries to protected under
     {!Segmented}). *)
 
+val find : ('k, 'v) t -> 'k -> 'v
+(** {!find_opt} without the option: on an unsynchronized cache a hit
+    allocates nothing.
+    @raise Not_found on a miss. *)
+
 val mem : ('k, 'v) t -> 'k -> bool
 (** Residency probe; no promotion, no counters. *)
 

@@ -92,3 +92,10 @@ val of_string : string -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
+
+val shape_equal : shape -> shape -> bool
+(** Structural equality of shapes, with physical-equality shortcuts. *)
+
+val shape_hash : shape -> int
+(** A hash of the whole shape, every step's axis and tag: equal shapes
+    hash equal.  [Hashtbl.hash] reads only a shape's first few steps. *)

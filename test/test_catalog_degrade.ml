@@ -179,6 +179,7 @@ let check_same_stats label (a : Catalog.stats) (b : Catalog.stats) =
   field "retries" a.Catalog.retries b.Catalog.retries;
   field "quarantines" a.Catalog.quarantines b.Catalog.quarantines;
   field "shed_queries" a.Catalog.shed_queries b.Catalog.shed_queries;
+  field "shed_served_queries" a.Catalog.shed_served_queries b.Catalog.shed_served_queries;
   field "fallback_queries" a.Catalog.fallback_queries b.Catalog.fallback_queries;
   field "sketch_queries" a.Catalog.sketch_queries b.Catalog.sketch_queries;
   field "sketch_resident" a.Catalog.sketch_resident b.Catalog.sketch_resident;
@@ -231,6 +232,7 @@ let test_rung_order () =
   | Error e -> Alcotest.failf "sketch rung errored: %s" (E.to_string e));
   let s = Catalog.stats cat in
   Alcotest.(check int) "one sketch query" 1 s.Catalog.sketch_queries;
+  Alcotest.(check int) "the shed query served" 1 s.Catalog.shed_served_queries;
   (* the sketch-free twin of the same batch fails the shed query typed
      — arming the ladder is exactly what turns that error into an
      answer *)
@@ -367,6 +369,12 @@ let test_blackout_answers_from_sketch () =
     (4 * Array.length pairs)
     s.Catalog.sketch_queries;
   Alcotest.(check bool) "loads did fail" true (s.Catalog.failures > 0);
+  (* every shed query was served, and the acquire failures the sketch
+     tier absorbed are not sheds *)
+  Alcotest.(check int) "shed queries served" s.Catalog.shed_queries
+    s.Catalog.shed_served_queries;
+  Alcotest.(check bool) "absorbed failures are not sheds" true
+    (s.Catalog.sketch_queries > s.Catalog.shed_served_queries);
   (* without a breaker the dead loader is probed until every key is
      quarantined — the Quarantined rung of the ladder — and the sketch
      tier still answers everything *)

@@ -423,6 +423,7 @@ let test_degrade_falls_back_to_resident_sibling () =
   let s = Catalog.stats cat in
   Alcotest.(check int) "one shed query" 1 s.Catalog.shed_queries;
   Alcotest.(check int) "served degraded" 1 s.Catalog.fallback_queries;
+  Alcotest.(check int) "shed query served" 1 s.Catalog.shed_served_queries;
   (* shedding is not a failure: the shed key's per-key health stays
      untouched (the two *loaded* keys are tracked as healthy) *)
   Alcotest.(check bool)

@@ -467,6 +467,53 @@ let test_pruning_counts () =
     [ 0; 350707; 3270 ]
     (List.map pruned [ "anchor"; "chain"; "fixpoint" ])
 
+(* An uncached join allocates its result and a few words more: the
+   masks and the pruning steps work in the join's scratch buffers, so
+   no path set is allocated; a cached one allocates nothing.  A run cache of one entry makes every
+   join of the second sweep a miss (the specs' shapes are distinct);
+   the first sweep builds the rows and grows the scratch. *)
+let test_uncached_join_allocation () =
+  let summary = Lazy.force xmark in
+  let join =
+    Path_join.create ~config:{ Xpest_plan.Cache_config.default with run = 1 } summary
+  in
+  let specs = workload_specs (Summary.doc summary) in
+  List.iter (fun spec -> ignore (Path_join.exec join spec)) specs;
+  let worst = ref 0 in
+  List.iter
+    (fun (spec : Plan.join_spec) ->
+      (* the result: its record, its node array, and per node a record
+         and a row set of one word per 62 row entries *)
+      let result_words =
+        Array.fold_left
+          (fun acc (n : Plan.jnode) ->
+            let w = (List.length (Summary.tag_pids summary n.Plan.tag) + 61) / 62 in
+            acc + 4 + if w > 0 then w + 1 else 0)
+          (3 + Array.length spec.Plan.nodes)
+          spec.Plan.nodes
+      in
+      let before = Gc.minor_words () in
+      ignore (Path_join.exec join spec);
+      let words = int_of_float (Gc.minor_words () -. before) in
+      worst := max !worst (words - result_words))
+    specs;
+  (* 54 words at most today (the run-cache entry, a few closures);
+     when every AND/OR built a bitvector, up to 2910 *)
+  if !worst > 96 then Alcotest.failf "a join allocated %d words beyond its result" !worst;
+  (* a run-cache hit is one int lookup and allocates nothing: the
+     first reading is calibrated by a second with nothing between *)
+  let join = Path_join.create summary in
+  List.iter
+    (fun spec ->
+      ignore (Path_join.exec join spec);
+      let a = Gc.minor_words () in
+      let b = Gc.minor_words () in
+      ignore (Path_join.exec join spec);
+      let c = Gc.minor_words () in
+      let words = int_of_float (c -. b -. (b -. a)) in
+      if words <> 0 then Alcotest.failf "a run-cache hit allocated %d words" words)
+    specs
+
 (* A tag outside the summary joins as an empty set, and empties the
    nodes it is joined to. *)
 let test_unknown_tag () =
@@ -594,6 +641,8 @@ let () =
       ( "row sets",
         [
           Alcotest.test_case "pruning counts (XMark)" `Slow test_pruning_counts;
+          Alcotest.test_case "uncached join allocation (XMark)" `Slow
+            test_uncached_join_allocation;
           Alcotest.test_case "wide row sets (XMark)" `Slow test_wide_row_sets;
           Alcotest.test_case "wide slice index" `Quick test_wide_slice_index;
         ] );

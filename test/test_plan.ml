@@ -269,6 +269,59 @@ let test_cache_overwrite_and_bounds () =
   Alcotest.(check (option int)) "newest kept" (Some 100)
     (Plan_cache.find_opt tiny 100)
 
+(* ------------------------------------------------------------------ *)
+(* Run-cache keys.                                                     *)
+
+(* Every join spec a plan carries. *)
+let plan_specs (plan : Plan.t) =
+  let q_prime (e : Plan.eq2) = e.Plan.q_prime in
+  let head (h : Plan.order_head) = [ h.Plan.reduced; q_prime h.Plan.via ] in
+  (plan.Plan.join :: Option.to_list (Option.map q_prime plan.Plan.eq2))
+  @
+  match plan.Plan.order with
+  | None -> []
+  | Some o -> (
+      o.Plan.counterpart
+      ::
+      (match o.Plan.bound with
+      | Plan.Off_trunk { target; head = h } -> q_prime target :: head h
+      | Plan.On_trunk { first; second } -> head first @ head second))
+
+(* Over every spec the workloads compile, counterparts included, all
+   held live: two specs share a key iff their shapes are equal, so the
+   run cache can look results up by key alone. *)
+let test_run_keys () =
+  let module Registry = Xpest_datasets.Registry in
+  let module Workload = Xpest_workload.Workload in
+  let config = { Workload.default_config with num_simple = 300; num_branch = 300 } in
+  let specs =
+    List.concat_map
+      (fun name ->
+        let doc = Registry.generate ~scale:0.05 name in
+        List.concat_map
+          (fun (it : Workload.item) -> plan_specs (Plan.compile it.Workload.pattern))
+          (Workload.all_items (Workload.generate ~config doc)))
+      [ Registry.Ssplays; Registry.Dblp; Registry.Xmark ]
+  in
+  let by_key = Hashtbl.create 4096 and by_shape = Hashtbl.create 4096 in
+  List.iter
+    (fun (spec : Plan.join_spec) ->
+      let label = Pattern.to_string (Pattern.v spec.Plan.shape (Pattern.In_trunk 0)) in
+      (match Hashtbl.find_opt by_key spec.Plan.key with
+      | Some shape when not (Pattern.shape_equal shape spec.Plan.shape) ->
+          Alcotest.failf "%s shares key %d with another shape" label spec.Plan.key
+      | Some _ -> ()
+      | None -> Hashtbl.add by_key spec.Plan.key spec.Plan.shape);
+      match Hashtbl.find_opt by_shape spec.Plan.shape with
+      | Some key when key <> spec.Plan.key ->
+          Alcotest.failf "%s has keys %d and %d" label key spec.Plan.key
+      | Some _ -> ()
+      | None -> Hashtbl.add by_shape spec.Plan.shape spec.Plan.key)
+    specs;
+  let shapes = Hashtbl.length by_shape in
+  if shapes < 500 || List.length specs < shapes + 500 then
+    Alcotest.failf "%d specs over %d shapes: too few to test sharing" (List.length specs) shapes
+
 let () =
   Alcotest.run "plan"
     [
@@ -289,6 +342,7 @@ let () =
           Alcotest.test_case "order specs (equation 4)" `Quick test_order_specs_eq4;
           Alcotest.test_case "order specs (equation 5)" `Quick test_order_specs_eq5;
           Alcotest.test_case "order specs (conversion)" `Quick test_order_specs_conversion;
+          Alcotest.test_case "run-cache keys" `Slow test_run_keys;
         ] );
       ( "cache",
         [

@@ -353,6 +353,53 @@ let test_typed_malformed_pids () =
       ("root width", with_pids [| v 3; v 3 |] (v 4), "mixed widths");
     ]
 
+(* A p-histogram pid index rewritten behind a re-stamped checksum:
+   the checksum vouches for the body, so only the decoder's own range
+   check keeps the file from loading and then failing every query as
+   [Internal] when estimation indexes past the path ids.  It must fail
+   at load, as [Corrupt] in that section. *)
+let test_typed_pid_index_out_of_range () =
+  let bytes = Lazy.force tiny_bytes in
+  let sections = Wire.decode_container bytes in
+  let phist = List.assoc "p_histograms" sections in
+  let npids =
+    Array.length (Wire.get_array (Wire.reader (List.assoc "path_ids" sections)) Wire.get_bitvec)
+  in
+  (* the first bucket's first pid index: skip the tag count, the first
+     tag, its bucket count and the bucket's pid count *)
+  let r = Wire.reader phist in
+  ignore (Wire.get_int r);
+  ignore (Wire.get_string r);
+  ignore (Wire.get_int r);
+  ignore (Wire.get_int r);
+  let start = r.Wire.pos in
+  ignore (Wire.get_int r);
+  let payload = Bytes.of_string phist in
+  Bytes.set payload (r.Wire.pos - 1) '\x7f';
+  let payload = Bytes.to_string payload in
+  let r = Wire.reader payload in
+  r.Wire.pos <- start;
+  let index = Wire.get_int r in
+  if index < npids then Alcotest.failf "index %d is not past the %d path ids" index npids;
+  (* re-encoding stamps the checksum of the new body; nothing else moves *)
+  let mutated =
+    Wire.encode_container
+      (List.map (fun (name, p) -> (name, if name = "p_histograms" then payload else p)) sections)
+  in
+  let differ = ref 0 in
+  String.iteri (fun i c -> if c <> bytes.[i] then incr differ) mutated;
+  Alcotest.(check int) "same length" (String.length bytes) (String.length mutated);
+  Alcotest.(check bool) "one body byte and the checksum differ" true (!differ <= 9);
+  match load_typed_of mutated with
+  | Error (E.Corrupt { section; reason; _ }) ->
+      Alcotest.(check string) "section" "p_histograms" section;
+      Alcotest.(check bool)
+        (Printf.sprintf "reason (%s)" reason)
+        true
+        (contains ~sub:"pid index out of range" reason)
+  | Ok _ -> Alcotest.fail "loaded"
+  | Error e -> Alcotest.failf "wrong class %s" (E.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* The catalog's one-read load against the two-step check-then-load.   *)
 
@@ -519,6 +566,8 @@ let () =
             test_typed_manifest_every_byte;
           Alcotest.test_case "malformed path ids are Corrupt" `Quick
             test_typed_malformed_pids;
+          Alcotest.test_case "out-of-range p-histogram pid index is Corrupt" `Quick
+            test_typed_pid_index_out_of_range;
           Alcotest.test_case "verified load = verify then load" `Quick
             test_verified_load_matches_two_step;
           Alcotest.test_case "verified load of a missing file" `Quick
