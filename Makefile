@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test check ci differential chaos stress thrash pipeline overload degrade join hot bench clean
+.PHONY: all build test check ci differential chaos thrash pipeline overload degrade join hot bench clean
 
 all: build
 
@@ -23,18 +23,6 @@ chaos:
 	$(DUNE) exec test/test_fault.exe
 	$(DUNE) exec test/test_catalog_chaos.exe
 
-# Concurrency stress: the parallel differential suite (sequential vs
-# domain-pooled batches at pool sizes 1/2/4/8 — the domain counts are
-# looped inside the suites — including chaos twins), the qcheck
-# properties hammering the synchronized plan cache from several
-# domains, and the shared-state catalog/counter suites.  All seeds are
-# fixed, so this target is deterministic and reproducible in CI.
-stress:
-	$(DUNE) exec test/test_parallel_differential.exe
-	$(DUNE) exec test/test_plan_cache_concurrent.exe
-	$(DUNE) exec test/test_catalog_concurrent.exe
-	$(DUNE) exec test/test_counters.exe
-
 # Cache-core suite: the LRU reference differential, qcheck properties
 # of the unified bounded cache (cost conservation, pin-never-evicted,
 # segment-size invariants), and the deterministic scan-resistance
@@ -44,12 +32,11 @@ thrash:
 
 # Serving-pipeline suites: the loader-pool future seam's unit tests,
 # the pipeline differentials (blocking loads vs loader pools of 1/2/4
-# — bit-identical results, errors, stats and clock, including keyed
-# chaos twins; looped inside test_parallel_differential's pipeline
-# group), the overlap check (4 load domains hold two loads in flight
-# where the blocking twin holds one), and the loader-raises-mid-flight
-# chaos twin.  All seeds are
-# fixed, so this target is deterministic and reproducible in CI.
+# load domains — bit-identical results, errors, stats and clock,
+# including keyed chaos twins), the overlap check (4 load domains hold
+# two loads in flight where the blocking twin holds one), and the
+# loader-raises-mid-flight chaos twin.  All seeds are fixed, so this
+# target is deterministic and reproducible in CI.
 pipeline:
 	$(DUNE) exec test/test_loader_pool.exe
 	$(DUNE) exec test/test_parallel_differential.exe
@@ -59,7 +46,7 @@ pipeline:
 # (deadline budgets, queue bound, circuit-breaker transitions, the
 # planner's provability predicate) and the catalog-level overload
 # differentials (infinite-budget bit-identity twins, deterministic
-# shedding across domain counts 1/2/4, the degraded fallback tier,
+# shedding across load-domain counts 1/2/4, the degraded fallback tier,
 # breaker persistence in the health file).  All seeds fixed,
 # deterministic in CI.
 overload:
@@ -68,7 +55,7 @@ overload:
 
 # Degradation-ladder suites: the three-rung answer tier (Exact ->
 # resident-sibling Fallback -> pinned Sketch), total-blackout coverage
-# with bit-identity twins across domain counts 1/2/4, the pinned
+# with bit-identity twins across load-domain counts 1/2/4, the pinned
 # region's hard byte budget, chaos twins proving every injected fault
 # lands on a rung, and the health file's unknown-directive skipping
 # and old-header rejection.  The chaos suite rides along: it shares the fault
@@ -118,8 +105,8 @@ bench:
 	$(DUNE) exec bench/main.exe
 
 # The whole gate: compile, then run every suite exactly once.  `dune
-# runtest` covers the unit, differential, chaos, stress, thrash,
-# pipeline, overload, degradation and join suites (the topic targets
+# runtest` covers the unit, differential, chaos, thrash, pipeline,
+# overload, degradation and join suites (the topic targets
 # above re-run subsets for local use).  Every seed is fixed, so the
 # gate is deterministic.
 check ci: build

@@ -21,7 +21,6 @@ module Estimator = Xpest_estimator.Estimator
 module Workload = Xpest_workload.Workload
 module Tablefmt = Xpest_util.Tablefmt
 module Counters = Xpest_util.Counters
-module Domain_pool = Xpest_util.Domain_pool
 module Loader_pool = Xpest_util.Loader_pool
 module Cache_config = Xpest_plan.Cache_config
 module Fault = Xpest_util.Fault
@@ -795,7 +794,7 @@ let read_routed_file path =
       loop 1 [])
 
 let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
-    pins metrics fault_rate fault_seed domains load_domains health_state
+    pins metrics fault_rate fault_seed load_domains health_state
     deadline max_queued_loads breaker_threshold =
     (* one typed one-line error contract for every count-valued knob *)
     let require_at_least_1 flag v =
@@ -805,7 +804,6 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
         exit 1
       end
     in
-    require_at_least_1 "domains" domains;
     require_at_least_1 "load-domains" load_domains;
     require_at_least_1 "resident" resident;
     Option.iter (require_at_least_1 "resident-bytes") resident_bytes;
@@ -869,22 +867,11 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
         let n = or_die_e (Catalog.load_health cat path) in
         Printf.printf "health: restored %d tracked key(s) from %s\n%!" n path
     | Some _ | None -> ());
-    let with_optional_pool f =
-      if domains <= 1 then f None
-      else Domain_pool.with_pool ~domains (fun p -> f (Some p))
-    in
     (* --load-domains > 1 adds the pipeline's loader pool: provable
        cold misses start loading before their acquire turn *)
-    let with_optional_loads f =
-      if load_domains <= 1 then f None
-      else
-        Domain_pool.with_pool ~domains:load_domains (fun p ->
-            f (Some (Loader_pool.over p)))
-    in
-    with_optional_pool @@ fun pool ->
-    with_optional_loads @@ fun loads ->
+    Loader_pool.with_pool ~domains:load_domains @@ fun loads ->
     let work () =
-      let results = Catalog.estimate_batch_r ?pool ?loads cat pairs in
+      let results = Catalog.estimate_batch_r ~loads cat pairs in
       let statuses = Catalog.last_batch_statuses cat in
       let failed = ref 0 in
       let first_error = ref None in
@@ -965,9 +952,6 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
         Printf.printf
           "health: %d unknown directive line(s) skipped on load\n"
           s.Catalog.skipped_directives;
-      if s.Catalog.plan_contention > 0 || s.Catalog.plan_races > 0 then
-        Printf.printf "parallel: %d plan-lock contentions, %d compile races\n"
-          s.Catalog.plan_contention s.Catalog.plan_races;
       if admission_active then begin
         let a = Catalog.admission_stats cat in
         Printf.printf
@@ -1023,11 +1007,11 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
 
 let catalog_estimate_cmd =
   let run dir queries_file resident resident_bytes sketch_bytes pins metrics
-      fault_rate fault_seed domains load_domains health_state deadline
+      fault_rate fault_seed load_domains health_state deadline
       max_queued_loads breaker_threshold =
     try
       run_catalog_estimate dir queries_file resident resident_bytes
-        sketch_bytes pins metrics fault_rate fault_seed domains load_domains
+        sketch_bytes pins metrics fault_rate fault_seed load_domains
         health_state deadline max_queued_loads breaker_threshold
     with Invalid_argument msg | Sys_error msg ->
       (* non-serving failures: unparseable queries, unreadable files
@@ -1103,17 +1087,6 @@ let catalog_estimate_cmd =
       & info [ "fault-seed" ] ~docv:"N"
           ~doc:"Deterministic seed for the injected fault schedule.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Execute the routed batch across $(docv) domains (OCaml 5 \
-                parallelism): per-key groups run concurrently while \
-                loading, eviction and quarantine decisions stay \
-                sequential, so results are bit-identical to $(b,--domains \
-                1).  Per-summary $(b,--metrics) attribution is unavailable \
-                in parallel runs.")
-  in
   let load_domains =
     Arg.(
       value & opt int 1
@@ -1181,7 +1154,7 @@ let catalog_estimate_cmd =
              degradation behavior under injected storage faults.")
     Term.(
       const run $ catalog_dir_arg $ queries_file $ resident $ resident_bytes
-      $ sketch_bytes $ pins $ metrics $ fault_rate $ fault_seed $ domains
+      $ sketch_bytes $ pins $ metrics $ fault_rate $ fault_seed
       $ load_domains $ health_state $ deadline $ max_queued_loads
       $ breaker_threshold)
 

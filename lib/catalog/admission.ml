@@ -5,9 +5,10 @@
    pure function of the configuration, the catalog's logical clock,
    and the order in which the single-owner commit path consults the
    controller.  No wall time, no live queue depths, no scheduler
-   state — so a shed schedule reproduces bit-for-bit at any domain
-   count, and the differential twins can compare an admission-
-   controlled run against an uncontrolled one outcome by outcome.
+   state — so a shed schedule reproduces bit-for-bit at any
+   load-domain count, and the differential twins can compare an
+   admission-controlled run against an uncontrolled one outcome by
+   outcome.
 
    The cost model mirrors the catalog's logical clock: serving a
    resident key costs 1 tick, a cold load costs [load_cost] (8) modeled

@@ -47,7 +47,7 @@
     routed order on one domain; nothing here reads wall time, live
     queue depths, or scheduler state.  Hence the contract the
     differential twins enforce: a shed schedule is bit-identical
-    across domain counts, and an inactive (or infinite-budget)
+    across load-domain counts, and an inactive (or infinite-budget)
     controller leaves the catalog's behavior byte-identical to having
     no controller at all. *)
 

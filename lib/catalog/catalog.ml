@@ -1,6 +1,5 @@
 module Counters = Xpest_util.Counters
 module Fault = Xpest_util.Fault
-module Domain_pool = Xpest_util.Domain_pool
 module Loader_pool = Xpest_util.Loader_pool
 module E = Xpest_util.Xpest_error
 module Summary = Xpest_synopsis.Summary
@@ -332,21 +331,17 @@ let make ~known ?(resident_capacity = default_resident_capacity) ?config
     config;
     resilience;
     admission = Admission.create admission;
-    (* both shared caches are synchronized: parallel batches compile
-       plans from worker domains, and synchronization on the resident
-       set costs one uncontended try_lock per acquire otherwise *)
-    plans =
-      Estimator.create_plan_cache ~capacity:config.Cache_config.plan
-        ~synchronized:true ();
+    (* no cache here is synchronized: each is touched only on the
+       calling domain (commit, execute, stats); loader domains run
+       [load_job] alone, which reads none of them *)
+    plans = Estimator.create_plan_cache ~capacity:config.Cache_config.plan ();
     residents =
       Bounded_cache.create ~capacity:resident_budget
-        ~policy:Bounded_cache.segmented
-        ?cost:resident_cost ~synchronized:true ~hit:c_hit ~miss:c_load
-        ~evict:c_evict ();
-    (* the sketch region is byte-budgeted by exact wire size and only
-       ever touched from the single-owner commit path, so it needs no
-       synchronization; entries are pinned at install and admission is
-       pre-checked, so it can neither evict nor overshoot *)
+        ~policy:Bounded_cache.segmented ?cost:resident_cost ~hit:c_hit
+        ~miss:c_load ~evict:c_evict ();
+    (* the sketch region is byte-budgeted by exact wire size; entries
+       are pinned at install and admission is pre-checked, so it can
+       neither evict nor overshoot *)
     sketches =
       Bounded_cache.create ~capacity:sketch_bytes
         ~cost:(fun _ sr -> Sketch.size_bytes sr.sketch)
@@ -710,14 +705,13 @@ let sketch_of t dataset = Bounded_cache.find_opt t.sketches dataset
 (* Routed batches run the staged pipeline (see pipeline.mli): route,
    then a single-owner acquire scan in route order, with loads fanned
    out ahead of their turn when a concurrent [Loader_pool] policy is
-   given and execution fanned out when a domain pool is.  The acquire
-   scan is [acquire_with] — the same state machine as [acquire_r] —
-   so clock ticks, LRU probes and evictions, loader outcomes, retries
-   and quarantine transitions happen in exactly the sequential order,
-   and acquire-side [Error]s and {!stats} are identical to the blocking
-   path at any load/execute fan-out.  An acquired estimator stays valid
-   even if a later acquire evicts its key: the resident set drops its
-   reference, not the object. *)
+   given.  The acquire scan is [acquire_with] — the same state machine
+   as [acquire_r] — so clock ticks, LRU probes and evictions, loader
+   outcomes, retries and quarantine transitions happen in exactly the
+   sequential order, and acquire-side [Error]s and {!stats} are
+   identical to the blocking path at any load fan-out.  An acquired
+   estimator stays valid even if a later acquire evicts its key: the
+   resident set drops its reference, not the object. *)
 
 (* Planning predicate for the load stage (concurrent loader policies
    only; route order).  [true] must {e prove} the key's acquire will
@@ -773,7 +767,7 @@ let prefetch_planner t =
     end;
     decision
 
-let estimate_batch_r ?pool ?loads t pairs =
+let estimate_batch_r ?loads t pairs =
   Counters.incr c_batch;
   Counters.add c_routed (Array.length pairs);
   Admission.batch_begin t.admission;
@@ -786,14 +780,10 @@ let estimate_batch_r ?pool ?loads t pairs =
   let loads = match loads with Some l -> l | None -> Loader_pool.blocking in
   (* Per-group counter attribution needs commit and execute inline, in
      order, with nothing else running (see counters.mli) — only the
-     fully sequential shape qualifies; pipelined or pooled batches
-     clear [last_metrics] instead of lying.  With counting off no
-     counter moves, so no group is bracketed at all. *)
-  let seq_metrics =
-    Counters.enabled ()
-    && (not (Loader_pool.concurrent loads))
-    && (match pool with Some p -> Domain_pool.size p <= 1 | None -> true)
-  in
+     blocking-load shape qualifies; pipelined batches clear
+     [last_metrics] instead of lying.  With counting off no counter
+     moves, so no group is bracketed at all. *)
+  let seq_metrics = Counters.enabled () && not (Loader_pool.concurrent loads) in
   let metrics = ref [] in
   let group_begin, group_end =
     if seq_metrics then (
@@ -891,9 +881,7 @@ let estimate_batch_r ?pool ?loads t pairs =
   let slot idxs vs = Array.iteri (fun j i -> out.(i) <- vs.(j)) idxs in
   (* Sketch-tier execution reuses the pool-shared plan IR: the same
      compile (and cache entry) the exact tier would use, so routing
-     and dedupe are tier-independent.  Estimation over the label-split
-     synopsis is pure, so no fan-out is needed for bit-identity —
-     sketch groups always run inline. *)
+     and dedupe are tier-independent. *)
   let sketch_one sx q =
     match
       Sketch_exec.estimate_plan sx (Plan_cache.find_or_add t.plans q Plan.compile)
@@ -902,20 +890,18 @@ let estimate_batch_r ?pool ?loads t pairs =
     | exception E.Error e -> Error e
     | exception exn -> Error (E.Internal (Printexc.to_string exn))
   in
-  (* [pool] is given only to a lone surviving group, which chunks its
-     own plans across the pool *)
-  let execute pool est idxs =
+  let execute est idxs =
     match est with
     | Exact est ->
         slot idxs
-          (Estimator.try_estimate_many ?pool est
+          (Estimator.try_estimate_many est
              (Array.map (fun i -> snd pairs.(i)) idxs))
     | Via_sketch sx ->
         slot idxs (Array.map (fun i -> sketch_one sx (snd pairs.(i))) idxs)
   in
   (* one poisoned key fails its own queries, nobody else's *)
   let fail e idxs = Array.iter (fun i -> out.(i) <- Error e) idxs in
-  Pipeline.run ?pool ~loads ~ops ~fail ~execute routed;
+  Pipeline.run ~loads ~ops ~fail ~execute routed;
   Admission.batch_end t.admission ~clock:t.clock;
   t.last_metrics <- (if seq_metrics then List.rev !metrics else []);
   let statuses = Array.make (Array.length pairs) Served in
@@ -954,8 +940,6 @@ type stats = {
   sketch_failures : int;
   skipped_directives : int;
   plan_cache : Plan_cache.stats;
-  plan_contention : int;
-  plan_races : int;
 }
 
 let stats t =
@@ -992,8 +976,6 @@ let stats t =
     sketch_failures = t.sketch_failures;
     skipped_directives = t.skipped_directives;
     plan_cache = Plan_cache.stats t.plans;
-    plan_contention = Plan_cache.contention t.plans;
-    plan_races = Plan_cache.races t.plans;
   }
 
 let clock t = t.clock

@@ -89,13 +89,13 @@
     variance is resident.  Sketch answers cost one admission tick (a
     resident hit's price) and are never queued, so the last rung
     cannot itself be shed; rung choice happens at the single-owner
-    commit point, so the ladder is deterministic at any domain
+    commit point, so the ladder is deterministic at any load
     fan-out.  Each slot's rung ({!slot_status}) is reported in
     {!last_batch_statuses} and the per-tier totals in {!stats}.
 
     Admission decisions are a pure function of (configuration,
     logical clock, route order): shedding reproduces bit-identically
-    at any domain count, and with admission inactive (the default
+    at any load-domain count, and with admission inactive (the default
     {!Admission.unlimited}) — or any configuration whose limits never
     bind — results, errors, stats and clock are byte-identical to an
     uncontrolled catalog.
@@ -109,13 +109,13 @@
     strictly in route order; {b load}, the only stage that touches
     I/O, fans distinct-key loads out on an optional
     {!Xpest_util.Loader_pool} ahead of their acquire turn; {b execute}
-    runs per-key groups on an optional {!Xpest_util.Domain_pool} (or
-    eagerly on the caller, overlapping the remaining loads).
+    runs each key's group on the calling domain right after its
+    acquire, overlapping the loads still in flight.
 
     The ordering contract: every stateful decision — clock value, LRU
     probe and eviction, loader outcome and fault-injector draw, retry
     count, quarantine transition — happens in exactly the order the
-    sequential loop makes it, at {e any} load/execute fan-out.  Loads
+    sequential loop makes it, at {e any} load fan-out.  Loads
     are only started early when the planner can prove the acquire will
     need them (non-resident keys cannot become resident mid-batch, and
     quarantine deadlines are exactly predictable from the logical
@@ -123,22 +123,21 @@
     its turn, exactly like the blocking path.  Consequently results
     (values {e and} errors) and {!stats} are bit-identical to the
     sequential run; only {!last_batch_metrics} is unavailable
-    (cleared) outside the fully sequential shape, because per-group
-    counter attribution requires inline execution.
+    (cleared) under a concurrent [loads] policy, because per-group
+    counter attribution requires inline loads.
 
     Loader requirements: with a concurrent [loads] policy the loader
-    runs on pool domains, so it must be thread-safe and per-key
+    runs on loader domains, so it must be thread-safe and per-key
     deterministic (its outcome must not depend on cross-key call
     order).  File-backed loaders ({!of_manifest}) qualify; a
     {!Xpest_util.Fault} injector must then be the keyed kind
     ([Fault.create_keyed]) — the stream kind is only deterministic
     under the blocking policy.
 
-    The shared plan cache and the resident set are internally
-    synchronized, so a catalog is safe to drive with or without pools;
-    what is {e not} supported is driving one catalog from several
-    domains at once — the acquire machinery belongs to one caller at a
-    time. *)
+    Nothing else runs on a loader domain: the plan cache, the resident
+    set and every estimator are touched only on the calling domain, so
+    none of them is synchronized.  A catalog belongs to one caller at a
+    time; driving it from several domains at once is not supported. *)
 
 module Summary = Xpest_synopsis.Summary
 module Manifest = Xpest_synopsis.Manifest
@@ -344,7 +343,6 @@ val estimate_r : t -> key -> Pattern.t -> (float, E.t) result
     [Estimator.estimate] on a fresh estimator over the same summary. *)
 
 val estimate_batch_r :
-  ?pool:Xpest_util.Domain_pool.t ->
   ?loads:Xpest_util.Loader_pool.t ->
   t ->
   (key * Pattern.t) array ->
@@ -363,32 +361,22 @@ val estimate_batch_r :
     capacity, in which case summaries evict and reload mid-batch
     (results still do not change).
 
-    With [pool] (size > 1): acquisition runs first, single-owner, in
-    group order — every clock tick, LRU decision, loader call, retry
-    and quarantine transition happens exactly as in the sequential
-    path, so acquire-side [Error]s and {!stats} match it — then the
-    acquired groups execute one-per-job across the pool (a
-    single-group batch instead chunks its plans via
-    [Estimator.estimate_many ~pool]).
+    With [loads] (a {!Xpest_util.Loader_pool} of more than one
+    domain): loads the planner can prove necessary start before their
+    acquire turn and are awaited at the in-order commit point; each
+    group executes on the caller right after its commit, overlapping
+    the remaining loads.  The loader must then be thread-safe and
+    per-key deterministic (see the preamble).  A blocking [loads]
+    policy (the default, or a pool of one domain) defers every load
+    to its acquire turn — the exact sequential schedule for {e any}
+    loader.
 
-    With [loads] (a {!Xpest_util.Loader_pool} over a pool of size >
-    1): loads the planner can prove necessary start before their
-    acquire turn and are awaited at the in-order commit point; without
-    an execute [pool], each group executes on the caller right after
-    its commit, overlapping the remaining loads.  The loader must then
-    be thread-safe and per-key deterministic (see the preamble).  A
-    blocking [loads] policy (the default, or a size-1 pool) defers
-    every load to its acquire turn — the exact sequential schedule for
-    {e any} loader.
-
-    {b Bit-identity holds} across all combinations: the returned array
+    {b Bit-identity holds} at any load fan-out: the returned array
     equals the sequential one result-for-result, including under
     mid-batch eviction and fault injection, and {!stats} (clock
     included) match field-for-field (only [prefetched_loads] counts
-    pipeline planning).  {!last_batch_metrics} is cleared outside the
-    fully sequential shape (see the preamble); the shared plan cache's
-    own hit/miss/eviction trace may differ, its contents never affect
-    values. *)
+    pipeline planning).  {!last_batch_metrics} is cleared under a
+    concurrent [loads] policy (see the preamble). *)
 
 (** {1 Observability} *)
 
@@ -447,12 +435,6 @@ type stats = {
           (forward compatibility with newer writers) *)
   plan_cache : Xpest_plan.Plan_cache.stats;
       (** the pool-shared compiled-plan cache *)
-  plan_contention : int;
-      (** plan-cache lock acquisitions that had to wait (only parallel
-          batches contend; 0 in sequential serving) *)
-  plan_races : int;
-      (** duplicate plan compiles discarded when two domains missed
-          the same query at once (see {!Xpest_plan.Plan_cache.races}) *)
 }
 
 val stats : t -> stats

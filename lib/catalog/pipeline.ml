@@ -9,7 +9,7 @@
      load     the only stage that touches I/O ([ops.load]), fanned out
               through a [Loader_pool] ahead of each key's acquire turn
               when the planner can prove the acquire will need it
-     execute  per-key query groups, on the caller or a domain pool
+     execute  per-key query groups, on the calling domain
 
    The catalog supplies the stage bodies; this module owns only the
    control flow, so the ordering contract lives in one place:
@@ -27,14 +27,10 @@
      at the commit point is what keeps blocking-policy loads on the
      sequential schedule.
    - Execution never mutates acquire state (estimators write disjoint
-     output slots; the shared plan cache is synchronized), so the
-     execute stage may interleave with later commits without
-     observable effect: when loads are fanned out and no execute pool
-     is given, each group executes eagerly right after its commit,
-     overlapping the remaining loads — that overlap is the pipeline's
-     whole point. *)
+     output slots), so each group executes right after its commit,
+     on the calling domain, while the loader pool keeps filling the
+     remaining futures — that overlap is the pipeline's whole point. *)
 
-module Domain_pool = Xpest_util.Domain_pool
 module Loader_pool = Xpest_util.Loader_pool
 
 type ('k, 'q) routed = {
@@ -75,7 +71,7 @@ type ('k, 'load, 'est, 'err) ops = {
   group_end : 'k -> unit;
 }
 
-let run ?pool ~loads ~ops ~fail ~execute routed =
+let run ~loads ~ops ~fail ~execute routed =
   (* load stage: start provable-miss loads before their acquire turn *)
   let futures : ('k, 'load Loader_pool.future) Hashtbl.t = Hashtbl.create 8 in
   if Loader_pool.concurrent loads then
@@ -85,43 +81,14 @@ let run ?pool ~loads ~ops ~fail ~execute routed =
           Hashtbl.replace futures k
             (Loader_pool.submit loads (fun () -> ops.load k)))
       routed.order;
-  let exec_pool =
-    match pool with Some p when Domain_pool.size p > 1 -> Some p | _ -> None
-  in
-  match exec_pool with
-  | None ->
-      (* acquire and execute fused: commit in route order, run each
-         group as soon as its estimator is in hand — while the loader
-         pool keeps filling the remaining futures *)
-      Array.iter
-        (fun k ->
-          let idxs = group_indices routed k in
-          ops.group_begin k;
-          (match ops.commit k ~prefetched:(Hashtbl.find_opt futures k) with
-          | Ok est -> execute None est idxs
-          | Error e -> fail e idxs);
-          ops.group_end k)
-        routed.order
-  | Some pool -> (
-      (* acquire stage first (still single-owner, route order), then
-         fan the surviving groups across the execute pool *)
-      let acquired =
-        Array.to_list routed.order
-        |> List.filter_map (fun k ->
-               let idxs = group_indices routed k in
-               match ops.commit k ~prefetched:(Hashtbl.find_opt futures k) with
-               | Ok est -> Some (est, idxs)
-               | Error e ->
-                   fail e idxs;
-                   None)
-      in
-      match acquired with
-      | [ (est, idxs) ] ->
-          (* one group: chunk its own plans across the pool instead *)
-          execute (Some pool) est idxs
-      | acquired ->
-          Domain_pool.run_all pool
-            (Array.of_list
-               (List.map
-                  (fun (est, idxs) () -> execute None est idxs)
-                  acquired)))
+  (* acquire and execute fused: commit in route order, run each group
+     as soon as its estimator is in hand *)
+  Array.iter
+    (fun k ->
+      let idxs = group_indices routed k in
+      ops.group_begin k;
+      (match ops.commit k ~prefetched:(Hashtbl.find_opt futures k) with
+      | Ok est -> execute est idxs
+      | Error e -> fail e idxs);
+      ops.group_end k)
+    routed.order

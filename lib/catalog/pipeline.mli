@@ -22,18 +22,18 @@
       before their acquire turn and awaited at the in-order commit
       point; all other loads run inline at commit, exactly like the
       blocking path.
-    - {b execute}: per-key query groups, either eagerly on the caller
-      right after each commit (overlapping the remaining loads) or
-      fanned across an execute pool once all commits are done.
+    - {b execute}: per-key query groups, on the calling domain right
+      after each commit (overlapping the loads still in flight).
 
     Why acquire stays single-owner: eviction, quarantine and clock
     decisions are each a function of all prior decisions, so any second
     owner would need a total order anyway — and the bit-identity
     contract (results, errors, stats equal to the sequential path at
-    every pool size) falls out of keeping the one order we already
-    have.  The pipeline gains its overlap purely from the stages that
-    are {e not} stateful: loads (pure per-key I/O) and execution
-    (disjoint output slots, synchronized plan cache).
+    every loader-pool size) falls out of keeping the one order we
+    already have.  The pipeline gains its overlap purely from the one
+    stage that is {e not} stateful: loads (pure per-key I/O).  Every
+    other stage, and every cache it touches, stays on the calling
+    domain.
 
     This module owns only control flow; {!Xpest_catalog.Catalog}
     supplies the stage bodies and the planning predicate. *)
@@ -71,22 +71,18 @@ type ('k, 'load, 'est, 'err) ops = {
   group_begin : 'k -> unit;
   group_end : 'k -> unit;
       (** Bracket one group's commit+execute for per-group metric
-          attribution; meaningful only when both stages run inline
-          (blocking loads, no execute pool) — pass no-ops otherwise. *)
+          attribution; meaningful only when loads run inline too
+          (a blocking loader policy) — pass no-ops otherwise. *)
 }
 
 val run :
-  ?pool:Xpest_util.Domain_pool.t ->
   loads:Xpest_util.Loader_pool.t ->
   ops:('k, 'load, 'est, 'err) ops ->
   fail:('err -> int array -> unit) ->
-  execute:(Xpest_util.Domain_pool.t option -> 'est -> int array -> unit) ->
+  execute:('est -> int array -> unit) ->
   ('k, 'q) routed ->
   unit
 (** Drive the stages over one routed batch.  [fail] marks a group's
     output slots with its acquire error; [execute] runs one group's
-    queries, and is handed the execute pool only in the
-    one-surviving-group case, where the group's own plans chunk across
-    it.  With a
-    blocking loader policy and no execute pool (or size 1) this is
-    observationally the sequential serving loop. *)
+    queries.  With a blocking loader policy this is observationally
+    the sequential serving loop. *)

@@ -7,7 +7,6 @@ module Encoding_table = Xpest_encoding.Encoding_table
 module Plan = Xpest_plan.Plan
 module Plan_cache = Xpest_plan.Plan_cache
 module Cache_config = Xpest_plan.Cache_config
-module Domain_pool = Xpest_util.Domain_pool
 
 (* Observability: which estimation equations fire, and how often
    [estimate] is called.  No-ops unless [Counters.set_enabled true]. *)
@@ -31,21 +30,15 @@ type t = {
   summary : Summary.t;
   join : Path_join.t;
   plans : (Pattern.t, Plan.t) Plan_cache.t;
-  (* creation knobs, kept so the parallel batch path can build sibling
-     executors over the same summary *)
-  config : Cache_config.t;
-  chain_pruning : bool option;
   mutable tracing : string list ref option;
 }
 
 (* The plan cache can be owned externally: plans are
    summary-independent, so a pool serving many summaries (see
    [Xpest_catalog.Catalog]) shares one cache across all its
-   estimators and compiles each distinct query once.  [synchronized]
-   makes that sharing safe across domains. *)
-let create_plan_cache ?(capacity = Plan_cache.default_capacity)
-    ?(synchronized = false) () =
-  Plan_cache.create ~capacity ~synchronized ~hit:c_plan_hit ~miss:c_plan_miss
+   estimators and compiles each distinct query once. *)
+let create_plan_cache ?(capacity = Plan_cache.default_capacity) () =
+  Plan_cache.create ~capacity ~hit:c_plan_hit ~miss:c_plan_miss
     ~evict:c_plan_evict ()
 
 let create ?chain_pruning ?(config = Cache_config.default) ?plans summary =
@@ -56,21 +49,6 @@ let create ?chain_pruning ?(config = Cache_config.default) ?plans summary =
       (match plans with
       | Some cache -> cache
       | None -> create_plan_cache ~capacity:config.Cache_config.plan ());
-    config;
-    chain_pruning;
-    tracing = None;
-  }
-
-(* A sibling executor for a worker domain: same summary and knobs,
-   fresh (cold) join caches, no tracing.  The summary is read-only
-   after construction, so sharing it is safe; the join caches are the
-   mutable state, so each domain gets its own.  Cold caches change
-   which work is recomputed but never the result — every estimate is a
-   deterministic function of (summary, plan) alone. *)
-let sibling t =
-  {
-    t with
-    join = Path_join.create ?chain_pruning:t.chain_pruning ~config:t.config t.summary;
     tracing = None;
   }
 
@@ -208,9 +186,10 @@ let conversion_gaps t spec ~trunk ~second =
 (* Conversion_5_3: rewrite a following/preceding query into the set of
    sibling-axis queries spanned by the encoding-table gaps.  The gaps
    depend on the summary, so each rewrite compiles its order specs
-   here, not through the plan cache: execution never reads that cache,
-   which parallel batches rely on (their workers execute on other
-   domains, and an estimator's own cache is unsynchronized). *)
+   here, not through the plan cache: that cache holds only
+   summary-independent plans, and the catalog shares one across every
+   key's estimator, so a summary-specific rewrite stored there would
+   be served to the other keys. *)
 let estimate_conversion t (plan : Plan.t) =
   Counters.incr c_conversion;
   let trunk, first, axis, second =
@@ -288,77 +267,33 @@ let estimate t q =
   Counters.incr c_estimate;
   Counters.time t_estimate (fun () -> execute t (plan_of t q))
 
-let estimate_many_sequential t qs =
-  (* Compile-dedupe-execute: identical normalized plans (same pattern,
-     same target) run once; the executed value is reused bitwise for
-     every duplicate.  Distinct patterns sharing sub-shapes still
-     share joins through the run cache. *)
-  let memo = Hashtbl.create (2 * Array.length qs + 1) in
-  Array.map
-    (fun q ->
-      match Hashtbl.find_opt memo q with
-      | Some v ->
-          Counters.incr c_batch_deduped;
-          v
-      | None ->
-          let v = estimate t q in
-          Hashtbl.add memo q v;
-          v)
-    qs
-
-(* Parallel batch: dedupe and compile in the caller — in input order,
-   so the shared plan cache sees exactly the sequential lookup/eviction
-   trace — then execute the distinct plans across the pool in balanced
-   contiguous chunks, each worker writing only its own slots.  Chunk 0
-   reuses this estimator (warm caches); the others run on cold sibling
-   executors.  Values are bit-identical to the sequential path either
-   way: execution never reads the plan cache, and the join caches only
-   memoize deterministic recomputation. *)
-let estimate_many_parallel pool t qs =
-  let slot = Hashtbl.create (2 * Array.length qs + 1) in
-  let rev_plans = ref [] in
-  let n_distinct = ref 0 in
-  let index =
-    Array.map
-      (fun q ->
-        match Hashtbl.find_opt slot q with
-        | Some i ->
-            Counters.incr c_batch_deduped;
-            i
-        | None ->
-            let i = !n_distinct in
-            Hashtbl.add slot q i;
-            incr n_distinct;
-            rev_plans := plan_of t q :: !rev_plans;
-            i)
-      qs
-  in
-  let plans = Array.of_list (List.rev !rev_plans) in
-  let values = Array.make (Array.length plans) 0.0 in
-  Domain_pool.parallel_chunks pool ~n:(Array.length plans)
-    (fun ~chunk ~lo ~hi ->
-      let ex = if chunk = 0 then t else sibling t in
-      for i = lo to hi - 1 do
-        Counters.incr c_estimate;
-        values.(i) <- Counters.time t_estimate (fun () -> execute ex plans.(i))
-      done);
-  Array.map (fun i -> values.(i)) index
-
-let estimate_many ?pool t qs =
+let estimate_many t qs =
   if Array.length qs = 0 then
-    (* strict no-op: no counters, no pool activity — pipeline stages
-       may re-enter with empty groups and must leave no trace *)
+    (* strict no-op: no counters — pipeline stages may re-enter with
+       empty groups and must leave no trace *)
     [||]
   else begin
     Counters.incr c_batch;
     Counters.add c_batch_queries (Array.length qs);
-    match pool with
-    | Some pool when Domain_pool.size pool > 1 && Array.length qs > 1 ->
-        estimate_many_parallel pool t qs
-    | Some _ | None -> estimate_many_sequential t qs
+    (* Compile-dedupe-execute: identical normalized plans (same
+       pattern, same target) run once; the executed value is reused
+       bitwise for every duplicate.  Distinct patterns sharing
+       sub-shapes still share joins through the run cache. *)
+    let memo = Hashtbl.create (2 * Array.length qs + 1) in
+    Array.map
+      (fun q ->
+        match Hashtbl.find_opt memo q with
+        | Some v ->
+            Counters.incr c_batch_deduped;
+            v
+        | None ->
+            let v = estimate t q in
+            Hashtbl.add memo q v;
+            v)
+      qs
   end
 
-(* Error-safe pool entry points: the catalog's serving path must never
+(* Error-safe entry points: the catalog's serving path must never
    let one poisoned query abort a batch, so exceptions escaping the
    engine (violated invariants on adversarial patterns) are demoted to
    typed Internal errors here, per query. *)
@@ -369,16 +304,13 @@ let try_estimate t q =
   | exception Invalid_argument reason | exception Failure reason ->
       Error (Xpest_util.Xpest_error.Internal reason)
 
-let try_estimate_many ?pool t qs =
-  match estimate_many ?pool t qs with
+let try_estimate_many t qs =
+  match estimate_many t qs with
   | vs -> Array.map (fun v -> Ok v) vs
   | exception (Invalid_argument _ | Failure _) ->
       (* one query poisoned the batched pass: fall back to per-query
          estimation, which is bit-identical for the healthy queries
-         (the estimate_many contract) and isolates the failure.  The
-         fallback is sequential even when a pool was given — the
-         poisoned batch already burned its fast pass, and sequential
-         isolation makes the per-query errors deterministic. *)
+         (the estimate_many contract) and isolates the failure. *)
       Array.map (fun q -> try_estimate t q) qs
 
 type explanation = { value : float; derivation : string list }

@@ -26,16 +26,14 @@ type t
 
 val create_plan_cache :
   ?capacity:int ->
-  ?synchronized:bool ->
   unit ->
   (Xpest_xpath.Pattern.t, Xpest_plan.Plan.t) Xpest_plan.Plan_cache.t
 (** A compiled-plan cache wired to the estimator's plan-cache
     hit/miss/evict counters.  Plans are summary-independent, so one
     cache can be shared by many estimators ([create ~plans]): a pool
     serving several summaries then compiles each distinct query once
-    (the catalog's router does exactly this).  [synchronized] (default
-    false) makes the cache safe to share across domains — required
-    when the owning router runs parallel batches.  Default capacity
+    (the catalog's router does exactly this).  The cache is not
+    synchronized: use it from one domain at a time.  Default capacity
     {!Xpest_plan.Plan_cache.default_capacity}. *)
 
 val create :
@@ -83,7 +81,6 @@ val estimate_position : t -> Xpest_xpath.Pattern.t -> Xpest_xpath.Pattern.positi
     @raise Invalid_argument if the position is not in the pattern. *)
 
 val estimate_many :
-  ?pool:Xpest_util.Domain_pool.t ->
   t ->
   Xpest_xpath.Pattern.t array ->
   float array
@@ -94,19 +91,8 @@ val estimate_many :
     computed float, and distinct queries sharing sub-shapes share
     joins through the bounded run cache.
 
-    With [pool] (of size > 1), the distinct plans are executed across
-    the pool's domains: dedupe and compilation stay in the caller (in
-    input order, so a shared plan cache sees the sequential trace),
-    the index range of distinct plans is split into deterministic
-    contiguous chunks, and every worker past the first runs on a cold
-    sibling executor over the same summary.  {b Bit-identity holds}:
-    results equal the sequential ones float-for-float, in input order,
-    for any pool size — estimates are deterministic functions of
-    (summary, plan), never of cache state.  Omitting [pool] (or a pool
-    of size 1) is exactly the sequential path.
-
-    An empty batch is a strict no-op — no counters bumped, no pool
-    activity, [[||]] back — so serving-pipeline stages may re-enter
+    An empty batch is a strict no-op — no counters bumped, [[||]]
+    back — so serving-pipeline stages may re-enter
     with empty groups without leaving a trace (same for
     {!try_estimate_many}). *)
 
@@ -119,16 +105,13 @@ val try_estimate :
     failure to isolate — this is the isolating form. *)
 
 val try_estimate_many :
-  ?pool:Xpest_util.Domain_pool.t ->
   t ->
   Xpest_xpath.Pattern.t array ->
   (float, Xpest_util.Xpest_error.t) result array
 (** Batched {!try_estimate}: the fast compile-dedupe-execute pass when
     every query is healthy, falling back to per-query isolation (same
     floats, by the {!estimate_many} contract) when one poisons the
-    batch.  Never raises; results are in input order.  [pool] is
-    forwarded to {!estimate_many}; the poisoned-batch fallback is
-    always sequential, so per-query [Error]s are deterministic. *)
+    batch.  Never raises; results are in input order. *)
 
 type explanation = {
   value : float;  (** same value [estimate] returns *)

@@ -88,8 +88,7 @@ type t = {
       (* per path set of a chain's recurrence in [paths]: whether it is
          non-empty.  Forcing [rows] and writing the three scratch
          buffers are safe because a join serves one domain at a time,
-         like its run cache (parallel batches give each worker its own
-         [Estimator.sibling]). *)
+         like its run cache. *)
   (* one estimate joins the same shape repeatedly (counterpart,
      simplified counterpart, Q'), and join output only depends on the
      shape given a fixed summary: results are memoized on the spec's

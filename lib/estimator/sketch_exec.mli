@@ -5,7 +5,7 @@
     [create] rebuilds the estimating label-split synopsis
     ({!Xpest_baseline.Xsketch.of_export}) once; estimation itself is
     pure, allocation-light, and deterministic, so a sketch-served
-    group is bit-identical at any domain count.
+    group is bit-identical whatever the catalog loaded before it.
 
     The executor takes the same {!Xpest_plan.Plan.t} IR the exact tier
     compiles — the catalog's shared plan cache keeps routing and

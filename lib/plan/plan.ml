@@ -74,8 +74,10 @@ type join_spec = {
    is an ephemeron table keyed on the spec's own shape: it keeps no
    spec alive, and a spec no plan holds any more leaves it at a major
    collection; a later spec of its shape takes a fresh key (a
-   run-cache miss, never a wrong hit).  Plans compile on several
-   domains at once, so the table is used under a lock. *)
+   run-cache miss, never a wrong hit).  The table is process-wide,
+   not owned by any estimator or catalog: callers that each drive
+   their own estimators on their own domains all compile into it, so
+   it is used under a lock. *)
 module Specs = Ephemeron.K1.Make (struct
   type t = Pattern.shape
 

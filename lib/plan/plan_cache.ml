@@ -4,7 +4,7 @@ module Bounded_cache = Xpest_util.Bounded_cache
    (capacity in entries) and plain-LRU replacement by default, which
    is bit-identical to the historical standalone implementation this
    module used to carry — same eviction order, same counters, same
-   ~synchronized / find_or_add contract.  The whole API is a
+   find_or_add contract.  The whole API is a
    re-export; [t] and [stats] are transparently [Bounded_cache]'s, so
    call sites can mix the two modules freely. *)
 
@@ -26,18 +26,14 @@ type stats = Bounded_cache.stats = {
 
 let default_capacity = Bounded_cache.default_capacity
 
-let create ?(capacity = default_capacity) ?(synchronized = false) ?hit ?miss
-    ?evict () =
+let create ?(capacity = default_capacity) ?hit ?miss ?evict () =
   (* validated here too so callers keep seeing this module's name in
      the historical error message *)
   if capacity < 1 then invalid_arg "Plan_cache.create: capacity must be >= 1";
-  Bounded_cache.create ~capacity ~synchronized ?hit ?miss ?evict ()
+  Bounded_cache.create ~capacity ?hit ?miss ?evict ()
 
 let capacity = Bounded_cache.capacity
 let length = Bounded_cache.length
-let synchronized = Bounded_cache.synchronized
-let contention = Bounded_cache.contention
-let races = Bounded_cache.races
 let evictions = Bounded_cache.evictions
 let peak = Bounded_cache.peak
 let stats = Bounded_cache.stats

@@ -19,15 +19,7 @@
     instances, so creating counters here would duplicate registry
     entries.
 
-    A cache created with [~synchronized:true] is safe to share across
-    domains: every operation runs under one internal mutex, contended
-    acquisitions are counted ({!contention}), and {!find_or_add}
-    computes misses outside the lock — two domains missing the same
-    key may both compute, the first insert wins, and the duplicate is
-    counted ({!races}).  That is only sound when the compute function
-    is a pure function of the key (plan compilation is), so both
-    computed values are interchangeable.  The default is
-    unsynchronized: a single-domain cache pays no locking at all. *)
+    A cache is not synchronized: use it from one domain at a time. *)
 
 type ('k, 'v) t = ('k, 'v) Xpest_util.Bounded_cache.t
 
@@ -36,30 +28,15 @@ val default_capacity : int
 
 val create :
   ?capacity:int ->
-  ?synchronized:bool ->
   ?hit:Xpest_util.Counters.t ->
   ?miss:Xpest_util.Counters.t ->
   ?evict:Xpest_util.Counters.t ->
   unit ->
   ('k, 'v) t
-(** [synchronized] defaults to [false].
-    @raise Invalid_argument if [capacity < 1]. *)
+(** @raise Invalid_argument if [capacity < 1]. *)
 
 val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
-
-val synchronized : ('k, 'v) t -> bool
-
-val contention : ('k, 'v) t -> int
-(** Lock acquisitions that found the mutex held and had to wait
-    (always 0 for unsynchronized caches).  A cheap congestion signal
-    for the pool-shared caches, reported as [Catalog.stats]'s
-    [plan_contention] (the CLI's [parallel:] stats line). *)
-
-val races : ('k, 'v) t -> int
-(** {!find_or_add} calls whose computed value was discarded because
-    another domain inserted the key first.  Bounds the duplicate work
-    the compute-outside-the-lock design admits. *)
 
 val evictions : ('k, 'v) t -> int
 (** Total evictions over the cache's lifetime (counted even when the
@@ -98,6 +75,8 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
     entry when at capacity. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
+(** The cached value, or the computed one inserted as
+    most-recently-used. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 (** Drop one entry (no-op if absent).  Deliberate invalidation — the

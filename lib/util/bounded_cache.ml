@@ -44,15 +44,8 @@
    instantiated per estimator, and registering fresh counters per
    instance would grow the global registry and duplicate report rows.
 
-   A cache created with [~synchronized:true] guards every operation
-   with one mutex so it can be shared across domains (the catalog's
-   pool-shared plan cache under parallel batches).  Lock acquisitions
-   that had to wait are counted ([contention]); [find_or_add] computes
-   misses OUTSIDE the lock, so a slow compute never serializes the
-   other domains — the price is a bounded duplicate-compute window
-   when two domains miss the same key at once ([races], first writer
-   wins).  The default is unsynchronized: per-estimator caches are
-   owned by one domain and pay nothing. *)
+   A cache is not synchronized: every instance is owned by one domain
+   at a time. *)
 
 type policy = Lru | Segmented of { protected_ratio : float }
 
@@ -95,9 +88,6 @@ type ('k, 'v) t = {
   mutable evictions : int;
   mutable peak : int;  (* largest entry count ever reached *)
   mutable peak_cost : int;  (* largest resident cost ever reached *)
-  lock : Mutex.t option;  (* Some iff synchronized *)
-  contention : int Atomic.t;  (* lock acquisitions that had to wait *)
-  mutable races : int;  (* duplicate computes in find_or_add *)
 }
 
 let default_capacity = 4096
@@ -106,7 +96,7 @@ let unit_cost _ _ = 1
 let fresh_list () = { head = None; tail = None; lcost = 0; lcount = 0 }
 
 let create ?(capacity = default_capacity) ?(policy = Lru) ?(cost = unit_cost)
-    ?(synchronized = false) ?hit ?miss ?evict () =
+    ?hit ?miss ?evict () =
   if capacity < 1 then invalid_arg "Bounded_cache.create: capacity must be >= 1";
   let protected_capacity =
     match policy with
@@ -134,25 +124,7 @@ let create ?(capacity = default_capacity) ?(policy = Lru) ?(cost = unit_cost)
     evictions = 0;
     peak = 0;
     peak_cost = 0;
-    lock = (if synchronized then Some (Mutex.create ()) else None);
-    contention = Atomic.make 0;
-    races = 0;
   }
-
-let synchronized t = t.lock <> None
-let contention t = Atomic.get t.contention
-
-(* [with_lock] is the only lock path: try_lock first so contended
-   acquisitions are visible in the contention counter. *)
-let with_lock t f =
-  match t.lock with
-  | None -> f ()
-  | Some m ->
-      if not (Mutex.try_lock m) then begin
-        Atomic.incr t.contention;
-        Mutex.lock m
-      end;
-      Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let list_of t node =
   match node.seg with Probationary -> t.prob | Protected -> t.prot
@@ -160,11 +132,10 @@ let list_of t node =
 let total_cost t = t.prob.lcost + t.prot.lcost
 
 let capacity t = t.capacity
-let length t = with_lock t (fun () -> Hashtbl.length t.table)
-let cost t = with_lock t (fun () -> total_cost t)
-let evictions t = with_lock t (fun () -> t.evictions)
-let peak t = with_lock t (fun () -> t.peak)
-let races t = with_lock t (fun () -> t.races)
+let length t = Hashtbl.length t.table
+let cost t = total_cost t
+let evictions t = t.evictions
+let peak t = t.peak
 
 let bump = function Some c -> Counters.incr c | None -> ()
 
@@ -266,7 +237,8 @@ let evict_one t =
       bump t.evict;
       true
 
-let find_unlocked t key =
+(* A hit allocates nothing. *)
+let find t key =
   match Hashtbl.find t.table key with
   | node ->
       t.hits <- t.hits + 1;
@@ -278,19 +250,12 @@ let find_unlocked t key =
       bump t.miss;
       raise Not_found
 
-let find_opt_unlocked t key =
-  match find_unlocked t key with v -> Some v | exception Not_found -> None
+let find_opt t key =
+  match find t key with v -> Some v | exception Not_found -> None
 
-(* An unsynchronized hit allocates nothing: no closure, no option. *)
-let find t key =
-  match t.lock with
-  | None -> find_unlocked t key
-  | Some _ -> with_lock t (fun () -> find_unlocked t key)
+let mem t key = Hashtbl.mem t.table key
 
-let find_opt t key = with_lock t (fun () -> find_opt_unlocked t key)
-let mem t key = with_lock t (fun () -> Hashtbl.mem t.table key)
-
-let add_unlocked t key value =
+let add t key value =
   (* Replacement keeps the entry's segment: a protected entry whose
      value is refreshed stays protected. *)
   let seg =
@@ -311,68 +276,50 @@ let add_unlocked t key value =
   if Hashtbl.length t.table > t.peak then t.peak <- Hashtbl.length t.table;
   if total_cost t > t.peak_cost then t.peak_cost <- total_cost t
 
-let add t key value = with_lock t (fun () -> add_unlocked t key value)
-
 let find_or_add t key compute =
-  match with_lock t (fun () -> find_opt_unlocked t key) with
-  | Some v -> v
-  | None ->
-      (* compute outside the lock: a miss must not serialize the other
-         domains on a potentially slow compute.  Two domains missing
-         the same key race to insert; the first insert wins and the
-         loser's compute is discarded (counted in [races]) — harmless
-         because computes are pure functions of the key. *)
+  match find t key with
+  | v -> v
+  | exception Not_found ->
       let v = compute key in
-      with_lock t (fun () ->
-          match Hashtbl.find_opt t.table key with
-          | Some node ->
-              t.races <- t.races + 1;
-              touch t node;
-              node.value
-          | None ->
-              add_unlocked t key v;
-              v)
+      add t key v;
+      v
 
 (* Explicit removal (catalog resident-set invalidation); not an
    eviction, so the eviction counters stay untouched. *)
 let remove t key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | None -> ()
-      | Some node ->
-          unlink t node;
-          Hashtbl.remove t.table key)
+  match Hashtbl.find_opt t.table key with
+  | None -> ()
+  | Some node ->
+      unlink t node;
+      Hashtbl.remove t.table key
 
 let clear t =
-  with_lock t (fun () ->
-      Hashtbl.reset t.table;
-      t.prob.head <- None;
-      t.prob.tail <- None;
-      t.prob.lcost <- 0;
-      t.prob.lcount <- 0;
-      t.prot.head <- None;
-      t.prot.tail <- None;
-      t.prot.lcost <- 0;
-      t.prot.lcount <- 0)
+  Hashtbl.reset t.table;
+  t.prob.head <- None;
+  t.prob.tail <- None;
+  t.prob.lcost <- 0;
+  t.prob.lcount <- 0;
+  t.prot.head <- None;
+  t.prot.tail <- None;
+  t.prot.lcost <- 0;
+  t.prot.lcount <- 0
 
-let pin t key = with_lock t (fun () -> Hashtbl.replace t.pins key ())
-let unpin t key = with_lock t (fun () -> Hashtbl.remove t.pins key)
-let pinned t key = with_lock t (fun () -> Hashtbl.mem t.pins key)
+let pin t key = Hashtbl.replace t.pins key ()
+let unpin t key = Hashtbl.remove t.pins key
+let pinned t key = Hashtbl.mem t.pins key
 
 (* Keys from most- to least-recently used; under Segmented the
    protected (hot) list comes first, then probationary — the order an
    eviction walk would spare them, longest-lived first. *)
 let keys_by_recency t =
-  with_lock t (fun () ->
-      let rec walk acc = function
-        | None -> acc
-        | Some node -> walk (node.key :: acc) node.next
-      in
-      List.rev (walk (walk [] t.prot.head) t.prob.head))
+  let rec walk acc = function
+    | None -> acc
+    | Some node -> walk (node.key :: acc) node.next
+  in
+  List.rev (walk (walk [] t.prot.head) t.prob.head)
 
 let fold f t init =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun key node acc -> f key node.value acc) t.table init)
+  Hashtbl.fold (fun key node acc -> f key node.value acc) t.table init
 
 type stats = {
   s_capacity : int;
@@ -389,22 +336,21 @@ type stats = {
 }
 
 let stats t =
-  with_lock t (fun () ->
-      let pinned_resident =
-        Hashtbl.fold
-          (fun key () acc -> if Hashtbl.mem t.table key then acc + 1 else acc)
-          t.pins 0
-      in
-      {
-        s_capacity = t.capacity;
-        s_length = Hashtbl.length t.table;
-        s_peak = t.peak;
-        s_evictions = t.evictions;
-        s_cost = total_cost t;
-        s_peak_cost = t.peak_cost;
-        s_hits = t.hits;
-        s_misses = t.misses;
-        s_probationary = t.prob.lcount;
-        s_protected = t.prot.lcount;
-        s_pinned = pinned_resident;
-      })
+  let pinned_resident =
+    Hashtbl.fold
+      (fun key () acc -> if Hashtbl.mem t.table key then acc + 1 else acc)
+      t.pins 0
+  in
+  {
+    s_capacity = t.capacity;
+    s_length = Hashtbl.length t.table;
+    s_peak = t.peak;
+    s_evictions = t.evictions;
+    s_cost = total_cost t;
+    s_peak_cost = t.peak_cost;
+    s_hits = t.hits;
+    s_misses = t.misses;
+    s_probationary = t.prob.lcount;
+    s_protected = t.prot.lcount;
+    s_pinned = pinned_resident;
+  }

@@ -35,15 +35,7 @@
     entries.  Lifetime hit/miss/eviction totals are additionally
     tracked unconditionally in {!stats}.
 
-    A cache created with [~synchronized:true] is safe to share across
-    domains: every operation runs under one internal mutex, contended
-    acquisitions are counted ({!contention}), and {!find_or_add}
-    computes misses outside the lock — two domains missing the same
-    key may both compute, the first insert wins, and the duplicate is
-    counted ({!races}).  That is only sound when the compute function
-    is a pure function of the key (plan compilation is), so both
-    computed values are interchangeable.  The default is
-    unsynchronized: a single-domain cache pays no locking at all. *)
+    A cache is not synchronized: use it from one domain at a time. *)
 
 type policy =
   | Lru
@@ -66,14 +58,13 @@ val create :
   ?capacity:int ->
   ?policy:policy ->
   ?cost:('k -> 'v -> int) ->
-  ?synchronized:bool ->
   ?hit:Counters.t ->
   ?miss:Counters.t ->
   ?evict:Counters.t ->
   unit ->
   ('k, 'v) t
 (** [policy] defaults to {!Lru}, [cost] to [fun _ _ -> 1] (capacity in
-    entries), [synchronized] to [false].  Cost results are clamped to
+    entries).  Cost results are clamped to
     a minimum of 1 so a byte-costed cache still bounds its entry
     count.
     @raise Invalid_argument if [capacity < 1] or [protected_ratio] is
@@ -85,19 +76,6 @@ val length : ('k, 'v) t -> int
 val cost : ('k, 'v) t -> int
 (** Sum of resident entry costs; at most [capacity] unless pins or a
     single over-budget entry forced an overshoot. *)
-
-val synchronized : ('k, 'v) t -> bool
-
-val contention : ('k, 'v) t -> int
-(** Lock acquisitions that found the mutex held and had to wait
-    (always 0 for unsynchronized caches).  A cheap congestion signal
-    for the pool-shared caches, reported as [Catalog.stats]'s
-    [plan_contention] (the CLI's [parallel:] stats line). *)
-
-val races : ('k, 'v) t -> int
-(** {!find_or_add} calls whose computed value was discarded because
-    another domain inserted the key first.  Bounds the duplicate work
-    the compute-outside-the-lock design admits. *)
 
 val evictions : ('k, 'v) t -> int
 (** Total evictions over the cache's lifetime (counted even when the
@@ -132,8 +110,7 @@ val find_opt : ('k, 'v) t -> 'k -> 'v option
     {!Segmented}). *)
 
 val find : ('k, 'v) t -> 'k -> 'v
-(** {!find_opt} without the option: on an unsynchronized cache a hit
-    allocates nothing.
+(** {!find_opt} without the option: a hit allocates nothing.
     @raise Not_found on a miss. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
@@ -145,6 +122,7 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
     tail first — until the newcomer fits the budget. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
+(** {!find}, or on a miss [compute key] inserted by {!add}. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 (** Drop one entry (no-op if absent).  Deliberate invalidation — the
@@ -168,5 +146,4 @@ val keys_by_recency : ('k, 'v) t -> 'k list
     (test/debug aid — the reverse of eviction order). *)
 
 val fold : ('k -> 'v -> 'a -> 'a) -> ('k, 'v) t -> 'a -> 'a
-(** Fold over resident entries in unspecified order (snapshot under
-    the cache lock when synchronized). *)
+(** Fold over resident entries in unspecified order. *)

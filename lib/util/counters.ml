@@ -8,10 +8,11 @@
    after.
 
    Domain safety: counts are [Atomic.t]s and timers accumulate under a
-   per-timer mutex, so increments racing from the batch paths' worker
-   domains are never lost or torn.  The registries themselves are only
-   mutated by [create]/[create_timer], which run at module
-   initialization — before any worker domain exists. *)
+   per-timer mutex, so increments racing in from the catalog's loader
+   domains (a load's timer, decode counters) are never lost or torn.
+   The registries themselves are only mutated by
+   [create]/[create_timer], which run at module initialization —
+   before any loader domain exists. *)
 
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b

@@ -10,7 +10,7 @@
 
     Counters are process-global and domain-safe: counts are atomics
     and timers accumulate under a per-timer mutex, so increments
-    racing in from the batch paths' worker domains are never lost or
+    racing in from the catalog's loader domains are never lost or
     torn.  What is {e not} per-domain is attribution — see the caveat
     on {!delta_between}.  Intended use stays the harness/CLI pattern:
     enable, run, snapshot, report. *)

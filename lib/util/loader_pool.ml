@@ -15,26 +15,27 @@
      bit-identity anchor: any loader, even one drawing from a shared
      order-sensitive PRNG stream, behaves as if no pipeline existed.
 
-   - [over pool] with pool size > 1: the thunk is enqueued on the
-     domain pool at submission, so distinct loads overlap each other
-     and whatever the submitter does next.  Awaiting a still-pending
-     future steals other queued jobs ([Domain_pool.try_run_one]) before
-     parking on the cell's condition variable, so the caller is never
-     idle while work exists.  [over pool] with pool size 1 degrades to
-     [blocking] (a size-1 pool has no spare domain to overlap on).
+   - a pool of [n > 1] domains: [n - 1] spawned workers and the
+     awaiting domain share one job queue.  The thunk is enqueued at
+     submission, so distinct loads overlap each other and whatever the
+     submitter does next.  Awaiting a still-pending future steals other
+     queued jobs ([try_run_one]) before parking on the cell's condition
+     variable, so the caller is never idle while work exists.  A pool
+     of one domain is [blocking] (it has no spare domain to overlap
+     on).
 
    Outcome capture: the job wraps the thunk and stores [Done v] or
-   [Raised e] in the cell, so pool workers never raise
-   (Domain_pool.async's contract) and [await] re-raises exactly what
-   the thunk raised — a raising loader is observationally identical to
-   the blocking path.
+   [Raised e] in the cell, so workers never raise (a raise would kill
+   the worker domain) and [await] re-raises exactly what the thunk
+   raised — a raising loader is observationally identical to the
+   blocking path.
 
-   Shutdown discipline: Domain_pool.shutdown drains the queue, so a
-   future pending at shutdown still completes and awaits normally.
-   Submitting against an already shut-down pool yields a poisoned
-   future whose await raises a typed [Overloaded] error — callers see
-   the same error taxonomy the admission layer speaks, never a hang or
-   a bare Invalid_argument from deep inside the pool.
+   Shutdown discipline: [shutdown] lets the workers drain the queue
+   before they exit, so a future pending at shutdown still completes
+   and awaits normally.  Submitting to a pool already shut down yields
+   a poisoned future whose await raises a typed [Overloaded] error —
+   callers see the same error taxonomy the admission layer speaks,
+   never a hang or a bare Invalid_argument from deep inside the pool.
 
    Await is single-shot: a future is consumed by its first [await],
    and a second [await] raises a typed [Internal] error instead of
@@ -46,6 +47,19 @@
    diverge from what a real second load would have seen.  ([Poisoned]
    futures stay repeatable: poisoning is a property of the future, not
    an outcome that can go stale.) *)
+
+type pool = {
+  size : int;
+  mutable workers : unit Domain.t array;
+  queue : (unit -> unit) Queue.t;  (* guarded by [mutex] *)
+  mutex : Mutex.t;
+  work_ready : Condition.t;
+  mutable stopping : bool;  (* guarded by [mutex] *)
+  mutable terminated : bool;  (* guarded by [mutex]: workers joined *)
+  pending : int Atomic.t;  (* submitted, not yet completed *)
+}
+
+type t = Blocking | Pool of pool
 
 type 'a outcome = Pending | Done of 'a | Raised of exn
 
@@ -62,58 +76,141 @@ type 'a deferred = {
 
 type 'a future =
   | Deferred of 'a deferred
-  | Queued of { pool : Domain_pool.t; cell : 'a cell; mutable consumed : bool }
+  | Queued of { pool : pool; cell : 'a cell; mutable consumed : bool }
   | Poisoned of exn
 
-type t = Blocking | Pool of { pool : Domain_pool.t; pending : int Atomic.t }
-
+let max_domains = 64
 let blocking = Blocking
-let over pool = Pool { pool; pending = Atomic.make 0 }
-
-let domains = function
-  | Blocking -> 1
-  | Pool { pool; _ } -> Domain_pool.size pool
-
-let concurrent t = domains t > 1
-
-(* Submitted-but-not-yet-completed queued jobs — the pool's live queue
-   depth as seen from the submitting domain.  Observability only: the
-   admission layer keeps its own deterministic ledger (this number
-   depends on worker scheduling). *)
-let pending = function
-  | Blocking -> 0
-  | Pool { pending; _ } -> Atomic.get pending
 
 let c_submit = Counters.create "loader_pool.submits"
 let c_stolen = Counters.create "loader_pool.steals"
 let c_poisoned = Counters.create "loader_pool.poisoned"
+
+(* ------------------------------------------------------------------ *)
+(* The domains.                                                        *)
+
+(* Jobs are wrapped by [submit] and never raise. *)
+let worker_loop p () =
+  let rec next () =
+    Mutex.lock p.mutex;
+    let rec take () =
+      match Queue.take_opt p.queue with
+      | Some job ->
+          Mutex.unlock p.mutex;
+          Some job
+      | None ->
+          if p.stopping then begin
+            Mutex.unlock p.mutex;
+            None
+          end
+          else begin
+            Condition.wait p.work_ready p.mutex;
+            take ()
+          end
+    in
+    match take () with
+    | None -> ()
+    | Some job ->
+        job ();
+        next ()
+  in
+  next ()
+
+(* Dequeue one pending job, if any, and run it on the calling domain:
+   how an awaiting caller makes progress instead of idling. *)
+let try_run_one p =
+  Mutex.lock p.mutex;
+  let job = Queue.take_opt p.queue in
+  Mutex.unlock p.mutex;
+  match job with
+  | Some job ->
+      job ();
+      true
+  | None -> false
+
+let stopped p =
+  Mutex.lock p.mutex;
+  let s = p.terminated in
+  Mutex.unlock p.mutex;
+  s
+
+(* Workers drain the queue before exiting, so no queued job is
+   abandoned. *)
+let shutdown p =
+  Mutex.lock p.mutex;
+  p.stopping <- true;
+  Condition.broadcast p.work_ready;
+  Mutex.unlock p.mutex;
+  Array.iter Domain.join p.workers;
+  p.workers <- [||];
+  Mutex.lock p.mutex;
+  p.terminated <- true;
+  Mutex.unlock p.mutex
+
+let with_pool ~domains f =
+  if domains < 1 || domains > max_domains then
+    invalid_arg
+      (Printf.sprintf "Loader_pool.with_pool: domains must be in [1, %d]"
+         max_domains);
+  if domains = 1 then f Blocking
+  else begin
+    let p =
+      {
+        size = domains;
+        workers = [||];
+        queue = Queue.create ();
+        mutex = Mutex.create ();
+        work_ready = Condition.create ();
+        stopping = false;
+        terminated = false;
+        pending = Atomic.make 0;
+      }
+    in
+    p.workers <- Array.init (domains - 1) (fun _ -> Domain.spawn (worker_loop p));
+    Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f (Pool p))
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Futures.                                                            *)
+
+let domains = function Blocking -> 1 | Pool p -> p.size
+let concurrent t = domains t > 1
+
+let pending = function
+  | Blocking -> 0
+  | Pool p -> Atomic.get p.pending
 
 let shutdown_error () =
   Xpest_error.Error (Xpest_error.Overloaded "loader pool is shut down")
 
 let submit t f =
   match t with
-  | Pool { pool; pending } when Domain_pool.size pool > 1 -> (
+  | Blocking -> Deferred { thunk = Some f }
+  | Pool p ->
       let cell = { m = Mutex.create (); cond = Condition.create (); state = Pending } in
-      Atomic.incr pending;
       let job () =
         let st = try Done (f ()) with e -> Raised e in
         Mutex.lock cell.m;
         cell.state <- st;
         Condition.broadcast cell.cond;
         Mutex.unlock cell.m;
-        Atomic.decr pending
+        Atomic.decr p.pending
       in
-      match Domain_pool.async pool job with
-      | () ->
-          Counters.incr c_submit;
-          Queued { pool; cell; consumed = false }
-      | exception Invalid_argument _ ->
-          (* the pool refused the job: it was never queued *)
-          Atomic.decr pending;
-          Counters.incr c_poisoned;
-          Poisoned (shutdown_error ()))
-  | Blocking | Pool _ -> Deferred { thunk = Some f }
+      Mutex.lock p.mutex;
+      if p.stopping then begin
+        (* the pool refuses the job: it is never queued *)
+        Mutex.unlock p.mutex;
+        Counters.incr c_poisoned;
+        Poisoned (shutdown_error ())
+      end
+      else begin
+        Atomic.incr p.pending;
+        Queue.add job p.queue;
+        Condition.signal p.work_ready;
+        Mutex.unlock p.mutex;
+        Counters.incr c_submit;
+        Queued { pool = p; cell; consumed = false }
+      end
 
 let of_outcome = function
   | Done v -> v
@@ -148,11 +245,11 @@ let await fut =
       in
       let rec help () =
         if pending () then
-          if Domain_pool.try_run_one q.pool then begin
+          if try_run_one q.pool then begin
             Counters.incr c_stolen;
             help ()
           end
-          else if Domain_pool.stopped q.pool then begin
+          else if stopped q.pool then begin
             (* workers joined and the queue is dry: nothing can ever
                complete this future.  Shutdown drains the queue, so
                this is unreachable unless a job was lost — turn that

@@ -1,4 +1,5 @@
-(** Futures over {!Domain_pool} — the serving pipeline's async load seam.
+(** Futures over a small pool of loader domains — the serving
+    pipeline's async load seam.
 
     The catalog's staged batch path ({!Xpest_catalog.Catalog.estimate_batch_r})
     wants to start summary loads {e before} their acquire turn comes up,
@@ -9,16 +10,17 @@
 
     Two shapes behind one API:
 
-    - {!blocking} (and [over pool] when the pool has size 1): the thunk
-      is merely stored and runs at the {e first await}, on the awaiting
-      domain.  Since the pipeline awaits in acquire order, loads
-      execute exactly where the sequential loop would have run them —
-      bit-identical for {e any} loader, including loaders drawing from
-      a shared order-sensitive fault-injection PRNG stream.
+    - {!blocking} (and a pool of one domain): the thunk is merely
+      stored and runs at the {e first await}, on the awaiting domain.
+      Since the pipeline awaits in acquire order, loads execute exactly
+      where the sequential loop would have run them — bit-identical for
+      {e any} loader, including loaders drawing from a shared
+      order-sensitive fault-injection PRNG stream.
 
-    - [over pool] with pool size > 1: the thunk is enqueued on the
-      domain pool at submission, so distinct loads overlap each other
-      and the submitter's own work.  This requires the thunk to be
+    - a pool of [n > 1] domains ({!with_pool}): [n - 1] spawned
+      domains share one job queue with the awaiting domain.  A thunk is
+      enqueued at submission, so distinct loads overlap each other and
+      the submitter's own work.  This requires the thunk to be
       thread-safe and {e per-key deterministic} (its outcome must not
       depend on cross-key execution order); the catalog documents which
       loaders qualify.  Awaiting a still-pending future work-steals
@@ -27,11 +29,12 @@
 
     Exception transparency: a thunk that raises has the exception
     captured in the future and re-raised by {!await} on the awaiting
-    domain — pool workers never see it, and the awaiting caller
+    domain — loader domains never see it, and the awaiting caller
     observes exactly what a direct call would have raised. *)
 
 type t
-(** A load-execution policy: {!blocking} or {!over} a domain pool. *)
+(** A load-execution policy: {!blocking}, or a pool made by
+    {!with_pool}. *)
 
 type 'a future
 (** The pending/complete outcome of one submitted thunk. *)
@@ -40,13 +43,19 @@ val blocking : t
 (** Loads run lazily at first {!await}, on the awaiting domain, in
     await order — the sequential serving path, packaged as a policy. *)
 
-val over : Domain_pool.t -> t
-(** Loads run on [pool]'s domains, submitted eagerly — unless the pool
-    has size 1, in which case this is {!blocking} (no spare domain
-    exists to overlap on). *)
+val with_pool : domains:int -> (t -> 'a) -> 'a
+(** Run the function with a pool of [domains] loader workers, the
+    awaiting domain included: [domains - 1] domains are spawned before
+    the call and joined after it (also on exceptions).  A pool of one
+    domain is {!blocking} and spawns nothing.  Jobs still queued when
+    the function returns are not abandoned: the workers drain the
+    queue before they are joined, so a future submitted inside still
+    awaits normally afterwards.
+    @raise Invalid_argument unless [1 <= domains <= 64], a guard well
+    under the runtime's hard domain limit (128). *)
 
 val domains : t -> int
-(** 1 for {!blocking}; the pool size for {!over}. *)
+(** 1 for {!blocking}; the pool size otherwise. *)
 
 val concurrent : t -> bool
 (** [domains t > 1] — whether {!submit} actually starts work early.
@@ -64,7 +73,7 @@ val pending : t -> int
 val submit : t -> (unit -> 'a) -> 'a future
 (** Register a thunk.  Under {!concurrent} policies it is enqueued
     immediately and must be thread-safe; otherwise nothing runs until
-    {!await}.  Submitting against a pool that was already shut down
+    {!await}.  Submitting to a pool whose {!with_pool} has returned
     does not raise: it returns a {e poisoned} future whose {!await}
     raises [Xpest_error.Error (Overloaded _)] — the caller sees a
     typed refusal at the commit point instead of an [Invalid_argument]
@@ -87,9 +96,9 @@ val await : 'a future -> 'a
     is a property of the future, not a stale outcome, and raises on
     {e every} await.
 
-    Shutdown safety: futures pending when {!Domain_pool.shutdown} runs
-    still complete (workers drain the queue before exiting) and await
+    Shutdown safety: futures pending when the pool shuts down still
+    complete (workers drain the queue before exiting) and await
     normally afterwards.  A future that provably can never complete —
-    the pool is {!Domain_pool.stopped}, its queue is dry, and the
-    outcome is still pending — raises
-    [Xpest_error.Error (Overloaded _)] rather than parking forever. *)
+    the workers are joined, the queue is dry, and the outcome is still
+    pending — raises [Xpest_error.Error (Overloaded _)] rather than
+    parking forever. *)

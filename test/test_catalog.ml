@@ -4,6 +4,7 @@
    plan cache, and per-key counter attribution in batch metrics. *)
 
 module Counters = Xpest_util.Counters
+module Loader_pool = Xpest_util.Loader_pool
 module Pattern = Xpest_xpath.Pattern
 module Summary = Xpest_synopsis.Summary
 module Manifest = Xpest_synopsis.Manifest
@@ -484,6 +485,40 @@ let test_batch_metrics () =
   Alcotest.(check int) "no metrics when counters are off" 0
     (List.length (Catalog.last_batch_metrics cat))
 
+(* Per-group attribution needs each group's load inline: a batch whose
+   loads run on a loader pool clears the previous batch's metrics
+   instead of charging a group with counters bumped on another
+   domain. *)
+let test_concurrent_loads_clear_metrics () =
+  let k1 = key "ssplays" 0.0 and k2 = key "dblp" 0.0 in
+  (* prefill: a loader on another domain must only read the fixture *)
+  List.iter (fun k -> ignore (summary_for k)) [ k1; k2 ];
+  let pairs =
+    [|
+      (k1, Pattern.of_string "//SPEECH/LINE");
+      (k2, Pattern.of_string "//inproceedings/title");
+    |]
+  in
+  (* one resident slot: every batch reloads a key the planner can
+     prefetch *)
+  let cat = Catalog.create_r ~resident_capacity:1 ~loader () in
+  Counters.with_enabled (fun () ->
+      ignore (Catalog.estimate_batch_r cat pairs);
+      Alcotest.(check bool) "blocking loads attribute metrics" true
+        (Catalog.last_batch_metrics cat <> []);
+      Loader_pool.with_pool ~domains:2 (fun loads ->
+          Array.iter
+            (function
+              | Ok _ -> ()
+              | Error e ->
+                  Alcotest.failf "pipelined batch failed: %s"
+                    (Xpest_util.Xpest_error.to_string e))
+            (Catalog.estimate_batch_r ~loads cat pairs));
+      Alcotest.(check bool) "a load ran on the pool" true
+        ((Catalog.stats cat).Catalog.prefetched_loads > 0);
+      Alcotest.(check bool) "concurrent loads clear them" true
+        (Catalog.last_batch_metrics cat = []))
+
 let () =
   Alcotest.run "catalog"
     [
@@ -515,5 +550,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "per-key attribution" `Quick test_batch_metrics;
+          Alcotest.test_case "concurrent loads clear last_metrics" `Quick
+            test_concurrent_loads_clear_metrics;
         ] );
     ]

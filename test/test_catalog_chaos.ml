@@ -2,7 +2,9 @@
    under injected storage faults never raise, keep per-query isolation
    and input order, and every Ok float is bit-identical to the
    fault-free run; the quarantine/backoff state machine is verified
-   step by deterministic step on the logical clock. *)
+   step by deterministic step on the logical clock; and the operator's
+   health machinery (clear_quarantine, health save/load) restores and
+   discards that state exactly. *)
 
 module Counters = Xpest_util.Counters
 module Fault = Xpest_util.Fault
@@ -345,7 +347,6 @@ let test_per_query_isolation () =
    raising key's queries only: healthy keys loaded concurrently with
    the raising one stay Ok and bit-identical, with identical stats. *)
 let test_raising_loader_through_pipeline () =
-  let module Domain_pool = Xpest_util.Domain_pool in
   let module Loader_pool = Xpest_util.Loader_pool in
   let bad = key "ssplays" 2.0 in
   (* prefill: concurrent loaders must be pure readers of the fixture *)
@@ -367,8 +368,7 @@ let test_raising_loader_through_pipeline () =
   List.iter
     (fun load_domains ->
       let pipe_cat = make () in
-      Domain_pool.with_pool ~domains:load_domains (fun lp ->
-          let loads = Loader_pool.over lp in
+      Loader_pool.with_pool ~domains:load_domains (fun loads ->
           let results = Catalog.estimate_batch_r ~loads pipe_cat pairs in
           Array.iteri
             (fun i r ->
@@ -409,6 +409,130 @@ let test_raising_loader_through_pipeline () =
             ]))
     [ 2; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* clear_quarantine.                                                   *)
+
+let test_clear_quarantine () =
+  let k = key "ssplays" 0.0 in
+  let q = Pattern.of_string "//SPEECH" in
+  let broken = ref true in
+  let loader k =
+    if !broken then Error (E.Io_failure { path = "x"; reason = "down" })
+    else Ok (summary_for k)
+  in
+  let resilience =
+    { Catalog.default_resilience with max_retries = 0; failure_threshold = 2;
+      backoff_base = 50 }
+  in
+  let cat = Catalog.create_r ~resilience ~loader () in
+  ignore (Catalog.estimate_r cat k q);
+  ignore (Catalog.estimate_r cat k q);
+  (match Catalog.estimate_r cat k q with
+  | Error (E.Quarantined _) -> ()
+  | _ -> Alcotest.fail "expected the key to be quarantined");
+  (* the override discards the whole history and reports what it was *)
+  (match Catalog.clear_quarantine cat k with
+  | None -> Alcotest.fail "expected a tracked state to clear"
+  | Some h -> (
+      Alcotest.(check int) "lifetime failures reported" 2
+        h.Catalog.h_failures;
+      match h.Catalog.h_state with
+      | Catalog.Quarantined _ -> ()
+      | _ -> Alcotest.fail "discarded state should be Quarantined"));
+  Alcotest.(check int) "no tracked keys left" 0
+    (List.length (Catalog.health cat));
+  (* the storage healed: the next attempt probes immediately — no
+     quarantine deadline survives the override *)
+  broken := false;
+  (match Catalog.estimate_r cat k q with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "post-clear probe failed: %s" (E.to_string e));
+  (* clearing an untracked key is a no-op *)
+  Alcotest.(check bool) "untracked key clears to None" true
+    (Catalog.clear_quarantine cat (key "dblp" 0.0) = None)
+
+(* ------------------------------------------------------------------ *)
+(* Health persistence.                                                 *)
+
+let temp_path name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "xpest_health_%d_%s" (Unix.getpid ()) name)
+
+let test_health_save_load_roundtrip () =
+  let k = key "ssplays" 0.0 in
+  let q = Pattern.of_string "//SPEECH" in
+  let failing _ = Error (E.Io_failure { path = "x"; reason = "down" }) in
+  let resilience =
+    { Catalog.default_resilience with max_retries = 0; failure_threshold = 2;
+      backoff_base = 10 }
+  in
+  let cat = Catalog.create_r ~resilience ~loader:failing () in
+  ignore (Catalog.estimate_r cat k q);
+  ignore (Catalog.estimate_r cat k q);
+  (* quarantined until clock 2 + 10 = 12; 10 ticks remain *)
+  let path = temp_path "roundtrip" in
+  Catalog.save_health cat path;
+  (* a fresh catalog (clock 0) re-anchors the deadline on its clock *)
+  let cat2 = Catalog.create_r ~resilience ~loader:failing () in
+  (match Catalog.load_health cat2 path with
+  | Ok n -> Alcotest.(check int) "one key restored" 1 n
+  | Error e -> Alcotest.failf "load_health failed: %s" (E.to_string e));
+  (match Catalog.health cat2 with
+  | [ h ] -> (
+      Alcotest.(check int) "failure count survives" 2 h.Catalog.h_failures;
+      match h.Catalog.h_state with
+      | Catalog.Quarantined { until } ->
+          Alcotest.(check int) "deadline re-anchored on the new clock" 10 until
+      | _ -> Alcotest.fail "restored state should be Quarantined")
+  | hs -> Alcotest.failf "expected 1 tracked key, got %d" (List.length hs));
+  (* the restored quarantine refuses without touching the loader *)
+  let touched = ref false in
+  let cat3 =
+    Catalog.create_r ~resilience
+      ~loader:(fun _ ->
+        touched := true;
+        Error (E.Io_failure { path = "x"; reason = "down" }))
+      ()
+  in
+  ignore (Catalog.load_health cat3 path);
+  (match Catalog.estimate_r cat3 k q with
+  | Error (E.Quarantined _) -> ()
+  | _ -> Alcotest.fail "restored quarantine should refuse");
+  Alcotest.(check bool) "no loader I/O through a restored quarantine" false
+    !touched;
+  Sys.remove path
+
+let test_health_load_rejects_corruption () =
+  let cat = Catalog.create_r ~loader:(fun k -> Ok (summary_for k)) () in
+  let write path contents =
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc
+  in
+  let check_corrupt name contents =
+    let path = temp_path name in
+    write path contents;
+    (match Catalog.load_health cat path with
+    | Error (E.Corrupt { section = "health"; _ }) -> ()
+    | Error e -> Alcotest.failf "%s: wrong error class %s" name (E.to_string e)
+    | Ok _ -> Alcotest.failf "%s: corrupt file accepted" name);
+    Alcotest.(check int) (name ^ ": nothing half-applied") 0
+      (List.length (Catalog.health cat));
+    Sys.remove path
+  in
+  check_corrupt "bad magic" "not-a-health-file\n";
+  check_corrupt "empty" "";
+  check_corrupt "short row" "xpest-catalog-health/4\nssplays%400\t1\t2\n";
+  check_corrupt "bad int"
+    "xpest-catalog-health/4\nssplays%400\tx\t0\t0\t0\t4\t0\n";
+  check_corrupt "bad backoff"
+    "xpest-catalog-health/4\nssplays%400\t0\t0\t0\t0\t0\t0\n";
+  (* a missing file is an I/O failure, not corruption *)
+  match Catalog.load_health cat (temp_path "never_written") with
+  | Error (E.Io_failure _) -> ()
+  | Error e -> Alcotest.failf "wrong error class: %s" (E.to_string e)
+  | Ok _ -> Alcotest.fail "missing file accepted"
+
 let () =
   Alcotest.run "catalog_chaos"
     [
@@ -429,5 +553,13 @@ let () =
             test_health_table_bound;
           Alcotest.test_case "per-query isolation" `Quick
             test_per_query_isolation;
+        ] );
+      ( "operator",
+        [
+          Alcotest.test_case "clear_quarantine" `Quick test_clear_quarantine;
+          Alcotest.test_case "health save/load round-trip" `Quick
+            test_health_save_load_roundtrip;
+          Alcotest.test_case "health load rejects corruption" `Quick
+            test_health_load_rejects_corruption;
         ] );
     ]

@@ -6,7 +6,7 @@
    - total blackout coverage: with every summary of a dataset failing
      (and the breaker open), every well-formed query is still answered,
      from the Sketch tier, never as an error — bit-identically at any
-     --domains / --load-domains;
+     --load-domains;
    - the ladder is inert when healthy: a sketch-armed catalog over
      healthy storage is byte-identical to a sketch-free one;
    - the pinned sketch region never exceeds its byte budget;
@@ -17,7 +17,6 @@
    - the v4 health file skips unknown !directives (counted) while any
      older version keeps its all-or-nothing strictness. *)
 
-module Domain_pool = Xpest_util.Domain_pool
 module Loader_pool = Xpest_util.Loader_pool
 module Fault = Xpest_util.Fault
 module E = Xpest_util.Xpest_error
@@ -32,7 +31,6 @@ module Registry = Xpest_datasets.Registry
 module Catalog = Xpest_catalog.Catalog
 module Admission = Xpest_catalog.Admission
 
-let domain_counts = [ 1; 2; 4 ]
 let load_domain_counts = [ 1; 2; 4 ]
 let bits = Int64.bits_of_float
 
@@ -409,19 +407,9 @@ let test_blackout_bit_identity () =
     Alcotest.(check int) (label ^ ": same clock") ref_clock (Catalog.clock cat)
   in
   List.iter
-    (fun domains ->
-      let cat = make_armed ~admission:breaker_cfg ~io:(blackout_io ()) () in
-      Domain_pool.with_pool ~domains (fun pool ->
-          check_twin
-            (Printf.sprintf "%d domains" domains)
-            (Array.init 3 (fun _ -> Catalog.estimate_batch_r ~pool cat pairs))
-            cat))
-    domain_counts;
-  List.iter
     (fun load_domains ->
       let cat = make_armed ~admission:breaker_cfg ~io:(blackout_io ()) () in
-      Domain_pool.with_pool ~domains:load_domains (fun lp ->
-          let loads = Loader_pool.over lp in
+      Loader_pool.with_pool ~domains:load_domains (fun loads ->
           check_twin
             (Printf.sprintf "%d load domains" load_domains)
             (Array.init 3 (fun _ -> Catalog.estimate_batch_r ~loads cat pairs))
@@ -578,8 +566,7 @@ let test_chaos_every_fault_lands_on_a_rung () =
   List.iter
     (fun load_domains ->
       let cat = make_armed ~admission:chaos_cfg ~io:(chaos_io ()) () in
-      Domain_pool.with_pool ~domains:load_domains (fun lp ->
-          let loads = Loader_pool.over lp in
+      Loader_pool.with_pool ~domains:load_domains (fun loads ->
           Array.iteri
             (fun round expected ->
               compare_results

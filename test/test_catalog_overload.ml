@@ -1,6 +1,6 @@
 (* Overload-protection tests for the serving catalog: the admission
-   layer's bit-identity contract, deterministic shedding across domain
-   counts, the degraded-fallback tier, the loader circuit breaker seen
+   layer's bit-identity contract, deterministic shedding across
+   load-domain counts, the degraded-fallback tier, the loader circuit breaker seen
    end to end, and the v4 health file that persists it.
 
    The two contracts under test:
@@ -8,15 +8,14 @@
    - An admission controller that is inactive — or active but with
      infinite budgets — leaves the catalog byte-identical to having no
      controller at all: same floats, same typed errors, same stats,
-     same logical clock, under every execution mode (sequential,
-     domain pool, loader pool, injected faults).
+     same logical clock, under every execution mode (blocking loads,
+     loader pool, injected faults).
 
    - Under finite budgets, shedding is a deterministic function of
      (input order, logical clock, configuration): the shed schedule,
-     statuses, stats and clock reproduce bit-for-bit at any domain or
+     statuses, stats and clock reproduce bit-for-bit at any
      load-domain count. *)
 
-module Domain_pool = Xpest_util.Domain_pool
 module Loader_pool = Xpest_util.Loader_pool
 module Fault = Xpest_util.Fault
 module E = Xpest_util.Xpest_error
@@ -28,7 +27,6 @@ module Registry = Xpest_datasets.Registry
 module Catalog = Xpest_catalog.Catalog
 module Admission = Xpest_catalog.Admission
 
-let domain_counts = [ 1; 2; 4 ]
 let load_domain_counts = [ 1; 2; 4 ]
 let bits = Int64.bits_of_float
 
@@ -217,26 +215,6 @@ let test_infinite_budget_is_identity () =
       done)
     [ Admission.unlimited; infinite ]
 
-let test_infinite_budget_identity_parallel () =
-  let pairs = routed_pairs () in
-  List.iter
-    (fun domains ->
-      let plain = make_cat () in
-      let controlled = make_cat ~admission:infinite () in
-      Domain_pool.with_pool ~domains (fun pool ->
-          for round = 1 to 3 do
-            let label = Printf.sprintf "%d domains, round %d" domains round in
-            let reference = Catalog.estimate_batch_r ~pool plain pairs in
-            let results = Catalog.estimate_batch_r ~pool controlled pairs in
-            compare_results label reference results;
-            check_same_stats label (Catalog.stats plain)
-              (Catalog.stats controlled);
-            Alcotest.(check int)
-              (label ^ ": same clock")
-              (Catalog.clock plain) (Catalog.clock controlled)
-          done))
-    domain_counts
-
 (* The pipeline variant, with keyed faults: the controller's provable
    gate changes which loads are *prefetched*, but never their
    outcomes — the keyed injector's schedule is per (path, attempt). *)
@@ -250,8 +228,7 @@ let test_infinite_budget_identity_pipeline_chaos () =
     (fun load_domains ->
       let plain = make_cat ~io:(injected ()) () in
       let controlled = make_cat ~admission:infinite ~io:(injected ()) () in
-      Domain_pool.with_pool ~domains:load_domains (fun lp ->
-          let loads = Loader_pool.over lp in
+      Loader_pool.with_pool ~domains:load_domains (fun loads ->
           for round = 1 to 4 do
             let label =
               Printf.sprintf "%d load domains, round %d" load_domains round
@@ -303,20 +280,9 @@ let test_shedding_deterministic_across_domains () =
           ref_clock (Catalog.clock cat)
       in
       List.iter
-        (fun domains ->
-          let cat = make_cat ~armed ~admission:tight () in
-          Domain_pool.with_pool ~domains (fun pool ->
-              check_twin
-                (Printf.sprintf "%s, %d domains" ladder_name domains)
-                (Array.init 3 (fun _ ->
-                     Catalog.estimate_batch_r ~pool cat pairs))
-                cat))
-        domain_counts;
-      List.iter
         (fun load_domains ->
           let cat = make_cat ~armed ~admission:tight () in
-          Domain_pool.with_pool ~domains:load_domains (fun lp ->
-              let loads = Loader_pool.over lp in
+          Loader_pool.with_pool ~domains:load_domains (fun loads ->
               check_twin
                 (Printf.sprintf "%s, %d load domains" ladder_name
                    load_domains)
@@ -634,8 +600,6 @@ let () =
         [
           Alcotest.test_case "infinite budget equals no controller" `Quick
             test_infinite_budget_is_identity;
-          Alcotest.test_case "identity under the execute pool" `Quick
-            test_infinite_budget_identity_parallel;
           Alcotest.test_case "identity under pipeline chaos" `Quick
             test_infinite_budget_identity_pipeline_chaos;
         ] );

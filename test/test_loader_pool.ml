@@ -5,7 +5,6 @@
    await (a consumed future raises typed, never replays), and the
    size-1 degradation that makes --load-domains 1 always safe. *)
 
-module Domain_pool = Xpest_util.Domain_pool
 module Loader_pool = Xpest_util.Loader_pool
 module E = Xpest_util.Xpest_error
 
@@ -59,8 +58,7 @@ let test_blocking_exception_once () =
   Alcotest.(check int) "thunk ran once" 1 !runs
 
 let test_pool_completion () =
-  Domain_pool.with_pool ~domains:4 (fun p ->
-      let loads = Loader_pool.over p in
+  Loader_pool.with_pool ~domains:4 (fun loads ->
       Alcotest.(check int) "domains is the pool size" 4
         (Loader_pool.domains loads);
       Alcotest.(check bool) "a pool of 4 is concurrent" true
@@ -77,8 +75,7 @@ let test_pool_completion () =
       done)
 
 let test_pool_exception_per_future () =
-  Domain_pool.with_pool ~domains:4 (fun p ->
-      let loads = Loader_pool.over p in
+  Loader_pool.with_pool ~domains:4 (fun loads ->
       let futs =
         Array.init 16 (fun i ->
             Loader_pool.submit loads (fun () ->
@@ -110,8 +107,7 @@ let test_await_steals_queued_work () =
   (* a pool of 2 has one worker domain; submit more jobs than it can
      have started, then await the last one — the awaiting domain must
      work-steal the queue dry rather than park behind it *)
-  Domain_pool.with_pool ~domains:2 (fun p ->
-      let loads = Loader_pool.over p in
+  Loader_pool.with_pool ~domains:2 (fun loads ->
       let ran = Atomic.make 0 in
       let futs =
         Array.init 24 (fun i ->
@@ -134,8 +130,7 @@ let test_await_steals_queued_work () =
       check_consumed "re-await of the stolen future" futs.(23))
 
 let test_size1_pool_is_blocking () =
-  Domain_pool.with_pool ~domains:1 (fun p ->
-      let loads = Loader_pool.over p in
+  Loader_pool.with_pool ~domains:1 (fun loads ->
       Alcotest.(check bool) "a size-1 pool is not concurrent" false
         (Loader_pool.concurrent loads);
       let trace = ref [] in
@@ -152,33 +147,30 @@ let test_size1_pool_is_blocking () =
         (List.rev !trace))
 
 let test_submit_after_shutdown_is_typed () =
-  let escaped = ref None in
-  Domain_pool.with_pool ~domains:2 (fun p -> escaped := Some p);
-  match !escaped with
-  | None -> Alcotest.fail "pool did not escape"
-  | Some p -> (
-      Alcotest.(check bool) "pool reports stopped" true (Domain_pool.stopped p);
-      (* submit itself must not raise: the refusal is typed and
-         surfaces at the commit point, through await *)
-      let fut = Loader_pool.submit (Loader_pool.over p) (fun () -> 0) in
-      (match Loader_pool.await fut with
-      | _ -> Alcotest.fail "await of a poisoned future should raise"
-      | exception E.Error (E.Overloaded _) -> ()
-      | exception e ->
-          Alcotest.failf "expected a typed Overloaded error, got %s"
-            (Printexc.to_string e));
-      (* poisoning is a property of the future, not a consumed
-         outcome: every await raises the same typed refusal *)
-      match Loader_pool.await fut with
-      | _ -> Alcotest.fail "second await of a poisoned future should raise"
-      | exception E.Error (E.Overloaded _) -> ()
-      | exception e ->
-          Alcotest.failf "poisoned futures stay Overloaded, got %s"
-            (Printexc.to_string e))
+  (* the pool escapes its [with_pool], which has joined its domains *)
+  let loads = Loader_pool.with_pool ~domains:2 Fun.id in
+  Alcotest.(check bool) "the escaped pool is still a pool" true
+    (Loader_pool.concurrent loads);
+  (* submit itself must not raise: the refusal is typed and surfaces
+     at the commit point, through await *)
+  let fut = Loader_pool.submit loads (fun () -> 0) in
+  (match Loader_pool.await fut with
+  | _ -> Alcotest.fail "await of a poisoned future should raise"
+  | exception E.Error (E.Overloaded _) -> ()
+  | exception e ->
+      Alcotest.failf "expected a typed Overloaded error, got %s"
+        (Printexc.to_string e));
+  (* poisoning is a property of the future, not a consumed outcome:
+     every await raises the same typed refusal *)
+  match Loader_pool.await fut with
+  | _ -> Alcotest.fail "second await of a poisoned future should raise"
+  | exception E.Error (E.Overloaded _) -> ()
+  | exception e ->
+      Alcotest.failf "poisoned futures stay Overloaded, got %s"
+        (Printexc.to_string e)
 
 let test_double_await_is_typed () =
-  Domain_pool.with_pool ~domains:4 (fun p ->
-      let loads = Loader_pool.over p in
+  Loader_pool.with_pool ~domains:4 (fun loads ->
       let fut = Loader_pool.submit loads (fun () -> 41) in
       Alcotest.(check int) "first await" 41 (Loader_pool.await fut);
       check_consumed "queued future, second await" fut;
@@ -186,11 +178,12 @@ let test_double_await_is_typed () =
       check_consumed "queued future, third await" fut)
 
 let test_await_after_shutdown_consumed_is_typed () =
-  let p = Domain_pool.create ~domains:2 () in
-  let loads = Loader_pool.over p in
-  let fut = Loader_pool.submit loads (fun () -> 5) in
-  Alcotest.(check int) "await before shutdown" 5 (Loader_pool.await fut);
-  Domain_pool.shutdown p;
+  let fut =
+    Loader_pool.with_pool ~domains:2 (fun loads ->
+        let fut = Loader_pool.submit loads (fun () -> 5) in
+        Alcotest.(check int) "await before shutdown" 5 (Loader_pool.await fut);
+        fut)
+  in
   (* the workers are gone: a re-await of the consumed future must
      raise the typed single-shot error immediately — not park in the
      steal loop, and not hand back the stale 5 *)
@@ -200,16 +193,14 @@ let test_pending_futures_survive_shutdown () =
   (* futures still pending when the pool shuts down must complete —
      shutdown drains the queue — and await must return their real
      outcomes afterwards, values and exceptions alike *)
-  let p = Domain_pool.create ~domains:2 () in
-  let loads = Loader_pool.over p in
-  let futs =
-    Array.init 16 (fun i ->
-        Loader_pool.submit loads (fun () ->
-            if i mod 5 = 4 then failwith (Printf.sprintf "late boom %d" i)
-            else i * 3))
+  let loads, futs =
+    Loader_pool.with_pool ~domains:2 (fun loads ->
+        ( loads,
+          Array.init 16 (fun i ->
+              Loader_pool.submit loads (fun () ->
+                  if i mod 5 = 4 then failwith (Printf.sprintf "late boom %d" i)
+                  else i * 3)) ))
   in
-  Domain_pool.shutdown p;
-  Alcotest.(check bool) "stopped after shutdown" true (Domain_pool.stopped p);
   Alcotest.(check int) "no job left pending" 0 (Loader_pool.pending loads);
   Array.iteri
     (fun i fut ->
@@ -231,8 +222,7 @@ let test_pending_futures_survive_shutdown () =
 let test_pending_accounting () =
   Alcotest.(check int) "blocking has no queue" 0
     (Loader_pool.pending Loader_pool.blocking);
-  Domain_pool.with_pool ~domains:2 (fun p ->
-      let loads = Loader_pool.over p in
+  Loader_pool.with_pool ~domains:2 (fun loads ->
       let futs =
         Array.init 8 (fun i -> Loader_pool.submit loads (fun () -> i))
       in

@@ -527,6 +527,199 @@ let test_verified_load_missing_file () =
   | Ok _ -> Alcotest.fail "missing file loaded"
   | Error e -> Alcotest.failf "wrong error class: %s" (E.to_string e)
 
+(* ------------------------------------------------------------------ *)
+(* Fuzzing behind a re-stamped checksum.                               *)
+
+module Sketch = Xpest_synopsis.Sketch
+module Sketch_exec = Xpest_estimator.Sketch_exec
+module Plan = Xpest_plan.Plan
+module Catalog = Xpest_catalog.Catalog
+module Admission = Xpest_catalog.Admission
+
+(* Stamp the FNV-1a checksum of the body (everything past the
+   container header) into the header, so damaged body bytes get past
+   the checksum and reach the decoders' own checks. *)
+let restamp bytes =
+  let n = String.length bytes in
+  let buf = Buffer.create 8 in
+  Wire.put_int64 buf
+    (Wire.fnv1a64 (String.sub bytes Wire.header_bytes (n - Wire.header_bytes)));
+  let b = Bytes.of_string bytes in
+  Bytes.blit_string (Buffer.contents buf) 0 b (Wire.header_bytes - 8) 8;
+  Bytes.to_string b
+
+(* 1-3 byte mutations: an offset (taken modulo the body length) and a
+   non-zero mask to xor in, so every mutation changes its byte. *)
+let mutations =
+  QCheck.make
+    ~print:
+      QCheck.Print.(list (pair int int))
+    QCheck.Gen.(list_size (int_range 1 3) (pair (int_bound 1_000_000) (int_range 1 255)))
+
+(* Apply the mutations to the bytes from [from] on. *)
+let mutate ~from bytes muts =
+  let b = Bytes.of_string bytes in
+  let body = Bytes.length b - from in
+  List.iter
+    (fun (off, mask) ->
+      let pos = from + (off mod body) in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask)))
+    muts;
+  Bytes.to_string b
+
+let mutate_container bytes muts = restamp (mutate ~from:Wire.header_bytes bytes muts)
+
+(* Six fixed SSPlays queries, one per estimation route: Theorem 4.1
+   twice, Equation 2, Equations 3 and 5, and the Example 5.3
+   conversion. *)
+let fuzz_queries =
+  lazy
+    (List.map Pattern.of_string
+       [
+         "//SPEECH/LINE";
+         "//PLAY//{SPEECH}";
+         "//ACT[/{SCENE}]";
+         "//SPEECH[/SPEAKER/folls::{LINE}]";
+         "//{SPEECH}[/SPEAKER/folls::LINE]";
+         "//SCENE[/SPEECH/foll::{STAGEDIR}]";
+       ])
+
+(* The property's conclusion for an [Ok] decode: no answer is
+   [Internal] (an escaped exception counts as one). *)
+let no_internal label answers =
+  List.iteri
+    (fun i -> function
+      | Error (E.Internal reason) ->
+          QCheck.Test.fail_reportf "%s: query %d answered Internal: %s" label i
+            reason
+      | Ok _ | Error _ -> ())
+    answers;
+  true
+
+let fuzz_test ~seed test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test
+
+let prop_summary_fuzz =
+  QCheck.Test.make ~count:300 ~name:"summary: typed error or no Internal"
+    mutations (fun muts ->
+      match load_typed_of (mutate_container (Lazy.force tiny_bytes) muts) with
+      | Error _ -> true
+      | Ok summary ->
+          let est = Estimator.create summary in
+          no_internal "summary"
+            (List.map (Estimator.try_estimate est) (Lazy.force fuzz_queries)))
+
+let tiny_sketch =
+  lazy
+    (Sketch.encode
+       (Sketch.build (Registry.generate ~scale:0.01 ~seed:7 Registry.Ssplays)))
+
+let prop_sketch_fuzz =
+  QCheck.Test.make ~count:300 ~name:"sketch: typed error or no Internal"
+    mutations (fun muts ->
+      let bytes = mutate_container (Lazy.force tiny_sketch) muts in
+      match with_file bytes Sketch.load_typed with
+      | Error _ -> true
+      | Ok sketch ->
+          let sx = Sketch_exec.create sketch in
+          no_internal "sketch"
+            (List.map
+               (fun q ->
+                 match Sketch_exec.estimate_plan sx (Plan.compile q) with
+                 | v -> Ok v
+                 | exception E.Error e -> Error e
+                 | exception exn -> Error (E.Internal (Printexc.to_string exn)))
+               (Lazy.force fuzz_queries)))
+
+let fuzz_key v = { Catalog.dataset = "ssplays"; variance = v }
+
+(* Six routed pairs over the two keys of the fuzz catalog. *)
+let fuzz_pairs () =
+  Array.of_list
+    (List.mapi
+       (fun i q -> (fuzz_key (if i mod 2 = 0 then 0.0 else 2.0), q))
+       (Lazy.force fuzz_queries))
+
+(* A catalog directory with two SSPlays 0.01 variances and the
+   dataset's sketch, and the bytes of its manifest. *)
+let fuzz_catalog =
+  lazy
+    (let dir = Filename.temp_file "xpest_fuzz_catalog" "" in
+     Sys.remove dir;
+     Unix.mkdir dir 0o755;
+     let doc = Registry.generate ~scale:0.01 ~seed:7 Registry.Ssplays in
+     let m =
+       List.fold_left
+         (fun m v ->
+           Catalog.save_entry ~dir m (fuzz_key v)
+             (Summary.build ~p_variance:v ~o_variance:v doc))
+         Manifest.empty [ 0.0; 2.0 ]
+     in
+     let m = Catalog.save_sketch ~dir m "ssplays" (Sketch.build doc) in
+     (dir, Manifest.encode m))
+
+let prop_manifest_fuzz =
+  QCheck.Test.make ~count:200 ~name:"manifest: typed error or no Internal"
+    mutations (fun muts ->
+      let dir, bytes = Lazy.force fuzz_catalog in
+      match with_file (mutate_container bytes muts) Manifest.load_typed with
+      | Error _ -> true
+      | Ok m ->
+          let cat = Catalog.of_manifest ~dir m in
+          no_internal "manifest"
+            (Array.to_list (Catalog.estimate_batch_r cat (fuzz_pairs ()))))
+
+(* The health file is text without a checksum: its body is everything
+   past the magic line.  The fixture holds quarantined keys and an
+   open breaker. *)
+let breaker = { Admission.unlimited with Admission.breaker_threshold = Some 2 }
+
+let health_bytes =
+  lazy
+    (let summary = Summary.decode (Lazy.force tiny_bytes) in
+     let loader (k : Catalog.key) =
+       if k.Catalog.variance = 0.0 then Ok summary
+       else Error (E.Io_failure { path = "down"; reason = "injected" })
+     in
+     let resilience =
+       { Catalog.default_resilience with max_retries = 0; failure_threshold = 1 }
+     in
+     let cat = Catalog.create_r ~resilience ~admission:breaker ~loader () in
+     for _ = 1 to 3 do
+       ignore (Catalog.estimate_batch_r cat (fuzz_pairs ()))
+     done;
+     let path = temp_file () in
+     Catalog.save_health cat path;
+     let ic = open_in_bin path in
+     let bytes = really_input_string ic (in_channel_length ic) in
+     close_in ic;
+     Sys.remove path;
+     bytes)
+
+let prop_health_fuzz =
+  QCheck.Test.make ~count:300 ~name:"health: typed error or no Internal"
+    mutations (fun muts ->
+      let bytes = Lazy.force health_bytes in
+      let from = String.index bytes '\n' + 1 in
+      let summary = Summary.decode (Lazy.force tiny_bytes) in
+      let cat =
+        Catalog.create_r ~admission:breaker ~loader:(fun _ -> Ok summary) ()
+      in
+      match with_file (mutate ~from bytes muts) (Catalog.load_health cat) with
+      | Error _ -> true
+      | Ok _ ->
+          no_internal "health"
+            (Array.to_list (Catalog.estimate_batch_r cat (fuzz_pairs ()))))
+
+let test_health_fixture_has_state () =
+  let bytes = Lazy.force health_bytes in
+  let lines = String.split_on_char '\n' bytes in
+  Alcotest.(check bool)
+    (Printf.sprintf "a key row and a breaker line (%S)" bytes)
+    true
+    (List.exists (fun l -> String.length l > 0 && l.[0] = '!') lines
+    && List.length (List.filter (fun l -> l <> "") lines) >= 3)
+
 let () =
   Alcotest.run "synopsis_io"
     [
@@ -572,5 +765,14 @@ let () =
             test_verified_load_matches_two_step;
           Alcotest.test_case "verified load of a missing file" `Quick
             test_verified_load_missing_file;
+        ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "health fixture holds state" `Quick
+            test_health_fixture_has_state;
+          fuzz_test ~seed:4101 prop_summary_fuzz;
+          fuzz_test ~seed:4102 prop_sketch_fuzz;
+          fuzz_test ~seed:4103 prop_manifest_fuzz;
+          fuzz_test ~seed:4104 prop_health_fuzz;
         ] );
     ]
