@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test check ci differential chaos thrash pipeline overload degrade join hot bench clean
+.PHONY: all build test check ci differential chaos thrash pipeline overload degrade join hot load bench clean
 
 all: build
 
@@ -97,6 +97,20 @@ hot:
 	$(DUNE) exec test/test_catalog.exe
 	$(DUNE) exec test/test_engine_batch.exe
 	$(DUNE) build @test/cli_catalog_info @test/cli_query_errors
+
+# Load-path suites: the synopsis codec (round-trips, pinned checksums,
+# the modeled bytes and histogram counts behind Tables 3-5 and Figures
+# 9 and 11 pinned for built and loaded summaries, an assembled flat core
+# equal to its decoded copy), the container's typed rejections with the
+# cross-section checks and the exhaustive single-byte sweep, the
+# summary's flat lookups against the histogram builders, and the
+# catalog suite with the words one load leaves to promote.
+# Deterministic in CI.
+load:
+	$(DUNE) exec test/test_codec.exe
+	$(DUNE) exec test/test_synopsis_io.exe
+	$(DUNE) exec test/test_summary.exe
+	$(DUNE) exec test/test_catalog.exe
 
 # The paper's evaluation (tables, figures) and the bechamel
 # micro-benchmarks.  Throughput is measured by the ledger

@@ -14,7 +14,6 @@ module Pattern = Xpest_xpath.Pattern
 module Truth = Xpest_xpath.Truth
 module Summary = Xpest_synopsis.Summary
 module Labeler = Xpest_encoding.Labeler
-module Encoding_table = Xpest_encoding.Encoding_table
 module Pid_tree = Xpest_encoding.Pid_tree
 module Plan = Xpest_plan.Plan
 module Estimator = Xpest_estimator.Estimator
@@ -121,7 +120,7 @@ let stats_cmd =
         [ "max depth"; string_of_int (Doc.max_depth doc) ];
         [
           "distinct root-to-leaf paths";
-          string_of_int (Encoding_table.num_paths (Summary.encoding_table s));
+          string_of_int (Summary.num_paths s);
         ];
         [ "path id size"; Printf.sprintf "%d bytes" (Labeler.pid_byte_size labeler) ];
         [ "distinct path ids"; string_of_int (Labeler.num_distinct labeler) ];
@@ -345,8 +344,7 @@ let synopsis_load_cmd =
           [ "distinct tags"; string_of_int (Array.length (Summary.tags s)) ];
           [
             "distinct root-to-leaf paths";
-            string_of_int
-              (Xpest_encoding.Encoding_table.num_paths (Summary.encoding_table s));
+            string_of_int (Summary.num_paths s);
           ];
           [ "p-variance"; Printf.sprintf "%g" (Summary.p_variance s) ];
           [ "o-variance"; Printf.sprintf "%g" (Summary.o_variance s) ];

@@ -524,12 +524,6 @@ let acquire_with t ~prefetched key =
                 let estimator =
                   Estimator.create ~config:t.config ~plans:t.plans summary
                 in
-                (* The summary and its join index live until evicted:
-                   promote them now, inside the load, so the load pays
-                   their copy out of the minor heap instead of whatever
-                   request next fills it (about 50k words on XMark
-                   0.05, a millisecond of copying). *)
-                Gc.minor ();
                 t.loads <- t.loads + 1;
                 note_success t h;
                 Bounded_cache.add t.residents key { summary; estimator };

@@ -63,8 +63,7 @@ let axis_holds t ~encoding ~axis ~anc ~desc =
   | `Descendant, (`Parent_child | `Ancestor_descendant) -> true
   | `Descendant, `Neither -> false
 
-let gap_tags t ~encoding ~anc ~desc =
-  let path = Array.of_list (path_of_encoding t encoding) in
+let path_gaps path ~anc ~desc =
   let n = Array.length path in
   let gaps = ref [] in
   for i = 0 to n - 1 do
@@ -78,6 +77,9 @@ let gap_tags t ~encoding ~anc ~desc =
   List.sort
     (fun a b -> Int.compare (List.length a) (List.length b))
     (List.rev !gaps)
+
+let gap_tags t ~encoding ~anc ~desc =
+  path_gaps (Array.of_list (path_of_encoding t encoding)) ~anc ~desc
 
 let byte_size t =
   Array.fold_left

@@ -49,6 +49,9 @@ val gap_tags :
     (paper Example 5.3: the gap between [A] and [D] on path
     [Root/A/B/D] is [\[B\]]). *)
 
+val path_gaps : string array -> anc:string -> desc:string -> string list list
+(** {!gap_tags} on a path given as its tags, root first. *)
+
 val byte_size : t -> int
 (** Modeled storage: tag bytes per path plus 4 bytes per encoding
     integer (Table 3 accounting). *)

@@ -3,7 +3,6 @@ module Counters = Xpest_util.Counters
 module Pattern = Xpest_xpath.Pattern
 module Summary = Xpest_synopsis.Summary
 module Po_table = Xpest_synopsis.Po_table
-module Encoding_table = Xpest_encoding.Encoding_table
 module Plan = Xpest_plan.Plan
 module Plan_cache = Xpest_plan.Plan_cache
 module Cache_config = Xpest_plan.Cache_config
@@ -171,14 +170,13 @@ let conversion_gaps t spec ~trunk ~second =
   let result = Path_join.exec t.join spec in
   let trunk_tag = (List.nth trunk (List.length trunk - 1)).Pattern.tag in
   let head_tag = (List.hd second).Pattern.tag in
-  let table = Summary.encoding_table t.summary in
   let gaps = ref [] in
   List.iter
     (fun (pid, _) ->
       Bitvec.iter_set_bits pid (fun bit ->
           List.iter
             (fun gap -> if not (List.mem gap !gaps) then gaps := gap :: !gaps)
-            (Encoding_table.gap_tags table ~encoding:(bit + 1) ~anc:trunk_tag
+            (Summary.gap_tags t.summary ~encoding:(bit + 1) ~anc:trunk_tag
                ~desc:head_tag)))
     (Path_join.pids result (Pattern.In_second 0));
   List.rev !gaps

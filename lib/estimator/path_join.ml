@@ -2,7 +2,6 @@ module Bitvec = Xpest_util.Bitvec
 module Counters = Xpest_util.Counters
 module Pattern = Xpest_xpath.Pattern
 module Summary = Xpest_synopsis.Summary
-module Encoding_table = Xpest_encoding.Encoding_table
 module Plan = Xpest_plan.Plan
 module Bounded_cache = Xpest_util.Bounded_cache
 module Cache_config = Xpest_plan.Cache_config
@@ -21,50 +20,49 @@ let t_run = Counters.create_timer "path_join.run_uncached"
 let t_masks = Counters.create_timer "path_join.masks"
 let t_fixpoint = Counters.create_timer "path_join.fixpoint"
 
-(* A row entry: a pid, its index in the summary (the o-histograms'
-   column key), its frequency estimate, and its set bits (the paths it
-   holds), listed once when the tag's row is built.  The bits
-   are held as floats, exact far beyond any path count, because the GC
-   does not scan a float array.  Held as an int array instead, they
-   cost the all-cached serve-hot workload ~3% of its qps and p99, and
-   xmark-cold ~8% of its qps. *)
-type entry = { pid : Bitvec.t; pidx : int; freq : float; bits : float array }
-
-let nth_bit bits b = int_of_float bits.(b)
-
-(* A tag's p-histogram row, built once per summary and shared, never
-   copied, by every join over the tag.  Sets of its entries are
-   [words]-word bitsets, bit j standing for [entries.(j)].  Only the
-   paths the tag holds get a slice: the set of entries whose pid holds
-   the path.  [index] maps a path to 1 + its slice's number (0 where
-   the tag does not hold the path), [wide] bytes per path; slice k is
-   at [slices.(k * words ..)].  [tag] is the tag's id in the join's
-   depth index, -1 for a tag outside the summary. *)
+(* A tag's p-histogram row, built once per summary on first use and
+   shared, never copied, by every join over the tag.  Entry j is slot
+   [lo + j] of the summary's p-histogram arrays (so j is the pid's
+   column in the tag's o-histogram): [freq.(j)] is its frequency
+   estimate, and [bits.(bits_at.(j) .. bits_at.(j + 1) - 1)] the paths
+   its pid holds, listed once when the row is built.  The bits are held
+   as floats, exact far beyond any path count, because the GC does not
+   scan a float array.  Sets of entries are [words]-word bitsets, bit j
+   standing for entry j.  Only the paths the tag holds get a slice: the
+   set of entries whose pid holds the path.  [index] maps a path to 1 +
+   its slice's number (0 where the tag does not hold the path), [wide]
+   bytes per path; slice k is at [slices.(k * words ..)].  [tag] is the
+   tag's code, -1 for a tag outside the summary. *)
 type row = {
   tag : int;
-  entries : entry array;
+  lo : int;
+  freq : float array;
+  bits_at : int array;
+  bits : float array;
   words : int;
   wide : int;
   index : Bytes.t;
   slices : int array;
 }
 
+let nth_bit bits b = int_of_float bits.(b)
+
 (* A query node's survivors: a row set over its tag's row. *)
 type jnode = { position : Pattern.position; row : row; set : int array }
 
-type result = { nodes : jnode array }
+type result = { summary : Summary.t; nodes : jnode array }
 
 (* A pid is a bitvector over root-to-leaf paths (bit b = the path with
    encoding b + 1), so "a per-path property holds on some path of this
    pid" is one test of the pid's bits against the mask of paths where
    it holds.  Masks are path sets of [nw] words, [mask_bits] paths a
    word, computed bit-parallel over all paths at once from the depth
-   index below, which is built once per summary and only read
-   afterwards. *)
+   index below, which is built once per summary from its coded paths
+   and only read afterwards.  Tag ids are the summary's tag codes. *)
 type t = {
   summary : Summary.t;
+  flat : Summary.flat;
   chain_pruning : bool;
-  tag_id : (string, int) Hashtbl.t;  (* interned tags *)
   npaths : int;
   nw : int;  (* words per path set *)
   depths : int;  (* the longest path's length *)
@@ -73,12 +71,16 @@ type t = {
          carrying the tag at that depth (the root at depth 0), -1 where
          no path does *)
   index : int array;  (* the non-empty cells' path sets, packed *)
-  occurs : int array array;
-      (* tag id -> the depths where [cell] is not -1, ascending *)
-  rows : row Lazy.t array;
-      (* tag id -> its row.  Built on first use: every catalog load
-         creates a join, and a query touches few tags.  The rows share
-         one path-numbering buffer while they are built. *)
+  occ_at : int array;
+  occ : int array;
+      (* tag id -> [occ.(occ_at.(id) .. occ_at.(id + 1) - 1)], the
+         depths where [cell] is not -1, ascending *)
+  rows : row array;
+      (* tag id -> its row, [unbuilt] until first use: every catalog
+         load creates a join, and a query touches few tags *)
+  slot : int array;
+      (* one cell per path, -1 but while a row is built (see
+         [build_row]) *)
   mutable scratch : int array;
       (* the row sets a pruning step builds, reused by every step so
          that a fixpoint visit allocates nothing *)
@@ -86,9 +88,9 @@ type t = {
       (* the path sets a mask computation builds *)
   mutable live : Bytes.t;
       (* per path set of a chain's recurrence in [paths]: whether it is
-         non-empty.  Forcing [rows] and writing the three scratch
-         buffers are safe because a join serves one domain at a time,
-         like its run cache. *)
+         non-empty.  Building [rows] and writing the scratch buffers are
+         safe because a join serves one domain at a time, like its run
+         cache. *)
   (* one estimate joins the same shape repeatedly (counterpart,
      simplified counterpart, Q'), and join output only depends on the
      shape given a fixed summary: results are memoized on the spec's
@@ -101,7 +103,8 @@ type t = {
 let slice_bits = 62
 let slice_words n = (n + slice_bits - 1) / slice_bits
 
-(* Path sets: bit p of word p / [mask_bits] stands for path p. *)
+(* Path sets: bit p of word p / [mask_bits] stands for path p, the
+   layout of the summary's pid words. *)
 let mask_bits = 62
 
 (* The set of all [n] entries. *)
@@ -125,140 +128,152 @@ let set_slice_of row p k =
   | 2 -> Bytes.set_uint16_le row.index (2 * p) (k + 1)
   | _ -> Bytes.set_int32_le row.index (4 * p) (Int32.of_int (k + 1))
 
-(* The row of [entries]: number the paths the entries hold as they
-   are first met, fill their slices, then write the index, which is as
-   wide as the number of held paths needs: a byte per path for all but
-   the tags near the root of a document with many paths.  [slot], one
-   cell per path, maps a held path to its number while the row is
-   built and is -1 everywhere before and after. *)
-let build_row slot tag entries =
-  let n = Array.length entries and count = ref 0 in
-  (* loops, not [Array.iter]: a closure would box each float *)
+(* The row of tag [code], read from the summary's flat arrays: list
+   each entry's paths from its pid's words, number the paths the
+   entries hold as they are first met, fill their slices, then write
+   the index, which is as wide as the number of held paths needs: a
+   byte per path for all but the tags near the root of a document with
+   many paths.  [slot], one cell per path, maps a held path to its
+   number while the row is built and is -1 everywhere before and
+   after. *)
+let build_row (f : Summary.flat) slot code =
+  let lo = Summary.row_start f code in
+  let n = Summary.row_stop f code - lo in
+  let freq = Array.make n 0.0 in
+  if n > 0 then
+    for b = f.p_first.(code) to f.p_stop.(code) - 1 do
+      for s = f.bucket_start.(b) to f.bucket_start.(b + 1) - 1 do
+        freq.(s - lo) <- f.bucket_avg.(b)
+      done
+    done;
+  let stride = f.stride and words = f.pid_words in
+  let bits_at = Array.make (n + 1) 0 in
   for j = 0 to n - 1 do
-    let bits = entries.(j).bits in
-    for b = 0 to Array.length bits - 1 do
-      let p = nth_bit bits b in
-      if slot.(p) < 0 then begin
-        slot.(p) <- !count;
-        incr count
-      end
+    let w0 = f.slot_pid.(lo + j) * stride and c = ref 0 in
+    for w = w0 to w0 + stride - 1 do
+      c := !c + Bitvec.popcount_word words.(w)
+    done;
+    bits_at.(j + 1) <- bits_at.(j) + !c
+  done;
+  let bits = Array.make bits_at.(n) 0.0 in
+  for j = 0 to n - 1 do
+    let w0 = f.slot_pid.(lo + j) * stride and k = ref bits_at.(j) in
+    for wi = 0 to stride - 1 do
+      let w = ref words.(w0 + wi) in
+      while !w <> 0 do
+        let low = !w land - !w in
+        bits.(!k) <- float_of_int ((wi * mask_bits) + Bitvec.bit_index low);
+        incr k;
+        w := !w lxor low
+      done
     done
+  done;
+  let count = ref 0 in
+  for b = 0 to Array.length bits - 1 do
+    let p = nth_bit bits b in
+    if slot.(p) < 0 then begin
+      slot.(p) <- !count;
+      incr count
+    end
   done;
   let words = slice_words n in
   let wide = if !count < 0xFF then 1 else if !count < 0xFFFF then 2 else 4 in
   let slices = Array.make (!count * words) 0 in
   let row =
-    { tag; entries; words; wide; index = Bytes.make (Array.length slot * wide) '\000'; slices }
+    {
+      tag = code;
+      lo;
+      freq;
+      bits_at;
+      bits;
+      words;
+      wide;
+      index = Bytes.make (Array.length slot * wide) '\000';
+      slices;
+    }
   in
   for j = 0 to n - 1 do
-    let bits = entries.(j).bits in
     let word = j / slice_bits and bit = 1 lsl (j mod slice_bits) in
-    for b = 0 to Array.length bits - 1 do
+    for b = bits_at.(j) to bits_at.(j + 1) - 1 do
       let o = (slot.(nth_bit bits b) * words) + word in
       slices.(o) <- slices.(o) lor bit
     done
   done;
-  for j = 0 to n - 1 do
-    let bits = entries.(j).bits in
-    for b = 0 to Array.length bits - 1 do
-      let p = nth_bit bits b in
-      if slot.(p) >= 0 then begin
-        set_slice_of row p slot.(p);
-        slot.(p) <- -1
-      end
-    done
+  for b = 0 to Array.length bits - 1 do
+    let p = nth_bit bits b in
+    if slot.(p) >= 0 then begin
+      set_slice_of row p slot.(p);
+      slot.(p) <- -1
+    end
   done;
   row
 
 let empty_row =
-  { tag = -1; entries = [||]; words = 0; wide = 1; index = Bytes.empty; slices = [||] }
+  {
+    tag = -1;
+    lo = 0;
+    freq = [||];
+    bits_at = [| 0 |];
+    bits = [||];
+    words = 0;
+    wide = 1;
+    index = Bytes.empty;
+    slices = [||];
+  }
+
+let unbuilt = { empty_row with tag = -2 }
 
 let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
-  let tag_id = Hashtbl.create 64 in
-  let intern tag =
-    match Hashtbl.find_opt tag_id tag with
-    | Some id -> id
-    | None ->
-        let id = Hashtbl.length tag_id in
-        Hashtbl.add tag_id tag id;
-        id
-  in
-  Array.iter (fun tag -> ignore (intern tag)) (Summary.tags summary);
-  (* Paths in encoding order mostly share a prefix with the one
-     before, whose ids the prefix keeps: hashing every tag of every
-     path cost XMark 0.05 ~140 us a join. *)
-  let prev_tags = ref [] and prev_ids = ref [||] in
-  let paths =
-    Array.of_list
-      (List.map
-         (fun path ->
-           let ids = Array.make (List.length path) 0 in
-           let rec go d path prev =
-             match (path, prev) with
-             | tag :: rest, p :: prev when String.equal tag p ->
-                 ids.(d) <- !prev_ids.(d);
-                 go (d + 1) rest prev
-             | _ -> List.iteri (fun i tag -> ids.(d + i) <- intern tag) path
-           in
-           go 0 path !prev_tags;
-           prev_tags := path;
-           prev_ids := ids;
-           ids)
-         (Encoding_table.paths (Summary.encoding_table summary)))
-  in
-  let npaths = Array.length paths in
+  let f = Summary.flat summary in
+  let ntags = Array.length f.tag_names and npaths = Array.length f.path_start - 1 in
   let nw = (npaths + mask_bits - 1) / mask_bits in
-  let depths = Array.fold_left (fun m path -> max m (Array.length path)) 0 paths in
-  let ntags = Hashtbl.length tag_id in
+  let depths = ref 0 in
+  for p = 0 to npaths - 1 do
+    depths := max !depths (f.path_start.(p + 1) - f.path_start.(p))
+  done;
+  let depths = !depths in
   (* offsets in path order of first occurrence, then the bits *)
   let cell = Array.make (ntags * depths) (-1) and ncells = ref 0 in
-  Array.iter
-    (Array.iteri (fun d id ->
-         let c = (id * depths) + d in
-         if cell.(c) < 0 then begin
-           cell.(c) <- !ncells * nw;
-           incr ncells
-         end))
-    paths;
+  for p = 0 to npaths - 1 do
+    for i = f.path_start.(p) to f.path_start.(p + 1) - 1 do
+      let c = (f.path_tag.(i) * depths) + i - f.path_start.(p) in
+      if cell.(c) < 0 then begin
+        cell.(c) <- !ncells * nw;
+        incr ncells
+      end
+    done
+  done;
   let index = Array.make (!ncells * nw) 0 in
-  Array.iteri
-    (fun p path ->
-      Array.iteri
-        (fun d id ->
-          let o = cell.((id * depths) + d) + (p / mask_bits) in
-          index.(o) <- index.(o) lor (1 lsl (p mod mask_bits)))
-        path)
-    paths;
-  let tags = Array.make ntags "" in
-  Hashtbl.iter (fun tag id -> tags.(id) <- tag) tag_id;
-  let slot = Array.make npaths (-1) in
-  let entry (pidx, pid, freq) =
-    let bits = Array.make (Bitvec.popcount pid) 0.0 and n = ref 0 in
-    Bitvec.iter_set_bits pid (fun b ->
-        bits.(!n) <- float_of_int b;
-        incr n);
-    { pid; pidx; freq; bits }
-  in
+  for p = 0 to npaths - 1 do
+    for i = f.path_start.(p) to f.path_start.(p + 1) - 1 do
+      let o = cell.((f.path_tag.(i) * depths) + i - f.path_start.(p)) + (p / mask_bits) in
+      index.(o) <- index.(o) lor (1 lsl (p mod mask_bits))
+    done
+  done;
+  let occ_at = Array.make (ntags + 1) 0 and occ = Array.make !ncells 0 in
+  for id = 0 to ntags - 1 do
+    let n = ref occ_at.(id) in
+    for d = 0 to depths - 1 do
+      if cell.((id * depths) + d) >= 0 then begin
+        occ.(!n) <- d;
+        incr n
+      end
+    done;
+    occ_at.(id + 1) <- !n
+  done;
   {
     summary;
+    flat = f;
     chain_pruning;
-    tag_id;
     npaths;
     nw;
     depths;
     cell;
     index;
-    occurs =
-      Array.init ntags (fun id ->
-          Array.of_list
-            (List.filter (fun d -> cell.((id * depths) + d) >= 0) (List.init depths Fun.id)));
-    rows =
-      Array.mapi
-        (fun id tag ->
-          lazy
-            (build_row slot id
-               (Array.of_list (List.map entry (Summary.tag_entries summary tag)))))
-        tags;
+    occ_at;
+    occ;
+    rows = Array.make ntags unbuilt;
+    slot = Array.make npaths (-1);
     scratch = [||];
     paths = [||];
     live = Bytes.empty;
@@ -269,14 +284,16 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
 
 (* A tag outside the summary gets id -1: it is on no path and has no
    pids. *)
-let id_of t tag = match Hashtbl.find t.tag_id tag with id -> id | exception Not_found -> -1
+let id_of t tag = Summary.tag_code t.summary tag
 
 (* The offset in [t.index] of the paths carrying tag [id] at depth
    [d]; -1 where none does or out of range. *)
 let at t id d = if id < 0 || d < 0 || d >= t.depths then -1 else t.cell.((id * t.depths) + d)
 
-(* The depths where tag [id] occurs, ascending. *)
-let occurs t id = if id < 0 then [||] else t.occurs.(id)
+(* The depths where tag [id] occurs are [t.occ.(occ_lo t id ..
+   occ_hi t id - 1)], ascending. *)
+let occ_lo t id = if id < 0 then 0 else t.occ_at.(id)
+let occ_hi t id = if id < 0 then 0 else t.occ_at.(id + 1)
 
 (* The path-set kernels: [nw]-word AND (with its zero test), OR and
    membership tests over sets held in int arrays at word offsets,
@@ -307,10 +324,11 @@ let union_inter_into dst o a ia b ib nw =
 (* True iff path [p] is in the set at [s.(o ..)]. *)
 let mem_path s o p = s.(o + (p / mask_bits)) land (1 lsl (p mod mask_bits)) <> 0
 
-(* True iff one of the paths [bits] lists is in the set at [s.(o ..)]. *)
-let meets s o bits =
-  let hit = ref false and b = ref 0 in
-  while (not !hit) && !b < Array.length bits do
+(* True iff one of the paths [bits.(b0 .. b1 - 1)] lists is in the
+   set at [s.(o ..)]. *)
+let meets s o bits b0 b1 =
+  let hit = ref false and b = ref b0 in
+  while (not !hit) && !b < b1 do
     hit := mem_path s o (nth_bit bits !b);
     incr b
   done;
@@ -353,6 +371,7 @@ let mask_scratch t (spec : Plan.join_spec) =
    reads.  [nodes] gives each spec node's tag id, through its row. *)
 let chain_masks_into t (spec : Plan.join_spec) nodes (c : Plan.chain) m =
   let ids = c.Plan.node_ids and nw = t.nw and depths = t.depths and index = t.index in
+  let occ = t.occ in
   let k = Array.length ids in
   let cells = k * depths in
   let acc = 2 * cells * nw and s = t.paths and live = t.live in
@@ -360,21 +379,21 @@ let chain_masks_into t (spec : Plan.join_spec) nodes (c : Plan.chain) m =
   (* forward (i, d): prefix s_0..s_i embeds with s_i at depth d *)
   for i = 0 to k - 1 do
     let id = nodes.(ids.(i)).row.tag and here = i * depths in
-    let ds = occurs t id in
+    let d0 = occ_lo t id and d1 = occ_hi t id in
     if i = 0 then
-      for n = 0 to Array.length ds - 1 do
-        let d = ds.(n) in
+      for n = d0 to d1 - 1 do
+        let d = occ.(n) in
         if (not c.Plan.anchored) || d = 0 then begin
           Array.blit index (at t id d) s ((here + d) * nw) nw;
           mark live (here + d)
         end
       done
     else begin
-      let prev = occurs t nodes.(ids.(i - 1)).row.tag and up = here - depths in
+      let prev = nodes.(ids.(i - 1)).row.tag and up = here - depths in
       match spec.Plan.node_axes.(ids.(i)) with
       | Pattern.Child ->
-          for n = 0 to Array.length ds - 1 do
-            let d = ds.(n) in
+          for n = d0 to d1 - 1 do
+            let d = occ.(n) in
             if
               d > 0
               && is_live live (up + d - 1)
@@ -384,12 +403,12 @@ let chain_masks_into t (spec : Plan.join_spec) nodes (c : Plan.chain) m =
       | Pattern.Descendant ->
           (* [acc]: forward (i - 1) at some depth < d *)
           Array.fill s acc nw 0;
-          let above = ref false and p = ref 0 in
-          for n = 0 to Array.length ds - 1 do
-            let d = ds.(n) in
-            while !p < Array.length prev && prev.(!p) < d do
-              if is_live live (up + prev.(!p)) then begin
-                union_into s acc s ((up + prev.(!p)) * nw) nw;
+          let above = ref false and p = ref (occ_lo t prev) and p1 = occ_hi t prev in
+          for n = d0 to d1 - 1 do
+            let d = occ.(n) in
+            while !p < p1 && occ.(!p) < d do
+              if is_live live (up + occ.(!p)) then begin
+                union_into s acc s ((up + occ.(!p)) * nw) nw;
                 above := true
               end;
               incr p
@@ -402,19 +421,19 @@ let chain_masks_into t (spec : Plan.join_spec) nodes (c : Plan.chain) m =
   (* backward (i, d): suffix s_i..s_{k-1} embeds with s_i at depth d *)
   for i = k - 1 downto 0 do
     let id = nodes.(ids.(i)).row.tag and here = cells + (i * depths) in
-    let ds = occurs t id in
+    let d0 = occ_lo t id and d1 = occ_hi t id in
     if i = k - 1 then
-      for n = 0 to Array.length ds - 1 do
-        let d = ds.(n) in
+      for n = d0 to d1 - 1 do
+        let d = occ.(n) in
         Array.blit index (at t id d) s ((here + d) * nw) nw;
         mark live (here + d)
       done
     else begin
-      let next = occurs t nodes.(ids.(i + 1)).row.tag and down = here + depths in
+      let next = nodes.(ids.(i + 1)).row.tag and down = here + depths in
       match spec.Plan.node_axes.(ids.(i + 1)) with
       | Pattern.Child ->
-          for n = 0 to Array.length ds - 1 do
-            let d = ds.(n) in
+          for n = d0 to d1 - 1 do
+            let d = occ.(n) in
             if
               d + 1 < depths
               && is_live live (down + d + 1)
@@ -424,12 +443,12 @@ let chain_masks_into t (spec : Plan.join_spec) nodes (c : Plan.chain) m =
       | Pattern.Descendant ->
           (* [acc]: backward (i + 1) at some depth > d *)
           Array.fill s acc nw 0;
-          let below = ref false and p = ref (Array.length next - 1) in
-          for n = Array.length ds - 1 downto 0 do
-            let d = ds.(n) in
-            while !p >= 0 && next.(!p) > d do
-              if is_live live (down + next.(!p)) then begin
-                union_into s acc s ((down + next.(!p)) * nw) nw;
+          let below = ref false and p = ref (occ_hi t next - 1) and p0 = occ_lo t next in
+          for n = d1 - 1 downto d0 do
+            let d = occ.(n) in
+            while !p >= p0 && occ.(!p) > d do
+              if is_live live (down + occ.(!p)) then begin
+                union_into s acc s ((down + occ.(!p)) * nw) nw;
                 below := true
               end;
               decr p
@@ -441,10 +460,10 @@ let chain_masks_into t (spec : Plan.join_spec) nodes (c : Plan.chain) m =
   done;
   (* mask i: the OR over depths of forward (i, d) AND backward (i, d) *)
   for i = 0 to k - 1 do
-    let o = m + (i * nw) and ds = occurs t nodes.(ids.(i)).row.tag in
+    let o = m + (i * nw) and id = nodes.(ids.(i)).row.tag in
     Array.fill s o nw 0;
-    for n = 0 to Array.length ds - 1 do
-      let f = (i * depths) + ds.(n) in
+    for n = occ_lo t id to occ_hi t id - 1 do
+      let f = (i * depths) + occ.(n) in
       if is_live live f && is_live live (cells + f) then
         union_inter_into s o s (f * nw) s ((cells + f) * nw) nw
     done
@@ -456,37 +475,48 @@ let chain_masks_into t (spec : Plan.join_spec) nodes (c : Plan.chain) m =
    step (∨_d (∨_{p<d} at(a, p)) ∧ at(b, d)), d ranging over [b]'s
    depths; [s.(acc ..)] accumulates the ∨_{p<d}. *)
 let edge_mask_into t s o ~acc ~(axis : Pattern.axis) a b =
-  let nw = t.nw and index = t.index in
-  let ds = occurs t b in
+  let nw = t.nw and index = t.index and occ = t.occ in
+  let d0 = occ_lo t b and d1 = occ_hi t b in
   Array.fill s o nw 0;
   match axis with
   | Child ->
-      for n = 0 to Array.length ds - 1 do
-        let d = ds.(n) in
+      for n = d0 to d1 - 1 do
+        let d = occ.(n) in
         let up = at t a (d - 1) in
         if up >= 0 then union_inter_into s o index up index (at t b d) nw
       done
   | Descendant ->
-      let above_at = occurs t a in
       Array.fill s acc nw 0;
-      let above = ref false and p = ref 0 in
-      for n = 0 to Array.length ds - 1 do
-        let d = ds.(n) in
-        while !p < Array.length above_at && above_at.(!p) < d do
-          union_into s acc index (at t a above_at.(!p)) nw;
+      let above = ref false and p = ref (occ_lo t a) and p1 = occ_hi t a in
+      for n = d0 to d1 - 1 do
+        let d = occ.(n) in
+        while !p < p1 && occ.(!p) < d do
+          union_into s acc index (at t a occ.(!p)) nw;
           above := true;
           incr p
         done;
         if !above then union_inter_into s o s acc index (at t b d) nw
       done
 
+(* Tag [id]'s row, built on first use. *)
+let row t id =
+  if id < 0 then empty_row
+  else begin
+    let r = t.rows.(id) in
+    if r != unbuilt then r
+    else begin
+      let r = build_row t.flat t.slot id in
+      t.rows.(id) <- r;
+      r
+    end
+  end
+
 (* Every node of [spec] with its tag's whole row. *)
 let start_nodes t (spec : Plan.join_spec) =
   Array.map
     (fun (n : Plan.jnode) ->
-      let id = id_of t n.Plan.tag in
-      let row = if id < 0 then empty_row else Lazy.force t.rows.(id) in
-      { position = n.Plan.position; row; set = full (Array.length row.entries) })
+      let row = row t (id_of t n.Plan.tag) in
+      { position = n.Plan.position; row; set = full (Array.length row.freq) })
     spec.Plan.nodes
 
 (* The path set at [s.(o ..)] as a bitvector. *)
@@ -542,23 +572,27 @@ let chain_prune t node masks o =
     done;
   ignore (restrict c_chain_pruned node s 0)
 
-(* Anchor: keep only the entry (if any) whose pid is [root]. *)
-let anchor t node root =
-  let s = scratch t node.row.words and entries = node.row.entries in
-  for j = 0 to Array.length entries - 1 do
-    if Bitvec.equal entries.(j).pid root then s.(j / slice_bits) <- 1 lsl (j mod slice_bits)
+(* Anchor: keep only the entry (if any) whose pid is the root's, the
+   last of the summary's pid words. *)
+let anchor t node =
+  let f = t.flat and row = node.row in
+  let s = scratch t row.words in
+  let root = (Array.length f.pid_words / f.stride) - 1 in
+  for j = 0 to Array.length row.freq - 1 do
+    if Summary.same_pid f f.slot_pid.(row.lo + j) root then
+      s.(j / slice_bits) <- 1 lsl (j mod slice_bits)
   done;
   ignore (restrict c_anchor_pruned node s 0)
 
 (* Write into [s.(lo .. hi)] the entries of [xs] whose pid holds every
-   path in [bits], the AND of [xs] and those paths' slices in [x];
-   true iff there is one. *)
-let partners s x xs ~lo ~hi bits =
+   path in [bits.(b0 .. b1 - 1)], the AND of [xs] and those paths'
+   slices in [x]; true iff there is one. *)
+let partners s x xs ~lo ~hi bits b0 b1 =
   for i = lo to hi do
     s.(i) <- xs.(i)
   done;
-  let any = ref (lo <= hi) and b = ref 0 in
-  while !any && !b < Array.length bits do
+  let any = ref (lo <= hi) and b = ref b0 in
+  while !any && !b < b1 do
     let k = slice_of x (nth_bit bits !b) in
     if k < 0 then any := false
     else begin
@@ -596,8 +630,12 @@ let visit t x y rel =
     let word = ref ys.(wi) and b = ref 0 in
     while !word <> 0 do
       if !word land 1 <> 0 then begin
-        let e = y.row.entries.((wi * slice_bits) + !b) in
-        if (rel < 0 || meets t.paths rel e.bits) && partners s x.row xs ~lo ~hi e.bits then
+        let j = (wi * slice_bits) + !b in
+        let b0 = y.row.bits_at.(j) and b1 = y.row.bits_at.(j + 1) in
+        if
+          (rel < 0 || meets t.paths rel y.row.bits b0 b1)
+          && partners s x.row xs ~lo ~hi y.row.bits b0 b1
+        then
           for i = lo to hi do
             s.(w + i) <- s.(w + i) lor s.(i)
           done
@@ -678,12 +716,12 @@ let run_uncached t (spec : Plan.join_spec) =
      all-paths vector) on a matching tag can survive. *)
   (match spec.Plan.first_axis with
   | Pattern.Descendant -> ()
-  | Pattern.Child -> anchor t nodes.(0) (Summary.root_pid t.summary));
+  | Pattern.Child -> anchor t nodes.(0));
   Counters.time t_fixpoint (fun () ->
       while visit_edges t nodes 0 false spec.Plan.edges do
         ()
       done);
-  { nodes }
+  { summary = t.summary; nodes }
 
 (* Memoized on the spec's compiled key: a hit is one int lookup. *)
 let exec t (spec : Plan.join_spec) =
@@ -710,14 +748,14 @@ let find result position =
   in
   go 0
 
-(* [f acc e] over the node's surviving entries, in row order. *)
+(* [f acc j] over the node's surviving entries j, in row order. *)
 let fold_survivors f acc node =
   let acc = ref acc in
   Array.iteri
     (fun wi word ->
       let word = ref word and j = ref (wi * slice_bits) in
       while !word <> 0 do
-        if !word land 1 <> 0 then acc := f !acc node.row.entries.(!j);
+        if !word land 1 <> 0 then acc := f !acc !j;
         word := !word lsr 1;
         incr j
       done)
@@ -725,23 +763,29 @@ let fold_survivors f acc node =
   !acc
 
 let pids result position =
-  List.rev (fold_survivors (fun acc e -> (e.pid, e.freq) :: acc) [] (find result position))
+  let node = find result position in
+  let row = node.row and f = Summary.flat result.summary in
+  List.rev
+    (fold_survivors
+       (fun acc j -> (Summary.pid result.summary f.slot_pid.(row.lo + j), row.freq.(j)) :: acc)
+       [] node)
 
 (* [f_Q(n)]: a float loop over the survivors, in row order from 0, so
    no partial sum is boxed. *)
 let frequency result position =
   let node = find result position in
-  let set = node.set and entries = node.row.entries in
+  let set = node.set and freq = node.row.freq in
   let acc = ref 0.0 in
   for wi = 0 to Array.length set - 1 do
     let word = ref set.(wi) and j = ref (wi * slice_bits) in
     while !word <> 0 do
-      if !word land 1 <> 0 then acc := !acc +. entries.(!j).freq;
+      if !word land 1 <> 0 then acc := !acc +. freq.(!j);
       word := !word lsr 1;
       incr j
     done
   done;
   !acc
 
+(* A survivor's row position is its column. *)
 let order_sum result position cell =
-  fold_survivors (fun acc e -> acc +. cell e.pidx) 0.0 (find result position)
+  fold_survivors (fun acc j -> acc +. cell j) 0.0 (find result position)

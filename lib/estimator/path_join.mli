@@ -39,8 +39,12 @@
     keeps all meet it.  The join therefore computes edge masks only
     without chain pruning.
 
-    {b Row sets over path slices.}  A tag's p-histogram row is built
-    once per summary, on first use, and never copied.  With it come
+    {b Row sets over path slices.}  A tag's p-histogram row is its run
+    of slots in the summary's flat arrays ({!Xpest_synopsis.Summary.flat}),
+    read in place: its frequencies and its pids' paths are listed once
+    per summary, on first use, and never copied.  Tag ids are the
+    summary's tag codes, and the depth index is built from its coded
+    paths.  With it come
     its slices: for each path the tag holds, the bitset of row entries
     whose pid holds the path.  A query node is a row set, a bitset over
     its tag's row.  Chain pruning ANDs the set with the OR of the
@@ -118,8 +122,8 @@ val frequency : result -> Xpest_xpath.Pattern.position -> float
 (** [f_Q(n)]: the summed frequency of the surviving pids. *)
 
 val order_sum : result -> Xpest_xpath.Pattern.position -> (int -> float) -> float
-(** [order_sum r n cell]: [cell] summed over the indices
-    ({!Xpest_synopsis.Summary.tag_entries}) of [n]'s surviving pids, in
-    p-histogram order, from 0 — S⃗ of Equation 3 with [cell] a resolved
-    {!Xpest_synopsis.Summary.order_lookup}.
+(** [order_sum r n cell]: [cell] summed over the columns (positions in
+    the tag's row, {!Xpest_synopsis.Summary.tag_pids}) of [n]'s
+    surviving pids, in row order, from 0 — S⃗ of Equation 3 with [cell]
+    a resolved {!Xpest_synopsis.Summary.order_lookup}.
     @raise Invalid_argument if the position is not in the shape. *)

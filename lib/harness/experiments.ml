@@ -5,7 +5,6 @@ module Summary = Xpest_synopsis.Summary
 module Pf_table = Xpest_synopsis.Pf_table
 module Po_table = Xpest_synopsis.Po_table
 module P_histogram = Xpest_synopsis.P_histogram
-module Encoding_table = Xpest_encoding.Encoding_table
 module Labeler = Xpest_encoding.Labeler
 module Pid_tree = Xpest_encoding.Pid_tree
 module Workload = Xpest_workload.Workload
@@ -116,7 +115,7 @@ let table3 envs =
             in
             [
               dsname env;
-              string_of_int (Encoding_table.num_paths (Summary.encoding_table s));
+              string_of_int (Summary.num_paths s);
               string_of_int (Labeler.pid_byte_size labeler);
               string_of_int (Labeler.num_distinct labeler);
               fmt_kb (Summary.encoding_table_bytes s);

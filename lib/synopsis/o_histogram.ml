@@ -118,12 +118,6 @@ let build ~variance ~ntags ~tag_alpha_rank ~pid_order cells =
   done;
   { boxes = List.rev !boxes; col_of_pid; row_of }
 
-let of_boxes ~ntags ~tag_alpha_rank ~pid_order boxes =
-  let col_of_pid = Hashtbl.create 32 in
-  Array.iteri (fun col pid -> Hashtbl.replace col_of_pid pid col) pid_order;
-  let row_of tag region = region_offset ~ntags region + tag_alpha_rank tag in
-  { boxes; col_of_pid; row_of }
-
 let boxes t = t.boxes
 
 (* The first of [boxes] containing cell (x, y). *)
@@ -137,15 +131,5 @@ let lookup t ~pid_index ~other_tag ~region =
   match Hashtbl.find_opt t.col_of_pid pid_index with
   | None -> 0.0
   | Some x -> scan x (t.row_of other_tag region) t.boxes
-
-(* The row's boxes, in box order, picked out once: every lookup on the
-   row then scans only those, and finds the box [lookup] finds. *)
-let row_lookup t ~other_tag ~region =
-  let y = t.row_of other_tag region in
-  let boxes = List.filter (fun b -> y >= b.y_start && y <= b.y_end) t.boxes in
-  fun pid_index ->
-    match Hashtbl.find_opt t.col_of_pid pid_index with
-    | None -> 0.0
-    | Some x -> scan x y boxes
 
 let byte_size t = 20 * List.length t.boxes

@@ -40,28 +40,15 @@ val build :
     [pid_order] are impossible by construction and rejected.
     @raise Invalid_argument if [variance < 0].  Both raises are
     build-time validation: they run when a synopsis is constructed
-    from a document, never on the load/serve path (decoding goes
-    through {!of_boxes} under the wire reader, whose escapes
-    [Synopsis_io.load_typed] classifies as [Corrupt]). *)
+    from a document, never on the load/serve path (a loaded synopsis
+    holds its boxes in {!Summary}'s flat arrays). *)
 
 val boxes : t -> box list
-
-val of_boxes :
-  ntags:int ->
-  tag_alpha_rank:(int -> int) ->
-  pid_order:int array ->
-  box list ->
-  t
-(** Reassemble a histogram from its boxes (for the synopsis codec). *)
 
 val lookup :
   t -> pid_index:int -> other_tag:int -> region:Po_table.region -> float
 (** Estimated cell value: the containing box's average frequency, or 0
     if no box covers the cell. *)
-
-val row_lookup : t -> other_tag:int -> region:Po_table.region -> int -> float
-(** [row_lookup t ~other_tag ~region] picks the boxes of that row once;
-    applied to a pid index it equals {!lookup} and scans only them. *)
 
 val byte_size : t -> int
 (** Modeled storage: 20 bytes per box (five 4-byte fields, the paper's

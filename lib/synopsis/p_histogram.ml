@@ -68,32 +68,6 @@ let build ~variance entries =
   in
   { buckets; by_pid; order }
 
-let bucket_of_parts ~pid_indices ~frequencies =
-  if Array.length pid_indices <> Array.length frequencies then
-    invalid_arg "P_histogram.bucket_of_parts: length mismatch";
-  if Array.length pid_indices = 0 then
-    invalid_arg "P_histogram.bucket_of_parts: empty bucket";
-  {
-    pid_indices;
-    frequencies;
-    avg_frequency =
-      Array.fold_left (fun acc f -> acc +. Float.of_int f) 0.0 frequencies
-      /. Float.of_int (Array.length frequencies);
-  }
-
-let of_buckets buckets =
-  let by_pid = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
-      Array.iter
-        (fun pid -> Hashtbl.replace by_pid pid b.avg_frequency)
-        b.pid_indices)
-    buckets;
-  let order =
-    Array.of_list (List.concat_map (fun b -> Array.to_list b.pid_indices) buckets)
-  in
-  { buckets; by_pid; order }
-
 let build_all ~variance pf =
   List.map
     (fun tag -> (tag, build ~variance (Pf_table.entries pf tag)))

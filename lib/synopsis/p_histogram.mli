@@ -26,17 +26,6 @@ val build_all : variance:float -> Pf_table.t -> (string * t) list
 
 val buckets : t -> bucket list
 
-val bucket_of_parts : pid_indices:int array -> frequencies:int array -> bucket
-(** Reconstruct a bucket (recomputing its average); for the synopsis
-    codec.  @raise Invalid_argument on length mismatch or emptiness.
-    On the serving path this raise is only reachable through the wire
-    reader, where [Synopsis_io.load_typed] classifies the escape as a
-    typed [Corrupt] error instead of letting it propagate. *)
-
-val of_buckets : bucket list -> t
-(** Reassemble a histogram from buckets (for the synopsis codec);
-    bucket order defines the pid order. *)
-
 val frequency : t -> int -> float option
 (** Estimated frequency of a pid index: its bucket's average.  [None]
     if the pid is not in the histogram (the tag never carries it). *)

@@ -48,14 +48,34 @@ val base : t -> base
 val labeler : t -> Xpest_encoding.Labeler.t
 (** @raise Invalid_argument on a loaded synopsis. *)
 
-val encoding_table : t -> Xpest_encoding.Encoding_table.t
-
 val root_pid : t -> Xpest_util.Bitvec.t
 (** Path id of the document root (the all-paths vector); anchors
     absolute [/n1] steps in the path join. *)
 
 val tags : t -> string array
 (** All element tags the synopsis knows, by tag code. *)
+
+val tag_code : t -> string -> int
+(** A tag's code, [-1] for a tag the synopsis does not know: one probe
+    of [by_hash], mostly. *)
+
+val num_paths : t -> int
+(** Distinct root-to-leaf paths: the encoding table's size, and the
+    width of every path id. *)
+
+val paths : t -> string list list
+(** The encoding table's paths in encoding order (encoding 1 first),
+    each root first: what {!Xpest_encoding.Encoding_table.paths} gives
+    for the table the summary was built from. *)
+
+val gap_tags : t -> encoding:int -> anc:string -> desc:string -> string list list
+(** {!Xpest_encoding.Encoding_table.gap_tags} on the summary's path
+    [encoding].  @raise Invalid_argument if the encoding is not in
+    [1 .. num_paths]. *)
+
+val pid : t -> int -> Xpest_util.Bitvec.t
+(** [pid t i] is a copy of path id [i], the one a p-histogram slot
+    names by [i]. *)
 
 val pf_table : base -> Pf_table.t
 val po_table : base -> Po_table.t option
@@ -64,12 +84,9 @@ val o_variance : t -> float
 
 val tag_pids : t -> string -> (Xpest_util.Bitvec.t * float) list
 (** Distinct path ids carried by a tag with their p-histogram
-    frequency estimates — the input rows of the path join.  Empty for
-    unknown tags. *)
-
-val tag_entries : t -> string -> (int * Xpest_util.Bitvec.t * float) list
-(** {!tag_pids}, each pid preceded by its index: the column key
-    {!order_lookup} reads the o-histograms by. *)
+    frequency estimates, in row order (the p-histogram's pid order) —
+    the input rows of the path join.  Empty for unknown tags.  A pid's
+    column is its position here. *)
 
 val tag_total : t -> string -> float
 (** Estimated total frequency of a tag (sum of its pid estimates). *)
@@ -88,9 +105,9 @@ val order_frequency :
 val order_lookup :
   t -> tag:string -> other:string -> region:Po_table.region -> int -> float
 (** [order_lookup t ~tag ~other ~region] resolves [tag]'s o-histogram
-    and [other]'s tag code once; applied to a pid's index (from
-    {!tag_entries}) it gives {!order_frequency} of that pid without
-    hashing it. *)
+    and [other]'s row once; applied to a pid's column (its position in
+    [tag]'s row, {!tag_pids}) it gives {!order_frequency} of that pid,
+    scanning the tag's boxes in place. *)
 
 val p_histogram_buckets : t -> (string * int) list
 (** Bucket count of every tag's p-histogram, sorted by tag — the
@@ -100,6 +117,76 @@ val p_histogram_buckets : t -> (string * int) list
 val o_histogram_boxes : t -> (string * int) list
 (** Box count of every tag's o-histogram, sorted by tag; empty when
     order statistics were not collected. *)
+
+(** {1 The flat core}
+
+    What estimation reads, as one set of arrays per section rather than
+    a structure per tag.  {!assemble} and {!decode} both build it, in
+    the same layout, so a summary and its loaded copy have equal cores.
+    Every array is shared: read it, never write it.
+
+    Tags are named by their code (their slot in [tag_names]); anything
+    kept per tag is an array indexed by code.  [by_name] lists the codes
+    in name order (a tag's position there is its rank), and [by_hash]
+    holds the ranks open-addressed on a hash of the names, at most half
+    full, so a name, even one read in place from a file, finds its code
+    by hashing and mostly one comparison.  Path [e - 1], the one
+    with encoding [e], is [path_tag.(path_start.(e - 1) ..
+    path_start.(e) - 1)], tag codes from the root down.  Path id [i]
+    is the [stride] words of [pid_words] from [i * stride] in
+    {!Xpest_util.Bitvec}'s layout (62 bits a word, bit [b] for the path
+    with encoding [b + 1]); the root's path id follows the last one.
+
+    The p-histograms: tag [c]'s buckets are [p_first.(c) .. p_stop.(c)
+    - 1] ([-1] for both without a p-histogram); bucket [b]'s slots are
+    [bucket_start.(b) .. bucket_start.(b + 1) - 1], each a pid index
+    ([slot_pid]) and its exact frequency ([slot_count]); the bucket's
+    estimate is [bucket_avg.(b)].  A tag's slots are contiguous: they
+    are its row, and a pid's column is its slot less the row's first.
+    The o-histograms: tag [c]'s boxes are [o_first.(c) .. o_stop.(c) -
+    1] ([-1] without one), box [k] covering columns [box_x0.(k) ..
+    box_x1.(k)] and rows [box_y0.(k) .. box_y1.(k)] (row [region *
+    ntags + rank], [rank] the other tag's position in [by_name]) at the
+    average [box_avg.(k)]. *)
+
+type flat = private {
+  p_variance : float;
+  o_variance : float;
+  tag_names : string array;  (** tag code -> name *)
+  by_name : int array;  (** tag codes in name order *)
+  by_hash : int array;  (** ranks hashed on the names, [-1] for empty *)
+  path_start : int array;
+  path_tag : int array;
+  stride : int;
+  pid_words : int array;
+  p_first : int array;
+  p_stop : int array;
+  bucket_start : int array;
+  slot_pid : int array;
+  slot_count : int array;
+  bucket_avg : float array;
+  o_first : int array;
+  o_stop : int array;
+  box_x0 : int array;
+  box_y0 : int array;
+  box_x1 : int array;
+  box_y1 : int array;
+  box_avg : float array;
+}
+
+val flat : t -> flat
+
+val same_pid : flat -> int -> int -> bool
+(** [same_pid f i j]: pids [i] and [j] are equal (the root's is pid
+    [Array.length f.pid_words / f.stride - 1]). *)
+
+val row_start : flat -> int -> int
+(** The first slot of a tag code's row; 0 for a tag without a
+    p-histogram or a negative code. *)
+
+val row_stop : flat -> int -> int
+(** One past the last slot of a tag code's row; 0 as for
+    {!row_start}. *)
 
 (** {1 Memory accounting (modeled bytes, cf. Tables 3-5 and Fig. 9)} *)
 

@@ -47,37 +47,41 @@ let put_bitvec buf v =
 
 (* [pos] indexes [data]; errors report offsets from [base], so a
    reader over a container body in place reads like one over a copy. *)
-type reader = { data : string; mutable pos : int; base : int; context : string }
+type reader = { data : string; mutable pos : int; stop : int; base : int; context : string }
 
-let reader ?(context = "synopsis") data = { data; pos = 0; base = 0; context }
+let reader ?(context = "synopsis") data =
+  { data; pos = 0; stop = String.length data; base = 0; context }
 
 let fail r msg =
   invalid_arg (Printf.sprintf "%s: %s at offset %d" r.context msg (r.pos - r.base))
 
+(* Top-level, so that reading a varint allocates no closure: a summary
+   load reads tens of thousands. *)
+let rec get_varint r shift acc =
+  if shift > 62 then fail r "varint too long";
+  if r.pos >= r.stop then fail r "truncated int";
+  let b = Char.code (String.unsafe_get r.data r.pos) in
+  r.pos <- r.pos + 1;
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else get_varint r (shift + 7) acc
+
+(* Most ints are one byte: read those without the call. *)
 let get_int r =
-  let rec go shift acc =
-    if shift > 62 then fail r "varint too long";
-    if r.pos >= String.length r.data then fail r "truncated int";
-    let b = Char.code r.data.[r.pos] in
-    r.pos <- r.pos + 1;
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+  let pos = r.pos in
+  if pos < r.stop && Char.code (String.unsafe_get r.data pos) < 0x80 then begin
+    r.pos <- pos + 1;
+    Char.code (String.unsafe_get r.data pos)
+  end
+  else get_varint r 0 0
 
 let get_float r =
-  if r.pos + 8 > String.length r.data then fail r "truncated float";
-  let bits = ref 0L in
-  for _ = 1 to 8 do
-    bits :=
-      Int64.logor (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code r.data.[r.pos]));
-    r.pos <- r.pos + 1
-  done;
-  Int64.float_of_bits !bits
+  if r.pos + 8 > r.stop then fail r "truncated float";
+  let f = Int64.float_of_bits (String.get_int64_be r.data r.pos) in
+  r.pos <- r.pos + 8;
+  f
 
 let get_int64 r =
-  if r.pos + 8 > String.length r.data then fail r "truncated int64";
+  if r.pos + 8 > r.stop then fail r "truncated int64";
   let v = ref 0L in
   for _ = 1 to 8 do
     v :=
@@ -89,7 +93,7 @@ let get_int64 r =
 
 let get_string r =
   let n = get_int r in
-  if n < 0 || r.pos + n > String.length r.data then fail r "truncated string";
+  if n < 0 || r.pos + n > r.stop then fail r "truncated string";
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
@@ -98,7 +102,7 @@ let get_string r =
    left is corrupt; checked before [Array.init] allocates the slots. *)
 let get_count r =
   let n = get_int r in
-  if n < 0 || n > String.length r.data - r.pos then fail r "count exceeds the bytes left";
+  if n < 0 || n > r.stop - r.pos then fail r "count exceeds the bytes left";
   n
 
 let get_list r get =
@@ -114,7 +118,7 @@ let get_bitvec r =
   Bitvec.of_packed_string ~width (get_string r)
 
 let expect_end r =
-  if r.pos <> String.length r.data then fail r "trailing bytes"
+  if r.pos <> r.stop then fail r "trailing bytes"
 
 (* ------------------------------------------------------------------ *)
 (* Checksum: FNV-1a 64, applied to the container body so corruption and
@@ -209,7 +213,13 @@ let read_version data =
 (* The body is read and hashed in place: it runs from [header_bytes]
    to the end of the file. *)
 let body_reader data =
-  { data; pos = header_bytes; base = header_bytes; context = "synopsis file" }
+  {
+    data;
+    pos = header_bytes;
+    stop = String.length data;
+    base = header_bytes;
+    context = "synopsis file";
+  }
 
 let stored_checksum data = get_int64_be data (String.length magic + 1)
 let body_checksum data = fnv1a64_from data header_bytes
@@ -240,26 +250,28 @@ let check_version version =
 let checksum_mismatch () =
   invalid_arg "synopsis file: checksum mismatch (corrupted or truncated)"
 
-(* The payloads the section table names, once the checksum has vouched
-   for the body. *)
-let payloads data =
+(* Readers over the payloads the section table names, in place, once
+   the checksum has vouched for the body. *)
+let section_readers ~context (h : header) data =
+  check_version h.version;
+  if not h.checksum_ok then checksum_mismatch ();
   let r = body_reader data in
   let table = read_table r in
-  let sections =
+  let readers =
     List.map
       (fun (name, len) ->
-        if r.pos + len > String.length data then fail r "truncated section";
-        let payload = String.sub data r.pos len in
+        if len < 0 || len > String.length data - r.pos then fail r "truncated section";
+        let section =
+          { data; pos = r.pos; stop = r.pos + len; base = r.pos; context = context name }
+        in
         r.pos <- r.pos + len;
-        (name, payload))
+        (name, section))
       table
   in
   expect_end r;
-  sections
+  readers
 
-let decode_with_header (h : header) data =
-  check_version h.version;
-  if not h.checksum_ok then checksum_mismatch ();
-  payloads data
-
-let decode_container data = decode_with_header (read_header data) data
+let decode_container data =
+  List.map
+    (fun (name, r) -> (name, String.sub data r.pos (r.stop - r.pos)))
+    (section_readers ~context:(fun _ -> "synopsis file") (read_header data) data)

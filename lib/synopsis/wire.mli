@@ -38,13 +38,19 @@ val put_bitvec : Buffer.t -> Xpest_util.Bitvec.t -> unit
     All readers raise [Invalid_argument] with the reader's context and
     byte offset on malformed input. *)
 
-type reader = { data : string; mutable pos : int; base : int; context : string }
-(** [pos] indexes [data]; error messages give offsets from [base]
-    ([0] for {!reader}). *)
+type reader = { data : string; mutable pos : int; stop : int; base : int; context : string }
+(** A reader of [data] from [pos] up to [stop] (exclusive); error
+    messages give offsets from [base] ([0] for {!reader}, which reads
+    the whole string). *)
 
 val reader : ?context:string -> string -> reader
 val fail : reader -> string -> 'a
 val get_int : reader -> int
+
+val get_count : reader -> int
+(** A count of elements that take at least one byte each: fails
+    when it exceeds the bytes left. *)
+
 val get_float : reader -> float
 val get_int64 : reader -> int64
 val get_string : reader -> string
@@ -72,8 +78,7 @@ val encode_container : (string * string) list -> string
 (** Full file bytes for named section payloads, in the given order. *)
 
 val decode_container : string -> (string * string) list
-(** Parse file bytes back to named sections:
-    [decode_with_header (read_header data) data].
+(** Parse file bytes back to named sections, copied out of the bytes.
     @raise Invalid_argument on bad magic, unsupported or legacy
     version, checksum mismatch, or a malformed section table. *)
 
@@ -95,9 +100,12 @@ val read_header : string -> header
     malformed section table.  Hashes the body in place, copying
     nothing. *)
 
-val decode_with_header : header -> string -> (string * string) list
-(** The sections of bytes whose header {!read_header} already
-    produced, without hashing the body a second time: for a caller that
-    inspects the header before decoding.  The checks that
+val section_readers :
+  context:(string -> string) -> header -> string -> (string * reader) list
+(** The sections of bytes whose header {!read_header} already produced,
+    without hashing the body a second time: for a caller that inspects
+    the header before decoding.  Each is a reader over its payload in
+    place, with nothing copied; its offsets count from the section's
+    start, and [context name] names it in its errors.  The checks that
     {!read_header} tolerates (version, checksum) raise here.  The
     header must be the one read from the same bytes. *)

@@ -155,39 +155,69 @@ let of_string s =
 
 let to_string v = String.init v.width (fun i -> if get v i then '1' else '0')
 
-let to_packed_string v =
-  let nbytes = (v.width + 7) / 8 in
-  String.init nbytes (fun byte ->
-      let acc = ref 0 in
-      for bit = 0 to 7 do
-        let i = (byte * 8) + bit in
-        if i < v.width && get v i then acc := !acc lor (1 lsl bit)
-      done;
-      Char.chr !acc)
+(* A flat array of same-width vectors keeps each one's words at a
+   fixed stride, in the layout [t] uses. *)
+let words_for width = max 1 (nwords width)
 
-(* One pass over the bytes, each ORed straight into its word: byte
-   [k] holds bits [8k .. 8k+7], which start at bit [8k mod 62] of word
-   [8k / 62] and spill into the next word when that offset is past 54.
-   Checking the padding first keeps every spilled bit below [width],
-   so the next word exists whenever the spill is non-zero. *)
-let of_packed_string ~width s =
+let of_words ~width words off = { width; words = Array.sub words off (words_for width) }
+let blit_words v words off = Array.blit v.words 0 words off (Array.length v.words)
+
+(* Byte [k] of the packing holds bits [8k .. 8k+7]: they start at bit
+   [8k mod 62] of word [8k / 62] and spill into the next word when
+   that offset is past 54.  Bits past the width are clear in the
+   words, so the padding comes out clear. *)
+let packed_of_words ~width words off =
+  let nw = words_for width in
+  String.init ((width + 7) / 8) (fun byte ->
+      let w = byte * 8 / bits_per_word and o = byte * 8 mod bits_per_word in
+      let v = words.(off + w) lsr o in
+      let v = if w + 1 < nw then v lor (words.(off + w + 1) lsl (bits_per_word - o)) else v in
+      Char.chr (v land 0xff))
+
+let to_packed_string v = packed_of_words ~width:v.width v.words 0
+
+(* Word by word: word [k] holds bits [62k .. 62k + 61], which start at
+   bit [62k mod 8] of byte [62k / 8] and span nine bytes at most, read
+   as one little-endian int64 and the byte after it.  Bytes past the
+   packing are read too when [s] has them, and masked off with the bits
+   past [width]; fewer than eight bytes at the very end of [s] are read
+   one by one.
+   Checking the padding first keeps every bit past [width] clear. *)
+let packed_into ~width s pos words off =
   let nbytes = (width + 7) / 8 in
-  if String.length s <> nbytes then
+  if width mod 8 <> 0 && Char.code s.[pos + nbytes - 1] lsr (width mod 8) <> 0 then false
+  else begin
+    let nw = words_for width in
+    for k = 0 to nw - 1 do
+      let bit = k * bits_per_word in
+      let b = pos + (bit lsr 3) and sh = bit land 7 in
+      let w =
+        if b + 8 <= String.length s then begin
+          let lo = Int64.to_int (Int64.shift_right_logical (String.get_int64_le s b) sh) in
+          if sh > 2 && b + 8 < String.length s then
+            lo lor (Char.code (String.unsafe_get s (b + 8)) lsl (64 - sh))
+          else lo
+        end
+        else begin
+          let v = ref 0 in
+          for i = pos + nbytes - 1 downto b do
+            v := (!v lsl 8) lor Char.code s.[i]
+          done;
+          !v lsr sh
+        end
+      in
+      let keep = if k = nw - 1 then (1 lsl (width - bit)) - 1 else word_mask in
+      words.(off + k) <- w land keep
+    done;
+    true
+  end
+
+let of_packed_string ~width s =
+  if String.length s <> (width + 7) / 8 then
     invalid_arg "Bitvec.of_packed_string: length mismatch";
-  (* padding bits beyond [width] must be clear *)
-  if width mod 8 <> 0 && Char.code s.[nbytes - 1] lsr (width mod 8) <> 0 then
-    invalid_arg "Bitvec.of_packed_string: nonzero padding bits";
   let v = zero width in
-  let words = v.words in
-  for byte = 0 to nbytes - 1 do
-    let b = Char.code (String.unsafe_get s byte) in
-    if b <> 0 then begin
-      let w = byte * 8 / bits_per_word and off = byte * 8 mod bits_per_word in
-      words.(w) <- words.(w) lor ((b lsl off) land word_mask);
-      let spill = b lsr (bits_per_word - off) in
-      if spill <> 0 then words.(w + 1) <- words.(w + 1) lor spill
-    end
-  done;
+  if not (packed_into ~width s 0 v.words 0) then
+    invalid_arg "Bitvec.of_packed_string: nonzero padding bits";
   v
 
 let byte_size v = max 1 ((v.width + 7) / 8)

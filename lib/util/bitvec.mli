@@ -108,6 +108,35 @@ val of_packed_string : width:int -> string -> t
     @raise Invalid_argument if the string length is not
     [ceil (width / 8)] or padding bits are set. *)
 
+(** {1 Flat arrays of vectors}
+
+    A vector of width [w] is [words_for w] words of 62 bits, bit [i]
+    at bit [i mod 62] of word [i / 62], with the bits past [w] clear.
+    These functions read and write that layout in an int array the
+    caller owns, so many vectors of one width can share one block. *)
+
+val words_for : int -> int
+(** [words_for w] is the number of words a vector of width [w] takes
+    (at least 1): the stride of a flat array of such vectors. *)
+
+val of_words : width:int -> int array -> int -> t
+(** [of_words ~width words off] copies the vector whose words start at
+    [words.(off)]. *)
+
+val blit_words : t -> int array -> int -> unit
+(** [blit_words v words off] writes [v]'s words to [words.(off ..)]. *)
+
+val packed_of_words : width:int -> int array -> int -> string
+(** {!to_packed_string} of the vector whose words start at
+    [words.(off)]. *)
+
+val packed_into : width:int -> string -> int -> int array -> int -> bool
+(** [packed_into ~width s pos words off] ORs the [ceil (width / 8)]
+    packed bytes of [s] from [pos] (as {!to_packed_string} writes them)
+    into the zeroed words from [words.(off)].  False, writing nothing,
+    if a padding bit is set.  The caller checks that the bytes and the
+    words exist. *)
+
 val byte_size : t -> int
 (** Number of bytes needed to store the vector on disk:
     [ceil (width / 8)], with a 1-byte minimum.  Used for the memory

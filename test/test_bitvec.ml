@@ -152,6 +152,36 @@ let prop_packed_decode =
            (List.init width Fun.id)
       && Bitvec.to_packed_string v = s)
 
+(* The flat-array codec: a vector packed in place amid other bytes
+   (the synopsis decoder reads path ids inside the whole file) unpacks
+   at a word offset to the same vector, whatever bytes follow, and packs
+   back to the same bytes. *)
+let prop_packed_in_place =
+  QCheck.Test.make ~name:"packed_into amid other bytes = of_packed_string" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (oneof [ int_range 1 200; oneofl [ 61; 62; 63; 64; 124; 222 ] ])
+           (string_size ~gen:char (int_bound 9))
+           (string_size ~gen:char (int_bound 9))
+         >>= fun (w, before, after) ->
+         let nbytes = (w + 7) / 8 in
+         string_size ~gen:char (return nbytes) >|= fun s ->
+         let b = Bytes.of_string s in
+         if w mod 8 <> 0 then
+           Bytes.set b (nbytes - 1)
+             (Char.chr (Char.code s.[nbytes - 1] land ((1 lsl (w mod 8)) - 1)));
+         (w, before, Bytes.to_string b, after))
+       ~print:(fun (w, a, s, b) -> Printf.sprintf "width %d, %S ^ %S ^ %S" w a s b))
+    (fun (width, before, s, after) ->
+      let stride = Bitvec.words_for width in
+      let words = Array.make (3 * stride) 0 in
+      Bitvec.packed_into ~width (before ^ s ^ after) (String.length before) words stride
+      && Array.for_all (( = ) 0) (Array.sub words 0 stride)
+      && Array.for_all (( = ) 0) (Array.sub words (2 * stride) stride)
+      && Bitvec.equal (Bitvec.of_words ~width words stride) (Bitvec.of_packed_string ~width s)
+      && Bitvec.packed_of_words ~width words stride = s)
+
 let prop_lex_compare =
   QCheck.Test.make ~name:"lex_compare = bit-string order" ~count:500
     arb_pair_same_width (fun (a, b) ->
@@ -234,6 +264,7 @@ let () =
             prop_roundtrip;
             prop_packed_roundtrip;
             prop_packed_decode;
+            prop_packed_in_place;
             prop_lex_compare;
             prop_set_bits_sorted;
             prop_set_bit_walk;

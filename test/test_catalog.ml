@@ -350,28 +350,31 @@ let test_retired_estimator_still_serves () =
   let st : Catalog.stats = Catalog.stats cat in
   Alcotest.(check int) "three loads (k1, k2, k1 again)" 3 st.Catalog.loads
 
-(* A load promotes the summary it installs: the load, not some later
-   request, pays for copying it out of the minor heap.  The minor heap
-   is emptied first and the summary is built before the acquire, so
-   the acquire alone allocates far too little to fill it. *)
-let test_load_promotes () =
-  let k = key "ssplays" 0.0 in
-  ignore (summary_for k);
-  let cat = Catalog.create_r ~loader () in
-  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+(* A load leaves little in the minor heap for a later request to copy
+   out: the summary's sections and the join's index are a few flat
+   arrays, and any block over 256 words is allocated in the major heap
+   directly.  The words promoted across one acquire of an XMark 0.05
+   summary decoded from its bytes, and a minor collection after it,
+   stay within a budget (a summary of small blocks promoted ~76k). *)
+let test_load_leaves_little_to_promote () =
+  let bytes =
+    Summary.encode (Summary.build (Registry.generate ~scale:0.05 Registry.Xmark))
+  in
+  let k = key "xmark" 0.0 in
+  let cat = Catalog.create_r ~loader:(fun _ -> Ok (Summary.decode bytes)) () in
+  let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
   let acquire () =
     match Catalog.acquire_r cat k with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "acquire: %s" (Xpest_util.Xpest_error.to_string e)
   in
   Gc.minor ();
-  let before = minors () in
+  let before = promoted () in
   acquire ();
-  Alcotest.(check bool) "a load runs a minor collection" true (minors () > before);
   Gc.minor ();
-  let before = minors () in
+  let words = int_of_float (promoted () -. before) in
+  if words > 4000 then Alcotest.failf "a load promoted %d words (budget 4000)" words;
   acquire ();
-  Alcotest.(check int) "a resident hit runs none" before (minors ());
   Alcotest.(check int) "one load" 1 (Catalog.stats cat).Catalog.loads
 
 (* ------------------------------------------------------------------ *)
@@ -541,8 +544,8 @@ let () =
             test_thrash_trace;
           Alcotest.test_case "retired estimator still serves" `Quick
             test_retired_estimator_still_serves;
-          Alcotest.test_case "a load promotes its summary" `Quick
-            test_load_promotes;
+          Alcotest.test_case "a load leaves little to promote" `Quick
+            test_load_leaves_little_to_promote;
           Alcotest.test_case "byte-budgeted residency" `Quick test_byte_budget;
           Alcotest.test_case "pinning" `Quick test_pinning;
         ]

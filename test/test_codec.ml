@@ -158,6 +158,65 @@ let test_pinned_accounting () =
         (Summary.total_bytes loaded))
     pinned
 
+(* The modeled sizes behind Tables 3-5 and Figures 9 and 11, and the
+   per-tag histogram counts [synopsis info] reports, pinned for built
+   and loaded summaries: the representation of the summary may change,
+   the paper-table replication may not.  A count list is pinned by its
+   tag count, its total and the MD5 of its "tag:n;..." rendering. *)
+let pinned_model =
+  [
+    (* source, v, p bytes, o bytes, encoding table bytes, pid tree bytes,
+       p-histogram buckets, o-histogram boxes *)
+    ( "ssplays", 0.0, 412, 4280, 1177, 405,
+      (21, 49, "209ff05548616a6ccb8337243eca5e7b"),
+      (21, 214, "28f42a68f6daa42ebfafb8a34fe00f9f") );
+    ( "ssplays", 2.0, 334, 3480, 1177, 405,
+      (21, 36, "3915e832f8c141cfc89b03ba23fe9dce"),
+      (21, 174, "94b394a0bb8fdbb8161018c79ecb8e23") );
+    ( "dblp", 0.0, 1114, 32240, 2172, 2490,
+      (31, 138, "db6d950cce32f64f0fcd0e45cb68c96b"),
+      (31, 1612, "cf00ad5c6e7695560d935fbac02ae922") );
+    ( "dblp", 2.0, 1000, 26260, 2172, 2490,
+      (31, 119, "052d4548d182a6e91f6846aaf4176e18"),
+      (31, 1313, "3bc0dd1627ca37c6200dd039860552fe") );
+    ( "xmark", 0.0, 3622, 25620, 13423, 14780,
+      (74, 226, "694a96a3601485ef4f4e3b57cfab13e7"),
+      (74, 1281, "d191d8b63ed1326cbfaa0a16640ba219") );
+    ( "xmark", 2.0, 2842, 15200, 13423, 14780,
+      (74, 96, "cedd87a180762a3c9b3d1a3ef41585ee"),
+      (74, 760, "c47b14638034674bd31ccdca08968642") );
+  ]
+
+let counts l =
+  ( List.length l,
+    List.fold_left (fun acc (_, n) -> acc + n) 0 l,
+    Digest.to_hex
+      (Digest.string (String.concat ";" (List.map (fun (t, n) -> Printf.sprintf "%s:%d" t n) l))) )
+
+let test_pinned_model () =
+  List.iter
+    (fun (source, v, p, o, enc, tree, buckets, boxes) ->
+      let built = Summary.assemble ~p_variance:v ~o_variance:v (base_of source) in
+      let loaded = Summary.decode (Summary.encode built) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s v=%g: decode gives the assembled core" source v)
+        true
+        (Summary.flat built = Summary.flat loaded);
+      List.iter
+        (fun (side, s) ->
+          let label what = Printf.sprintf "%s v=%g %s: %s" source v side what in
+          let triple = Alcotest.(triple int int string) in
+          Alcotest.(check int) (label "p_histogram_bytes") p (Summary.p_histogram_bytes s);
+          Alcotest.(check int) (label "o_histogram_bytes") o (Summary.o_histogram_bytes s);
+          Alcotest.(check int) (label "encoding_table_bytes") enc (Summary.encoding_table_bytes s);
+          Alcotest.(check int) (label "pid_tree_bytes") tree (Summary.pid_tree_bytes s);
+          Alcotest.check triple (label "p_histogram_buckets") buckets
+            (counts (Summary.p_histogram_buckets s));
+          Alcotest.check triple (label "o_histogram_boxes") boxes
+            (counts (Summary.o_histogram_boxes s)))
+        [ ("built", built); ("loaded", loaded) ])
+    pinned_model
+
 let test_document_accessors_raise () =
   let summary = Summary.build Paper_fixture.doc in
   with_roundtrip summary (fun loaded ->
@@ -236,6 +295,8 @@ let () =
             test_roundtrip_on_generated_dataset;
           Alcotest.test_case "FNV-1a 64 known answers" `Quick
             test_fnv_known_answers;
+          Alcotest.test_case "pinned modeled bytes and histogram counts" `Quick
+            test_pinned_model;
           Alcotest.test_case "pinned checksums and accounting" `Quick
             test_pinned_accounting;
         ] );

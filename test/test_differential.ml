@@ -71,7 +71,7 @@ let recursion_free summary =
         | [ _ ] | [] -> true
       in
       no_dup sorted)
-    (Xpest_encoding.Encoding_table.paths (Summary.encoding_table summary))
+    (Summary.paths summary)
 
 let check_invariants ~label ~exact est items =
   let simple_checked = ref 0 in

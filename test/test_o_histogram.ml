@@ -154,24 +154,6 @@ let prop_boxes_disjoint =
       done;
       !ok)
 
-(* A row resolved once answers every cell of the row as [lookup]
-   does, covered or not, at any variance. *)
-let prop_row_lookup_agrees =
-  QCheck.Test.make ~name:"row_lookup = lookup on every cell" ~count:400 arb_cells
-    (fun (cells, v) ->
-      let h = build_wide ~variance:v cells in
-      List.for_all
-        (fun region ->
-          List.for_all
-            (fun other_tag ->
-              let row = O_histogram.row_lookup h ~other_tag ~region in
-              List.for_all
-                (fun pid_index ->
-                  row pid_index = O_histogram.lookup h ~pid_index ~other_tag ~region)
-                [ -1; 0; 1; 2; 3; 4; 5 ])
-            [ 0; 1; 2 ])
-        [ Po_table.Before; Po_table.After ])
-
 let prop_memory_bounds =
   (* Greedy 2-D boxing is not nested across variances, so memory is
      not strictly monotone; but an unbounded variance can never need
@@ -206,6 +188,5 @@ let () =
             prop_all_cells_covered;
             prop_boxes_disjoint;
             prop_memory_bounds;
-          ]
-        @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x0b0c5 |]) prop_row_lookup_agrees ] );
+          ] );
     ]

@@ -266,7 +266,7 @@ module Reference = struct
   (* The rows the fixpoint starts from: chain pruning (if on), then
      the anchor. *)
   let seed ~chain_pruning summary (spec : Plan.join_spec) =
-    let table = Summary.encoding_table summary in
+    let table = Encoding_table.of_paths (Summary.paths summary) in
     let rows =
       Array.map (fun (n : Plan.jnode) -> Summary.tag_pids summary n.Plan.tag) spec.Plan.nodes
     in
@@ -288,7 +288,7 @@ module Reference = struct
   (* The whole join with per-bit pruning and pairwise containment:
      chains, anchor, fixpoint. *)
   let run ~chain_pruning summary (spec : Plan.join_spec) =
-    let table = Summary.encoding_table summary in
+    let table = Encoding_table.of_paths (Summary.paths summary) in
     let rows = seed ~chain_pruning summary spec in
     let changed = ref true in
     while !changed do
@@ -339,7 +339,7 @@ let bits_of_row row =
 
 let test_masks_match_per_bit_rules name () =
   let summary = Summary.build (Registry.generate ~scale:0.05 name) in
-  let table = Summary.encoding_table summary in
+  let table = Encoding_table.of_paths (Summary.paths summary) in
   let join = Path_join.create summary in
   let ablated = Path_join.create ~chain_pruning:false summary in
   let specs = workload_specs (Summary.doc summary) in
@@ -482,14 +482,14 @@ let test_uncached_join_allocation () =
   let worst = ref 0 in
   List.iter
     (fun (spec : Plan.join_spec) ->
-      (* the result: its record, its node array, and per node a record
-         and a row set of one word per 62 row entries *)
+      (* the result: its record of two fields, its node array, and per
+         node a record and a row set of one word per 62 row entries *)
       let result_words =
         Array.fold_left
           (fun acc (n : Plan.jnode) ->
             let w = (List.length (Summary.tag_pids summary n.Plan.tag) + 61) / 62 in
             acc + 4 + if w > 0 then w + 1 else 0)
-          (3 + Array.length spec.Plan.nodes)
+          (4 + Array.length spec.Plan.nodes)
           spec.Plan.nodes
       in
       let before = Gc.minor_words () in

@@ -3,6 +3,8 @@ module Bitvec = Xpest_util.Bitvec
 module Summary = Xpest_synopsis.Summary
 module Pf_table = Xpest_synopsis.Pf_table
 module Po_table = Xpest_synopsis.Po_table
+module P_histogram = Xpest_synopsis.P_histogram
+module O_histogram = Xpest_synopsis.O_histogram
 
 let doc = Paper_fixture.doc
 let base = Summary.collect doc
@@ -36,15 +38,15 @@ let test_order_frequency () =
     (Summary.order_frequency summary ~tag:"Z" ~pid:p5 ~other:"C"
        ~region:Po_table.After)
 
-(* A pid's index from [tag_entries] reads the same o-histogram cells
-   as the pid itself, through an [order_lookup] resolved once. *)
-let test_order_lookup_by_index () =
+(* A pid's column, its position in [tag_pids], reads the same
+   o-histogram cells as the pid itself, through an [order_lookup]
+   resolved once. *)
+let test_order_lookup_by_column () =
   let tags = Array.to_list (Summary.tags summary) in
   List.iter
     (fun tag ->
-      List.iter
-        (fun (idx, pid, f) ->
-          Alcotest.(check bool) "same row" true (List.mem (pid, f) (Summary.tag_pids summary tag));
+      List.iteri
+        (fun column (pid, _) ->
           List.iter
             (fun other ->
               List.iter
@@ -52,20 +54,68 @@ let test_order_lookup_by_index () =
                   Alcotest.(check (float 0.0))
                     (Printf.sprintf "%s %s %s" tag (Bitvec.to_string pid) other)
                     (Summary.order_frequency summary ~tag ~pid ~other ~region)
-                    (Summary.order_lookup summary ~tag ~other ~region idx))
+                    (Summary.order_lookup summary ~tag ~other ~region column))
                 [ Po_table.Before; Po_table.After ])
             ("Z" :: tags))
-        (Summary.tag_entries summary tag))
+        (Summary.tag_pids summary tag))
     ("Z" :: tags);
   Alcotest.(check (float 0.0)) "B(p5) after C = 2" 2.0
     (Summary.order_lookup summary ~tag:"B" ~other:"C" ~region:Po_table.After
-       (match
-          List.find_opt
-            (fun (_, pid, _) -> Bitvec.to_string pid = Paper_fixture.p5)
-            (Summary.tag_entries summary "B")
-        with
-       | Some (idx, _, _) -> idx
-       | None -> Alcotest.fail "p5 not in B's row"))
+       (let rec column i = function
+          | [] -> Alcotest.fail "p5 not in B's row"
+          | (pid, _) :: rest ->
+              if Bitvec.to_string pid = Paper_fixture.p5 then i else column (i + 1) rest
+        in
+        column 0 (Summary.tag_pids summary "B")))
+
+(* The flat o-histograms answer every cell (every column, every other
+   tag, both regions, and columns and tags outside the grid) as the
+   builder's own lookup does on the histograms [assemble] builds, for a
+   summary and its loaded copy, at two variances. *)
+let test_order_lookup_matches_builder () =
+  let module Registry = Xpest_datasets.Registry in
+  let base = Summary.collect (Registry.generate ~scale:0.02 Registry.Xmark) in
+  let pf = Summary.pf_table base in
+  let po = Option.get (Summary.po_table base) in
+  List.iter
+    (fun v ->
+      let built = Summary.assemble ~p_variance:v ~o_variance:v base in
+      let loaded = Summary.decode (Summary.encode built) in
+      let tags = Summary.tags built in
+      let ntags = Array.length tags in
+      let sorted = Array.copy tags in
+      Array.sort String.compare sorted;
+      let rank code =
+        let rec go r = if String.equal sorted.(r) tags.(code) then r else go (r + 1) in
+        go 0
+      in
+      Array.iter
+        (fun tag ->
+          let order =
+            P_histogram.pid_order (P_histogram.build ~variance:v (Pf_table.entries pf tag))
+          in
+          let h =
+            O_histogram.build ~variance:v ~ntags ~tag_alpha_rank:rank ~pid_order:order
+              (Po_table.cells po tag)
+          in
+          for other = 0 to ntags - 1 do
+            List.iter
+              (fun region ->
+                let cell s = Summary.order_lookup s ~tag ~other:tags.(other) ~region in
+                let on_built = cell built and on_loaded = cell loaded in
+                for column = -1 to Array.length order do
+                  let expected =
+                    if column < 0 || column = Array.length order then 0.0
+                    else O_histogram.lookup h ~pid_index:order.(column) ~other_tag:other ~region
+                  in
+                  let label = Printf.sprintf "v=%g %s col %d %s" v tag column tags.(other) in
+                  Alcotest.(check (float 0.0)) (label ^ " built") expected (on_built column);
+                  Alcotest.(check (float 0.0)) (label ^ " loaded") expected (on_loaded column)
+                done)
+              [ Po_table.Before; Po_table.After ]
+          done)
+        tags)
+    [ 0.0; 2.0 ]
 
 let test_without_order () =
   let s = Summary.assemble (Summary.without_order base) in
@@ -124,6 +174,8 @@ let () =
             test_variance_shrinks_memory;
           Alcotest.test_case "variance 0 is exact" `Quick
             test_estimates_at_variance0_are_exact_frequencies;
-          Alcotest.test_case "order_lookup by pid index" `Quick test_order_lookup_by_index;
+          Alcotest.test_case "order_lookup by column" `Quick test_order_lookup_by_column;
+          Alcotest.test_case "order_lookup = O_histogram.lookup" `Quick
+            test_order_lookup_matches_builder;
         ] );
     ]

@@ -711,6 +711,260 @@ let prop_health_fuzz =
           no_internal "health"
             (Array.to_list (Catalog.estimate_batch_r cat (fuzz_pairs ()))))
 
+(* ------------------------------------------------------------------ *)
+(* Cross-section checks behind a re-stamped checksum.                  *)
+
+(* The sections of [tiny_bytes], read back as values and re-encoded
+   after one edit: the container stamps the checksum of the new body,
+   so only the decoder's own checks stand between the file and an
+   [Ok] load.  The readers mirror the synopsis codec. *)
+let read_phist payload =
+  let r = Wire.reader payload in
+  let n = Wire.get_int r in
+  let entries =
+    List.init n (fun _ ->
+        let tag = Wire.get_string r in
+        let buckets =
+          Wire.get_list r (fun r ->
+              let pids = Wire.get_array r Wire.get_int in
+              (pids, Wire.get_array r Wire.get_int))
+        in
+        (tag, buckets))
+  in
+  Wire.expect_end r;
+  entries
+
+let write_phist entries =
+  let buf = Buffer.create 1024 in
+  Wire.put_int buf (List.length entries);
+  List.iter
+    (fun (tag, buckets) ->
+      Wire.put_string buf tag;
+      Wire.put_list buf
+        (fun buf (pids, freqs) ->
+          Wire.put_array buf Wire.put_int pids;
+          Wire.put_array buf Wire.put_int freqs)
+        buckets)
+    entries;
+  Buffer.contents buf
+
+(* (tag, pid order, boxes as (x0, y0, x1, y1, average)) *)
+let read_ohist payload =
+  let r = Wire.reader payload in
+  let n = Wire.get_int r in
+  let entries =
+    List.init n (fun _ ->
+        let tag = Wire.get_string r in
+        let order = Wire.get_array r Wire.get_int in
+        let boxes =
+          Wire.get_list r (fun r ->
+              let x0 = Wire.get_int r in
+              let y0 = Wire.get_int r in
+              let x1 = Wire.get_int r in
+              let y1 = Wire.get_int r in
+              (x0, y0, x1, y1, Wire.get_float r))
+        in
+        (tag, order, boxes))
+  in
+  Wire.expect_end r;
+  entries
+
+let write_ohist entries =
+  let buf = Buffer.create 1024 in
+  Wire.put_int buf (List.length entries);
+  List.iter
+    (fun (tag, order, boxes) ->
+      Wire.put_string buf tag;
+      Wire.put_array buf Wire.put_int order;
+      Wire.put_list buf
+        (fun buf (x0, y0, x1, y1, f) ->
+          List.iter (Wire.put_int buf) [ x0; y0; x1; y1 ];
+          Wire.put_float buf f)
+        boxes)
+    entries;
+  Buffer.contents buf
+
+let tiny_sections () = Wire.decode_container (Lazy.force tiny_bytes)
+
+let with_section name payload =
+  Wire.encode_container
+    (List.map (fun (n, p) -> (n, if n = name then payload else p)) (tiny_sections ()))
+
+let expect_corrupt label bytes ~section ~reason =
+  match load_typed_of bytes with
+  | Error (E.Corrupt { section = s; reason = r; _ }) ->
+      Alcotest.(check string) (label ^ ": section") section s;
+      Alcotest.(check bool) (Printf.sprintf "%s: reason (%s)" label r) true (contains ~sub:reason r)
+  | Ok _ -> Alcotest.failf "%s: loaded" label
+  | Error e -> Alcotest.failf "%s: wrong class %s" label (E.to_string e)
+
+(* The readers and writers above are faithful: unedited, they give the
+   file back byte for byte. *)
+let test_section_codecs_faithful () =
+  let sections = tiny_sections () in
+  Alcotest.(check string) "p_histograms"
+    (List.assoc "p_histograms" sections)
+    (write_phist (read_phist (List.assoc "p_histograms" sections)));
+  Alcotest.(check string) "o_histograms"
+    (List.assoc "o_histograms" sections)
+    (write_ohist (read_ohist (List.assoc "o_histograms" sections)))
+
+let test_path_tag_outside_vocabulary () =
+  let paths =
+    Wire.get_list (Wire.reader (List.assoc "encoding_table" (tiny_sections ()))) (fun r ->
+        Wire.get_list r Wire.get_string)
+  in
+  let buf = Buffer.create 1024 in
+  Wire.put_list buf
+    (fun buf path -> Wire.put_list buf Wire.put_string path)
+    (match paths with p :: rest -> (p @ [ "NOT-A-TAG" ]) :: rest | [] -> []);
+  expect_corrupt "path tag" (with_section "encoding_table" (Buffer.contents buf))
+    ~section:"encoding_table" ~reason:"not in the tag vocabulary"
+
+let test_duplicate_histogram_tag () =
+  let sections = tiny_sections () in
+  let p = read_phist (List.assoc "p_histograms" sections) in
+  expect_corrupt "p-histogram" (with_section "p_histograms" (write_phist (List.hd p :: p)))
+    ~section:"p_histograms" ~reason:"duplicate p-histogram tag";
+  let o = read_ohist (List.assoc "o_histograms" sections) in
+  expect_corrupt "o-histogram" (with_section "o_histograms" (write_ohist (List.hd o :: o)))
+    ~section:"o_histograms" ~reason:"duplicate o-histogram tag"
+
+(* The o-histogram's columns are its tag's p-histogram row: a column
+   order with two pids swapped, one dropped, or one foreign is not. *)
+let test_o_order_disagrees () =
+  let o = read_ohist (List.assoc "o_histograms" (tiny_sections ())) in
+  let edit f =
+    let rec go = function
+      | [] -> Alcotest.fail "no tag with two pids"
+      | (tag, order, boxes) :: rest when Array.length order >= 2 -> (tag, f order, boxes) :: rest
+      | e :: rest -> e :: go rest
+    in
+    write_ohist (go o)
+  in
+  List.iter
+    (fun (label, f) ->
+      expect_corrupt label (with_section "o_histograms" (edit f)) ~section:"o_histograms"
+        ~reason:"pid order differs")
+    [
+      ( "swapped",
+        fun a ->
+          let a = Array.copy a in
+          let x = a.(0) in
+          a.(0) <- a.(1);
+          a.(1) <- x;
+          a );
+      ("dropped", fun a -> Array.sub a 1 (Array.length a - 1));
+      ("foreign", fun a -> Array.append a [| 0 |]);
+    ]
+
+(* Boxes lie in the column x [2 * ntags] grid, start <= end. *)
+let test_box_outside_grid () =
+  let sections = tiny_sections () in
+  let ntags =
+    Array.length (Wire.get_array (Wire.reader (List.assoc "tags" sections)) Wire.get_string)
+  in
+  let o = read_ohist (List.assoc "o_histograms" sections) in
+  let edit f =
+    let rec go = function
+      | [] -> Alcotest.fail "no o-histogram with a box"
+      | (tag, order, b :: boxes) :: rest -> (tag, order, f (Array.length order) b :: boxes) :: rest
+      | e :: rest -> e :: go rest
+    in
+    write_ohist (go o)
+  in
+  List.iter
+    (fun (label, f) ->
+      expect_corrupt label (with_section "o_histograms" (edit f)) ~section:"o_histograms"
+        ~reason:"box outside its grid")
+    [
+      ("column past the row", fun ncols (x0, y0, _, y1, f) -> (x0, y0, ncols, y1, f));
+      ("row past 2 * ntags", fun _ (x0, y0, x1, _, f) -> (x0, y0, x1, 2 * ntags, f));
+      ("x start > end", fun _ (_, y0, x1, y1, f) -> (x1 + 1, y0, x1, y1, f));
+      ("y start > end", fun _ (x0, _, x1, y1, f) -> (x0, y1 + 1, x1, y1, f));
+    ]
+
+let test_duplicate_pids () =
+  let r = Wire.reader (List.assoc "path_ids" (tiny_sections ())) in
+  let pids = Wire.get_array r Wire.get_bitvec in
+  let root = Wire.get_bitvec r in
+  let buf = Buffer.create 1024 in
+  Wire.put_array buf Wire.put_bitvec (Array.mapi (fun i p -> if i = 1 then pids.(0) else p) pids);
+  Wire.put_bitvec buf root;
+  expect_corrupt "pid 1 = pid 0" (with_section "path_ids" (Buffer.contents buf))
+    ~section:"path_ids" ~reason:"duplicate path ids"
+
+(* The other references the flat core indexes by: histogram tags in
+   the vocabulary, a vocabulary without duplicates, one slot per pid in
+   a row, and pids as wide as the path count. *)
+let test_other_cross_section_checks () =
+  let module Bitvec = Xpest_util.Bitvec in
+  let sections = tiny_sections () in
+  let p = read_phist (List.assoc "p_histograms" sections) in
+  expect_corrupt "p-histogram tag"
+    (with_section "p_histograms" (write_phist (p @ [ ("~NOT-A-TAG", []) ])))
+    ~section:"p_histograms" ~reason:"not in the tag vocabulary";
+  let relist = function
+    | (tag, (pids, freqs) :: buckets) :: rest ->
+        (tag, (Array.append pids [| pids.(0) |], Array.append freqs [| freqs.(0) |]) :: buckets)
+        :: rest
+    | _ -> Alcotest.fail "no p-histogram bucket"
+  in
+  expect_corrupt "pid listed twice" (with_section "p_histograms" (write_phist (relist p)))
+    ~section:"p_histograms" ~reason:"pid listed twice";
+  let o = read_ohist (List.assoc "o_histograms" sections) in
+  expect_corrupt "o-histogram tag"
+    (with_section "o_histograms" (write_ohist (o @ [ ("~NOT-A-TAG", [||], []) ])))
+    ~section:"o_histograms" ~reason:"not in the tag vocabulary";
+  let tags = Wire.get_array (Wire.reader (List.assoc "tags" sections)) Wire.get_string in
+  let buf = Buffer.create 256 in
+  Wire.put_array buf Wire.put_string (Array.append tags [| tags.(0) |]);
+  expect_corrupt "vocabulary" (with_section "tags" (Buffer.contents buf)) ~section:"tags"
+    ~reason:"duplicate tag";
+  let r = Wire.reader (List.assoc "path_ids" sections) in
+  let pids = Wire.get_array r Wire.get_bitvec in
+  let root = Wire.get_bitvec r in
+  let widen v =
+    Bitvec.of_bits (Array.init (Bitvec.width v + 1) (fun i -> i < Bitvec.width v && Bitvec.get v i))
+  in
+  let buf = Buffer.create 1024 in
+  Wire.put_array buf Wire.put_bitvec (Array.map widen pids);
+  Wire.put_bitvec buf (widen root);
+  expect_corrupt "pid width" (with_section "path_ids" (Buffer.contents buf)) ~section:"path_ids"
+    ~reason:"width differs from the path count"
+
+(* Every body byte of the SSPlays 0.01 summary, set to three other
+   values behind a re-stamped checksum: each file loads to a typed error
+   or to a summary whose six fixed queries never answer [Internal].
+   Deterministic and exhaustive where the qcheck property samples. *)
+let test_single_byte_sweep () =
+  let bytes = Lazy.force tiny_bytes in
+  let queries = Lazy.force fuzz_queries in
+  let io b = { Fault.Io.default with read_file = (fun _ -> b) } in
+  let loaded = ref 0 in
+  for pos = Wire.header_bytes to String.length bytes - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string bytes in
+        Bytes.set b pos (Char.chr (Char.code bytes.[pos] lxor mask));
+        let mutated = restamp (Bytes.to_string b) in
+        match Synopsis_io.load_typed ~io:(io mutated) "sweep" with
+        | Error _ -> ()
+        | Ok summary ->
+            incr loaded;
+            let est = Estimator.create summary in
+            List.iteri
+              (fun i q ->
+                match Estimator.try_estimate est q with
+                | Error (E.Internal reason) ->
+                    Alcotest.failf "byte %d ^ %#x: query %d answered Internal: %s" pos mask i reason
+                | Ok _ | Error _ -> ())
+              queries)
+      [ 0x01; 0x80; 0xff ]
+  done;
+  (* some mutations (a frequency, a box average) leave a sound file *)
+  Alcotest.(check bool) "some mutated files load" true (!loaded > 0)
+
 let test_health_fixture_has_state () =
   let bytes = Lazy.force health_bytes in
   let lines = String.split_on_char '\n' bytes in
@@ -765,6 +1019,21 @@ let () =
             test_verified_load_matches_two_step;
           Alcotest.test_case "verified load of a missing file" `Quick
             test_verified_load_missing_file;
+        ] );
+      ( "cross_section",
+        [
+          Alcotest.test_case "section codecs are faithful" `Quick test_section_codecs_faithful;
+          Alcotest.test_case "path tag outside the vocabulary is Corrupt" `Quick
+            test_path_tag_outside_vocabulary;
+          Alcotest.test_case "duplicate histogram tag is Corrupt" `Quick
+            test_duplicate_histogram_tag;
+          Alcotest.test_case "o-histogram pid order off its row is Corrupt" `Quick
+            test_o_order_disagrees;
+          Alcotest.test_case "box outside its grid is Corrupt" `Quick test_box_outside_grid;
+          Alcotest.test_case "duplicate path ids are Corrupt" `Quick test_duplicate_pids;
+          Alcotest.test_case "other cross-section references are Corrupt" `Quick
+            test_other_cross_section_checks;
+          Alcotest.test_case "every body byte, three values each" `Quick test_single_byte_sweep;
         ] );
       ( "fuzz",
         [
