@@ -86,8 +86,10 @@ join:
 # query parses back, pinned messages for malformed queries, fuzzing of
 # random and mutated queries), the linear counter delta against its
 # per-name reference, the order specs each plan carries, the catalog's
-# per-group metric attribution, the batched-engine bit-identity suite,
-# and the CLI's cram tests (malformed queries exit 1 with one line).
+# per-group metric attribution and per-catalog stats, the
+# batched-engine bit-identity suite, and the CLI's cram tests
+# (malformed queries exit 1 with one line; the per-key
+# `catalog estimate --metrics` tables).
 # The qcheck seeds are fixed, so this target is deterministic in CI.
 hot:
 	$(DUNE) exec test/test_pattern.exe
@@ -96,7 +98,7 @@ hot:
 	$(DUNE) exec test/test_plan.exe
 	$(DUNE) exec test/test_catalog.exe
 	$(DUNE) exec test/test_engine_batch.exe
-	$(DUNE) build @test/cli_catalog_info @test/cli_query_errors
+	$(DUNE) build @test/cli_catalog_info @test/cli_query_errors @test/cli_catalog_estimate
 
 # Load-path suites: the synopsis codec (round-trips, pinned checksums,
 # the modeled bytes and histogram counts behind Tables 3-5 and Figures

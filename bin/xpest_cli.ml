@@ -915,8 +915,8 @@ let run_catalog_estimate dir queries_file resident resident_bytes sketch_bytes
          plan cache peak %d, %d evictions\n"
         s.Catalog.resident s.Catalog.resident_capacity s.Catalog.loads
         s.Catalog.hits s.Catalog.evictions
-        s.Catalog.plan_cache.Xpest_plan.Plan_cache.s_peak
-        s.Catalog.plan_cache.Xpest_plan.Plan_cache.s_evictions;
+        s.Catalog.plan_cache.Xpest_util.Bounded_cache.s_peak
+        s.Catalog.plan_cache.Xpest_util.Bounded_cache.s_evictions;
       Printf.printf
         "residency: %s resident%s; segments: %d protected, %d probationary, \
          %d pinned\n"

@@ -30,7 +30,6 @@
    where quarantine guards one key. *)
 
 module E = Xpest_util.Xpest_error
-module Counters = Xpest_util.Counters
 
 type config = {
   deadline : int option;
@@ -73,10 +72,6 @@ type t = {
   mutable breaker_opens : int;
   mutable probes : int;
 }
-
-let c_shed = Counters.create "admission.sheds"
-let c_breaker_open = Counters.create "admission.breaker_opens"
-let c_probe = Counters.create "admission.probes"
 
 let validate config =
   let nonneg = function Some n when n < 0 -> true | _ -> false in
@@ -122,13 +117,11 @@ let batch_begin t =
 let open_breaker t ~clock =
   t.breaker <- Open { until = clock + t.cooldown };
   t.breaker_idle <- 0;
-  t.breaker_opens <- t.breaker_opens + 1;
-  Counters.incr c_breaker_open
+  t.breaker_opens <- t.breaker_opens + 1
 
 type decision = Admit of { probe : bool } | Shed of E.t
 
 let shed t e =
-  Counters.incr c_shed;
   (match e with
   | E.Deadline_exceeded _ -> t.deadline_sheds <- t.deadline_sheds + 1
   | _ -> ());
@@ -181,8 +174,7 @@ let decide t ~clock ~key ~would_load =
           if probe then begin
             (* cooldown elapsed: this load is the half-open probe *)
             t.breaker <- Half_open;
-            t.probes <- t.probes + 1;
-            Counters.incr c_probe
+            t.probes <- t.probes + 1
           end;
           t.remaining <- t.remaining - cost;
           if would_load then t.loads_admitted <- t.loads_admitted + 1;

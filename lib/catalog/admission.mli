@@ -166,4 +166,9 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Lifetime counts of this controller, kept unconditionally (no
+    counter enablement needed).  They are the only record of sheds,
+    breaker opens and probes: admission bumps no process-global
+    counter. *)
+
 val total_sheds : stats -> int

@@ -8,33 +8,13 @@ module Synopsis_io = Xpest_synopsis.Synopsis_io
 module Sketch = Xpest_synopsis.Sketch
 module Pattern = Xpest_xpath.Pattern
 module Plan = Xpest_plan.Plan
-module Plan_cache = Xpest_plan.Plan_cache
 module Bounded_cache = Xpest_util.Bounded_cache
 module Cache_config = Xpest_plan.Cache_config
 module Estimator = Xpest_estimator.Estimator
 module Sketch_exec = Xpest_estimator.Sketch_exec
 
-(* Observability: resident-set behavior of the catalog, routing volume,
-   and the fault-tolerance state machine.  No-ops unless
-   [Counters.set_enabled true]; the unconditional duplicates live in
-   [t] so [stats]/[health] work without enablement. *)
-let c_load = Counters.create "catalog.summary.load"
-let c_hit = Counters.create "catalog.summary.hit"
-let c_evict = Counters.create "catalog.summary.evict"
-let c_batch = Counters.create "catalog.batch.calls"
-let c_routed = Counters.create "catalog.batch.queries"
-let c_groups = Counters.create "catalog.batch.groups"
-let c_retry = Counters.create "catalog.load_retries"
-let c_fail = Counters.create "catalog.load_failures"
-let c_quarantine = Counters.create "catalog.quarantined"
-let c_quarantine_skip = Counters.create "catalog.quarantine_skips"
-let c_prefetch = Counters.create "catalog.prefetched_loads"
-let c_shed = Counters.create "catalog.shed_queries"
-let c_fallback = Counters.create "catalog.fallback_queries"
-let c_sketch = Counters.create "catalog.sketch_queries"
-let c_sketch_hit = Counters.create "catalog.sketch.hit"
-let c_sketch_miss = Counters.create "catalog.sketch.miss"
-let c_sketch_evict = Counters.create "catalog.sketch.evict"
+(* The catalog counts its own events in [t] ([stats], [health]); its
+   one process-global instrument is the load timer, a layer time. *)
 let t_load = Counters.create_timer "catalog.summary.load"
 
 (* ------------------------------------------------------------------ *)
@@ -258,7 +238,7 @@ type t = {
   config : Cache_config.t;
   resilience : resilience;
   admission : Admission.t;
-  plans : (Pattern.t, Plan.t) Plan_cache.t;  (* pool-shared *)
+  plans : (Pattern.t, Plan.t) Bounded_cache.t;  (* pool-shared *)
   residents : (key, resident) Bounded_cache.t;
   (* the ladder's last rung: per-dataset fallback sketches, pinned in
      their own byte-budgeted region the resident evictor never sees *)
@@ -266,7 +246,6 @@ type t = {
   health_tbl : (key, hstate) Hashtbl.t;
   mutable clock : int;
   mutable loads : int;
-  mutable hits : int;
   mutable failures : int;
   mutable retries : int;
   mutable quarantines : int;
@@ -337,19 +316,16 @@ let make ~known ?(resident_capacity = default_resident_capacity) ?config
     plans = Estimator.create_plan_cache ~capacity:config.Cache_config.plan ();
     residents =
       Bounded_cache.create ~capacity:resident_budget
-        ~policy:Bounded_cache.segmented ?cost:resident_cost ~hit:c_hit
-        ~miss:c_load ~evict:c_evict ();
+        ~policy:Bounded_cache.segmented ?cost:resident_cost ();
     (* the sketch region is byte-budgeted by exact wire size; entries
        are pinned at install and admission is pre-checked, so it can
        neither evict nor overshoot *)
     sketches =
       Bounded_cache.create ~capacity:sketch_bytes
-        ~cost:(fun _ sr -> Sketch.size_bytes sr.sketch)
-        ~hit:c_sketch_hit ~miss:c_sketch_miss ~evict:c_sketch_evict ();
+        ~cost:(fun _ sr -> Sketch.size_bytes sr.sketch) ();
     health_tbl = Hashtbl.create 16;
     clock = 0;
     loads = 0;
-    hits = 0;
     failures = 0;
     retries = 0;
     quarantines = 0;
@@ -455,13 +431,11 @@ let note_failure t (h : hstate) e =
   h.failures <- h.failures + 1;
   h.last_error <- Some e;
   t.failures <- t.failures + 1;
-  Counters.incr c_fail;
   if h.consecutive >= t.resilience.failure_threshold then begin
     h.until <- t.clock + h.backoff;
     h.backoff <- min (2 * h.backoff) t.resilience.backoff_max;
     h.quarantines <- h.quarantines + 1;
-    t.quarantines <- t.quarantines + 1;
-    Counters.incr c_quarantine
+    t.quarantines <- t.quarantines + 1
   end
 
 (* The retry loop, split from its bookkeeping so the loop itself is
@@ -479,15 +453,13 @@ let load_with_policy t key =
   in
   go 0 0
 
-(* One load, timed; safe on any domain (Counters are atomic, the timer
-   is mutex-guarded). *)
+(* One load, timed; safe on any domain (the timer is mutex-guarded). *)
 let load_job t key () = Counters.time t_load (fun () -> load_with_policy t key)
 
 let book_retries t (h : hstate) retries =
   if retries > 0 then begin
     h.retries <- h.retries + retries;
-    t.retries <- t.retries + retries;
-    Counters.add c_retry retries
+    t.retries <- t.retries + retries
   end
 
 (* -------------------- acquisition -------------------- *)
@@ -501,17 +473,13 @@ let book_retries t (h : hstate) retries =
 let acquire_with t ~prefetched key =
   t.clock <- t.clock + 1;
   match Bounded_cache.find_opt t.residents key with
-  | Some r ->
-      t.hits <- t.hits + 1;
-      Ok r.estimator
+  | Some r -> Ok r.estimator
   | None -> (
       match hstate_tracked t key with
       | Error e -> Error e
       | Ok h ->
-          if t.clock < h.until then begin
-            Counters.incr c_quarantine_skip;
+          if t.clock < h.until then
             Error (E.Quarantined { key = key_to_string key; until = h.until })
-          end
           else begin
             let result, retries =
               match prefetched with
@@ -755,22 +723,16 @@ let prefetch_planner t =
       && Admission.provable t.admission ~groups_before:(!pos - 1)
     in
     if not has_entry then incr will_add;
-    if decision then begin
-      t.prefetches <- t.prefetches + 1;
-      Counters.incr c_prefetch
-    end;
+    if decision then t.prefetches <- t.prefetches + 1;
     decision
 
 let estimate_batch_r ?loads t pairs =
-  Counters.incr c_batch;
-  Counters.add c_routed (Array.length pairs);
   Admission.batch_begin t.admission;
   let out =
     Array.make (Array.length pairs)
       (Error (E.Internal "catalog: unrouted query slot") : (float, E.t) result)
   in
   let routed = Pipeline.route pairs in
-  Counters.add c_groups (Pipeline.group_count routed);
   let loads = match loads with Some l -> l | None -> Loader_pool.blocking in
   (* Per-group counter attribution needs commit and execute inline, in
      order, with nothing else running (see counters.mli) — only the
@@ -812,14 +774,12 @@ let estimate_batch_r ?loads t pairs =
         match resident_sibling t k with
         | Some (sib, r) ->
             t.fallbacks <- t.fallbacks + n;
-            Counters.add c_fallback n;
             Hashtbl.replace gstatus k (Fallback sib);
             Ok (Exact r.estimator)
         | None -> (
             match sketch_of t k.dataset with
             | Some sr ->
                 t.sketch_served <- t.sketch_served + n;
-                Counters.add c_sketch n;
                 Hashtbl.replace gstatus k Sketch;
                 Ok (Via_sketch sr.sexec)
             | None -> Error e))
@@ -850,7 +810,6 @@ let estimate_batch_r ?loads t pairs =
       | Admission.Shed e ->
           let n = group_size k in
           t.sheds <- t.sheds + n;
-          Counters.add c_shed n;
           let r = descend k (Error e) in
           (match r with
           | Ok (Via_sketch _) ->
@@ -878,7 +837,7 @@ let estimate_batch_r ?loads t pairs =
      and dedupe are tier-independent. *)
   let sketch_one sx q =
     match
-      Sketch_exec.estimate_plan sx (Plan_cache.find_or_add t.plans q Plan.compile)
+      Sketch_exec.estimate_plan sx (Bounded_cache.find_or_add t.plans q Plan.compile)
     with
     | v -> Ok v
     | exception E.Error e -> Error e
@@ -933,7 +892,7 @@ type stats = {
   sketch_budget : int;
   sketch_failures : int;
   skipped_directives : int;
-  plan_cache : Plan_cache.stats;
+  plan_cache : Bounded_cache.stats;
 }
 
 let stats t =
@@ -954,7 +913,7 @@ let stats t =
     resident_protected = rs.Bounded_cache.s_protected;
     resident_pinned = rs.Bounded_cache.s_pinned;
     loads = t.loads;
-    hits = t.hits;
+    hits = rs.Bounded_cache.s_hits;
     evictions = rs.Bounded_cache.s_evictions;
     failures = t.failures;
     retries = t.retries;
@@ -969,7 +928,7 @@ let stats t =
     sketch_budget = Bounded_cache.capacity t.sketches;
     sketch_failures = t.sketch_failures;
     skipped_directives = t.skipped_directives;
-    plan_cache = Plan_cache.stats t.plans;
+    plan_cache = Bounded_cache.stats t.plans;
   }
 
 let clock t = t.clock

@@ -23,8 +23,9 @@
     [Summary.size_bytes]); hot keys can be pinned against eviction
     ({!pin}).  Replacement policy, budget unit and pinning only decide
     {e which} summaries stay resident — never a value.  Loads, hits
-    and evictions are counted unconditionally ({!stats}) and mirrored
-    in the global observability counters ([catalog.summary.*]).
+    and evictions are counted unconditionally, per catalog ({!stats});
+    the catalog bumps no process-global counter, and its one global
+    instrument is the [catalog.summary.load] timer.
 
     {2 Fault tolerance}
 
@@ -396,7 +397,9 @@ type stats = {
       (** residents promoted to the protected segment (touched at
           least twice; survive cold scans) *)
   resident_pinned : int;  (** residents currently pinned *)
-  loads : int;  (** successful loader calls (cold + reloads) *)
+  loads : int;
+      (** successful loads (cold + reloads); failed attempts count in
+          [failures], quarantine refusals in neither *)
   hits : int;  (** estimator-pool hits (summary already resident) *)
   evictions : int;
   failures : int;  (** failed acquire attempts (counted after retries) *)
@@ -433,12 +436,16 @@ type stats = {
   skipped_directives : int;
       (** unknown [!directive] lines skipped by {!load_health}
           (forward compatibility with newer writers) *)
-  plan_cache : Xpest_plan.Plan_cache.stats;
+  plan_cache : Xpest_util.Bounded_cache.stats;
       (** the pool-shared compiled-plan cache *)
 }
 
 val stats : t -> stats
-(** Tracked unconditionally (no counter enablement needed). *)
+(** This catalog's own counts, tracked unconditionally (no counter
+    enablement needed): the one record of its loads, hits, failures,
+    sheds and tiers.  Two catalogs in one process never share a
+    count.  [hits] and [evictions] are the resident set's own
+    lookup-hit and eviction totals. *)
 
 type health_state =
   | Healthy

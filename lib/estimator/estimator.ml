@@ -4,7 +4,7 @@ module Pattern = Xpest_xpath.Pattern
 module Summary = Xpest_synopsis.Summary
 module Po_table = Xpest_synopsis.Po_table
 module Plan = Xpest_plan.Plan
-module Plan_cache = Xpest_plan.Plan_cache
+module Bounded_cache = Xpest_util.Bounded_cache
 module Cache_config = Xpest_plan.Cache_config
 
 (* Observability: which estimation equations fire, and how often
@@ -28,7 +28,7 @@ let t_estimate = Counters.create_timer "estimator.estimate"
 type t = {
   summary : Summary.t;
   join : Path_join.t;
-  plans : (Pattern.t, Plan.t) Plan_cache.t;
+  plans : (Pattern.t, Plan.t) Bounded_cache.t;
   mutable tracing : string list ref option;
 }
 
@@ -36,8 +36,8 @@ type t = {
    summary-independent, so a pool serving many summaries (see
    [Xpest_catalog.Catalog]) shares one cache across all its
    estimators and compiles each distinct query once. *)
-let create_plan_cache ?(capacity = Plan_cache.default_capacity) () =
-  Plan_cache.create ~capacity ~hit:c_plan_hit ~miss:c_plan_miss
+let create_plan_cache ?(capacity = Bounded_cache.default_capacity) () =
+  Bounded_cache.create ~capacity ~hit:c_plan_hit ~miss:c_plan_miss
     ~evict:c_plan_evict ()
 
 let create ?chain_pruning ?(config = Cache_config.default) ?plans summary =
@@ -53,7 +53,7 @@ let create ?chain_pruning ?(config = Cache_config.default) ?plans summary =
 
 let summary t = t.summary
 
-let plan_of t q = Plan_cache.find_or_add t.plans q Plan.compile
+let plan_of t q = Bounded_cache.find_or_add t.plans q Plan.compile
 
 (* Derivation tracing for [explain]: estimation functions [note] their
    key intermediate values, behind [tracing t] on the estimation path:

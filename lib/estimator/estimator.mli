@@ -6,7 +6,7 @@
     summary-independent plan — decomposed chains, join spec, and the
     equation tag picked at compile time — then executed here against
     one summary.  Compiled plans are memoized per estimator in a
-    bounded LRU ({!Xpest_plan.Plan_cache}).
+    bounded LRU ({!Xpest_util.Bounded_cache}).
 
     - [Theorem_4_1]: simple queries, and branch queries with a trunk
       target — the joined frequency is the selectivity.
@@ -27,19 +27,19 @@ type t
 val create_plan_cache :
   ?capacity:int ->
   unit ->
-  (Xpest_xpath.Pattern.t, Xpest_plan.Plan.t) Xpest_plan.Plan_cache.t
+  (Xpest_xpath.Pattern.t, Xpest_plan.Plan.t) Xpest_util.Bounded_cache.t
 (** A compiled-plan cache wired to the estimator's plan-cache
     hit/miss/evict counters.  Plans are summary-independent, so one
     cache can be shared by many estimators ([create ~plans]): a pool
     serving several summaries then compiles each distinct query once
     (the catalog's router does exactly this).  The cache is not
     synchronized: use it from one domain at a time.  Default capacity
-    {!Xpest_plan.Plan_cache.default_capacity}. *)
+    {!Xpest_util.Bounded_cache.default_capacity}. *)
 
 val create :
   ?chain_pruning:bool ->
   ?config:Xpest_plan.Cache_config.t ->
-  ?plans:(Xpest_xpath.Pattern.t, Xpest_plan.Plan.t) Xpest_plan.Plan_cache.t ->
+  ?plans:(Xpest_xpath.Pattern.t, Xpest_plan.Plan.t) Xpest_util.Bounded_cache.t ->
   Xpest_synopsis.Summary.t ->
   t
 (** Estimation caches (compiled plans, tag relationships, chain

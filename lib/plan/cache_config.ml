@@ -3,7 +3,7 @@ type t = { plan : int; run : int; resident_bytes : int option }
 let caps plan run = { plan; run; resident_bytes = None }
 
 let default =
-  let c = Plan_cache.default_capacity in
+  let c = Xpest_util.Bounded_cache.default_capacity in
   caps c c
 
 (* Per-dataset capacities against the engine caches' working-set peaks

@@ -5,7 +5,7 @@
     queries or query shapes and grow with the workload, but they are
     sized separately: the plan cache can be shared across a catalog's
     estimators, the run cache never is.  {!default} preserves the
-    historical shared default ({!Plan_cache.default_capacity} for
+    historical shared default ({!Xpest_util.Bounded_cache.default_capacity} for
     both).  Both engine caches are plain LRU.
 
     [resident_bytes] gives the catalog's resident summary set a byte
@@ -21,7 +21,7 @@ type t = {
 }
 
 val default : t
-(** Every capacity = {!Plan_cache.default_capacity} (4096), no byte
+(** Every capacity = {!Xpest_util.Bounded_cache.default_capacity} (4096), no byte
     budget. *)
 
 val for_dataset : string -> t

@@ -7,7 +7,7 @@
     joins against a synopsis.  [Plan.compile] performs the whole first
     phase once, independently of any {!Xpest_synopsis.Summary}: the
     resulting plan record is reusable across summaries, cacheable (see
-    {!Plan_cache}) and batchable (identical plans share one
+    {!Xpest_util.Bounded_cache}) and batchable (identical plans share one
     execution in [Estimator.estimate_many]). *)
 
 module Pattern = Xpest_xpath.Pattern

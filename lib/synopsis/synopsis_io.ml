@@ -35,9 +35,6 @@ let kind i =
 let overhead_bytes i =
   i.total_bytes - List.fold_left (fun acc (_, n) -> acc + n) 0 i.sections
 
-let save = Summary.save
-let load = Summary.load
-
 (* ------------------------------------------------------------------ *)
 (* Typed loading: Invalid_argument leaks from the codec are classified
    into the error taxonomy.  The wire layer reports failures with a

@@ -2,9 +2,9 @@
 
     {!Summary.save}/{!Summary.load} do the encoding; this module adds
     what operators and the serving stack need around them: header
-    inspection without decoding ([xpest synopsis info]), typed-error
-    loading for the catalog's fault-tolerance layer, and string-error
-    wrappers for simple CLI paths.
+    inspection without decoding ([xpest synopsis info]), and
+    typed-error verification and loading for the catalog's
+    fault-tolerance layer.
 
     All reads go through a {!Xpest_util.Fault.Io.t}; pass [?io] to
     substitute the reader (the chaos suites inject faults there).
@@ -38,12 +38,6 @@ val kind : info -> [ `Synopsis | `Catalog_manifest | `Sketch | `Unknown ]
 val overhead_bytes : info -> int
 (** Container overhead: file size minus the summed section payloads
     (magic, version, checksum, section table). *)
-
-val save : ?io:Xpest_util.Fault.Io.t -> Summary.t -> string -> unit
-(** Alias of {!Summary.save} (crash-safe: temp file + atomic rename). *)
-
-val load : string -> Summary.t
-(** Alias of {!Summary.load}. *)
 
 (** {1 Typed-error loading}
 

@@ -8,9 +8,7 @@
    Two replacement policies:
 
    - [Lru]: the classic single recency list.  Lookups promote to
-     most-recent; inserting past capacity evicts from the tail.  With
-     the default unit cost this is bit-identical to the historical
-     [Plan_cache] behaviour (same eviction order, same counters).
+     most-recent; inserting past capacity evicts from the tail.
 
    - [Segmented _]: a scan-resistant segmented LRU (2Q/SLRU family).
      New entries land in a probationary list; a hit on a probationary

@@ -9,8 +9,7 @@
     Two replacement policies:
 
     - {!Lru}: single recency list; lookups promote to most-recent,
-      inserting past capacity evicts the least-recent.  With unit cost
-      this is bit-identical to the historical [Plan_cache] behaviour.
+      inserting past capacity evicts the least-recent.
     - {!Segmented}: scan-resistant segmented LRU (2Q/SLRU family).
       New entries are probationary; a hit promotes to the protected
       list (2Q-style promotion on the second touch).  Eviction

@@ -96,7 +96,14 @@ val delta_between : snapshot -> snapshot -> (string * int) list
     [after] — which is how the catalog's estimator pool uses it: it
     snapshots around each per-summary batch group, so the per-summary
     rows in its reports are exact even though the underlying counters
-    are shared. *)
+    are shared.
+
+    What is counted here is library-wide instrumentation (estimator,
+    path join, summary decode, loader pool, fault injection).  A
+    component that keeps its own stats record — a catalog, its
+    admission controller, a {!Bounded_cache}'s totals — counts its
+    events there, per instance and whether or not counting is on, and
+    does not mirror them into a counter. *)
 
 val timers : unit -> (string * int * float) list
 (** Non-zero timers as [(name, calls, seconds)], sorted by name. *)

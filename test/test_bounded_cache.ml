@@ -13,7 +13,9 @@
      [protected_ratio] of capacity (unit cost);
    - scan resistance: on a hot-keys-plus-cold-scan workload at the
      same budget, Segmented strictly out-hits plain Lru — the
-     deterministic core of the catalog's thrash trace (test_catalog). *)
+     deterministic core of the catalog's thrash trace (test_catalog);
+   - unit cases of the default cache: eviction counts, find_or_add's
+     compute-once contract, overwrite, and the capacity bound. *)
 
 module Bounded_cache = Xpest_util.Bounded_cache
 
@@ -241,6 +243,57 @@ let test_scan_resistance () =
   Alcotest.(check int) "segmented hits" 30 seg;
   Alcotest.(check bool) "segmented strictly out-hits lru" true (seg > lru)
 
+(* ------------------------------------------------------------------ *)
+(* Unit cases of the default (Lru, unit-cost) cache.                  *)
+
+let test_cache_basics () =
+  let c = Bounded_cache.create ~capacity:2 () in
+  Bounded_cache.add c "a" 1;
+  Bounded_cache.add c "b" 2;
+  Alcotest.(check (option int)) "a cached" (Some 1) (Bounded_cache.find_opt c "a");
+  (* "a" was just used, so inserting "c" evicts "b" *)
+  Bounded_cache.add c "c" 3;
+  Alcotest.(check (option int)) "b evicted" None (Bounded_cache.find_opt c "b");
+  Alcotest.(check (option int)) "a survives" (Some 1) (Bounded_cache.find_opt c "a");
+  Alcotest.(check (option int)) "c cached" (Some 3) (Bounded_cache.find_opt c "c");
+  Alcotest.(check int) "length" 2 (Bounded_cache.length c);
+  Alcotest.(check int) "capacity" 2 (Bounded_cache.capacity c);
+  Alcotest.(check int) "evictions" 1 (Bounded_cache.evictions c)
+
+let test_cache_find_or_add () =
+  let c = Bounded_cache.create ~capacity:8 () in
+  let computed = ref 0 in
+  let compute k =
+    incr computed;
+    k * 10
+  in
+  Alcotest.(check int) "computed" 10 (Bounded_cache.find_or_add c 1 compute);
+  Alcotest.(check int) "cached" 10 (Bounded_cache.find_or_add c 1 compute);
+  Alcotest.(check int) "compute ran once" 1 !computed;
+  Bounded_cache.clear c;
+  Alcotest.(check int) "cleared" 0 (Bounded_cache.length c);
+  Alcotest.(check int) "recomputed" 10 (Bounded_cache.find_or_add c 1 compute);
+  Alcotest.(check int) "compute ran again" 2 !computed
+
+let test_cache_overwrite_and_bounds () =
+  let c = Bounded_cache.create ~capacity:2 () in
+  Bounded_cache.add c "k" 1;
+  Bounded_cache.add c "k" 2;
+  Alcotest.(check (option int)) "overwrite" (Some 2) (Bounded_cache.find_opt c "k");
+  Alcotest.(check int) "no duplicate entry" 1 (Bounded_cache.length c);
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Bounded_cache.create: capacity must be >= 1") (fun () ->
+      ignore (Bounded_cache.create ~capacity:0 ()));
+  (* hammer a capacity-1 cache: never grows past its bound *)
+  let tiny = Bounded_cache.create ~capacity:1 () in
+  for i = 1 to 100 do
+    Bounded_cache.add tiny i i
+  done;
+  Alcotest.(check int) "bounded" 1 (Bounded_cache.length tiny);
+  Alcotest.(check int) "evictions counted" 99 (Bounded_cache.evictions tiny);
+  Alcotest.(check (option int)) "newest kept" (Some 100)
+    (Bounded_cache.find_opt tiny 100)
+
 let () =
   Alcotest.run "bounded_cache"
     [
@@ -256,5 +309,12 @@ let () =
         [
           Alcotest.test_case "scan resistance (hot + cold scan)" `Quick
             test_scan_resistance;
+        ] );
+      ( "cache",
+        [
+          Alcotest.test_case "basics" `Quick test_cache_basics;
+          Alcotest.test_case "find_or_add" `Quick test_cache_find_or_add;
+          Alcotest.test_case "overwrite and bounds" `Quick
+            test_cache_overwrite_and_bounds;
         ] );
     ]

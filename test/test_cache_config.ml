@@ -3,7 +3,7 @@
    else. *)
 
 module Cache_config = Xpest_plan.Cache_config
-module Plan_cache = Xpest_plan.Plan_cache
+module Bounded_cache = Xpest_util.Bounded_cache
 
 let caps (c : Cache_config.t) =
   [ c.Cache_config.plan; c.Cache_config.run ]
@@ -31,7 +31,7 @@ let test_unknown_dataset () =
   let cfg = Cache_config.for_dataset "no-such-dataset" in
   check_caps "unknown = default" (caps Cache_config.default) cfg;
   Alcotest.(check int) "default is the shared plan-cache capacity"
-    Plan_cache.default_capacity cfg.Cache_config.plan
+    Bounded_cache.default_capacity cfg.Cache_config.plan
 
 let () =
   Alcotest.run "cache_config"

@@ -1,7 +1,8 @@
 (* The catalog's machinery below the routing contract: key syntax,
    the manifest's save/load/corruption round-trip, resident-set LRU
    behavior (loads, pool hits, evictions, reloads), the pool-shared
-   plan cache, and per-key counter attribution in batch metrics. *)
+   plan cache, per-key counter attribution in batch metrics, and the
+   catalog's own always-on stats. *)
 
 module Counters = Xpest_util.Counters
 module Loader_pool = Xpest_util.Loader_pool
@@ -9,7 +10,7 @@ module Pattern = Xpest_xpath.Pattern
 module Summary = Xpest_synopsis.Summary
 module Manifest = Xpest_synopsis.Manifest
 module Synopsis_io = Xpest_synopsis.Synopsis_io
-module Plan_cache = Xpest_plan.Plan_cache
+module Bounded_cache = Xpest_util.Bounded_cache
 module Registry = Xpest_datasets.Registry
 module Catalog = Xpest_catalog.Catalog
 
@@ -255,7 +256,7 @@ let test_lru_behavior () =
   (* the pool-shared plan cache survived every eviction: q was
      compiled exactly once across all five estimates *)
   Alcotest.(check int) "one compiled plan" 1
-    st.Catalog.plan_cache.Plan_cache.s_length;
+    st.Catalog.plan_cache.Bounded_cache.s_length;
   match Catalog.create_r ~resident_capacity:0 ~loader () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "resident_capacity 0 accepted"
@@ -477,8 +478,7 @@ let test_batch_metrics () =
   Alcotest.(check int) "ssplays group size" 2 (delta k1 "estimator.batch.queries");
   Alcotest.(check int) "dblp group size" 2 (delta k2 "estimator.batch.queries");
   Alcotest.(check int) "ssplays dedupe" 1 (delta k1 "estimator.batch.deduped");
-  Alcotest.(check int) "one load per group" 1 (delta k1 "catalog.summary.load");
-  Alcotest.(check int) "one load per group" 1 (delta k2 "catalog.summary.load");
+  Alcotest.(check int) "one load per group" 2 (Catalog.stats cat).Catalog.loads;
   (* qa was compiled in the first group; the second group's qa is a
      cross-summary plan hit *)
   Alcotest.(check int) "cross-summary plan hit" 1
@@ -522,6 +522,62 @@ let test_concurrent_loads_clear_metrics () =
       Alcotest.(check bool) "concurrent loads clear them" true
         (Catalog.last_batch_metrics cat = []))
 
+(* A catalog's counts are its own records, kept whether or not
+   counting is on: the same faulty batches (a failing key with retries
+   and a quarantine, an admission shed) give equal stats on a catalog
+   run with counting off and one run with it on, in one process.
+   [loads] counts successful loads only — not failed attempts or
+   quarantine refusals — and no [catalog.*] or [admission.*] name
+   reaches the process-global counters. *)
+let test_stats_per_catalog () =
+  let good = key "ssplays" 0.0 and bad = key "dblp" 0.0 in
+  let loader k =
+    if k = bad then
+      Error
+        (Xpest_util.Xpest_error.Io_failure
+           { path = Catalog.key_to_string k; reason = "injected" })
+    else loader k
+  in
+  let q = Pattern.of_string "//SPEECH/LINE" in
+  let run () =
+    let cat =
+      Catalog.create_r
+        ~admission:
+          { Xpest_catalog.Admission.unlimited with max_queued_loads = Some 1 }
+        ~loader ()
+    in
+    for _ = 1 to 10 do
+      ignore (Catalog.estimate_batch_r cat [| (good, q); (bad, q) |])
+    done;
+    (Catalog.stats cat, Catalog.admission_stats cat)
+  in
+  Counters.set_enabled false;
+  let off = run () in
+  let on = Counters.with_enabled run in
+  let st, adm = off in
+  Alcotest.(check bool) "stats equal with counting off and on" true (off = on);
+  Alcotest.(check int) "loads: the good key once" 1 st.Catalog.loads;
+  Alcotest.(check int) "hits: the good key's later batches" 9 st.Catalog.hits;
+  (* batch 1 sheds the bad key (one cold load per batch); batches 2-4
+     fail it into quarantine, and its probes in batches 6 and 10 fail
+     again (each attempt retried twice); the other four attempts are
+     quarantine refusals *)
+  Alcotest.(check int) "shed" 1 st.Catalog.shed_queries;
+  Alcotest.(check int) "overload sheds" 1
+    adm.Xpest_catalog.Admission.s_overload_sheds;
+  Alcotest.(check int) "failures" 5 st.Catalog.failures;
+  Alcotest.(check int) "retries" 10 st.Catalog.retries;
+  Alcotest.(check int) "quarantines" 3 st.Catalog.quarantines;
+  let global =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"catalog." name
+        || String.starts_with ~prefix:"admission." name)
+      (Counters.counters ())
+  in
+  Alcotest.(check (list (pair string int))) "no global catalog counters" []
+    global
+
 let () =
   Alcotest.run "catalog"
     [
@@ -555,5 +611,7 @@ let () =
           Alcotest.test_case "per-key attribution" `Quick test_batch_metrics;
           Alcotest.test_case "concurrent loads clear last_metrics" `Quick
             test_concurrent_loads_clear_metrics;
+          Alcotest.test_case "stats are per catalog and always on" `Quick
+            test_stats_per_catalog;
         ] );
     ]

@@ -2,13 +2,10 @@
 
    The compiler's equation choice is the estimator's dispatch, so the
    tags are pinned here for the paper's example query forms: a wrong
-   tag means a different estimation formula would fire.  Plan_cache is
-   the bounded LRU under every estimator cache; its recency and
-   eviction behaviour is pinned directly. *)
+   tag means a different estimation formula would fire. *)
 
 module Pattern = Xpest_xpath.Pattern
 module Plan = Xpest_plan.Plan
-module Plan_cache = Xpest_plan.Plan_cache
 
 let check_eq query expected =
   let plan = Plan.compile (Pattern.of_string query) in
@@ -205,71 +202,6 @@ let test_order_specs_conversion () =
   | Plan.On_trunk _ -> Alcotest.fail "a gap rewrite with a trunk bound"
 
 (* ------------------------------------------------------------------ *)
-(* Plan_cache: bounded LRU.                                            *)
-
-let test_cache_basics () =
-  let c = Plan_cache.create ~capacity:2 () in
-  Plan_cache.add c "a" 1;
-  Plan_cache.add c "b" 2;
-  Alcotest.(check (option int)) "a cached" (Some 1) (Plan_cache.find_opt c "a");
-  (* "a" was just used, so inserting "c" evicts "b" *)
-  Plan_cache.add c "c" 3;
-  Alcotest.(check (option int)) "b evicted" None (Plan_cache.find_opt c "b");
-  Alcotest.(check (option int)) "a survives" (Some 1) (Plan_cache.find_opt c "a");
-  Alcotest.(check (option int)) "c cached" (Some 3) (Plan_cache.find_opt c "c");
-  Alcotest.(check int) "length" 2 (Plan_cache.length c);
-  Alcotest.(check int) "capacity" 2 (Plan_cache.capacity c);
-  Alcotest.(check int) "evictions" 1 (Plan_cache.evictions c)
-
-let test_cache_lru_order () =
-  let c = Plan_cache.create ~capacity:3 () in
-  List.iter (fun k -> Plan_cache.add c k k) [ 1; 2; 3 ];
-  Alcotest.(check (list int))
-    "most-recent first" [ 3; 2; 1 ]
-    (Plan_cache.keys_by_recency c);
-  ignore (Plan_cache.find_opt c 1);
-  Alcotest.(check (list int))
-    "find promotes" [ 1; 3; 2 ]
-    (Plan_cache.keys_by_recency c);
-  Plan_cache.add c 4 4;
-  Alcotest.(check (option int)) "lru (2) evicted" None (Plan_cache.find_opt c 2);
-  Alcotest.(check (option int)) "1 kept" (Some 1) (Plan_cache.find_opt c 1)
-
-let test_cache_find_or_add () =
-  let c = Plan_cache.create ~capacity:8 () in
-  let computed = ref 0 in
-  let compute k =
-    incr computed;
-    k * 10
-  in
-  Alcotest.(check int) "computed" 10 (Plan_cache.find_or_add c 1 compute);
-  Alcotest.(check int) "cached" 10 (Plan_cache.find_or_add c 1 compute);
-  Alcotest.(check int) "compute ran once" 1 !computed;
-  Plan_cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Plan_cache.length c);
-  Alcotest.(check int) "recomputed" 10 (Plan_cache.find_or_add c 1 compute);
-  Alcotest.(check int) "compute ran again" 2 !computed
-
-let test_cache_overwrite_and_bounds () =
-  let c = Plan_cache.create ~capacity:2 () in
-  Plan_cache.add c "k" 1;
-  Plan_cache.add c "k" 2;
-  Alcotest.(check (option int)) "overwrite" (Some 2) (Plan_cache.find_opt c "k");
-  Alcotest.(check int) "no duplicate entry" 1 (Plan_cache.length c);
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Plan_cache.create: capacity must be >= 1") (fun () ->
-      ignore (Plan_cache.create ~capacity:0 ()));
-  (* hammer a capacity-1 cache: never grows past its bound *)
-  let tiny = Plan_cache.create ~capacity:1 () in
-  for i = 1 to 100 do
-    Plan_cache.add tiny i i
-  done;
-  Alcotest.(check int) "bounded" 1 (Plan_cache.length tiny);
-  Alcotest.(check int) "evictions counted" 99 (Plan_cache.evictions tiny);
-  Alcotest.(check (option int)) "newest kept" (Some 100)
-    (Plan_cache.find_opt tiny 100)
-
-(* ------------------------------------------------------------------ *)
 (* Run-cache keys.                                                     *)
 
 (* Every join spec a plan carries. *)
@@ -343,13 +275,5 @@ let () =
           Alcotest.test_case "order specs (equation 5)" `Quick test_order_specs_eq5;
           Alcotest.test_case "order specs (conversion)" `Quick test_order_specs_conversion;
           Alcotest.test_case "run-cache keys" `Slow test_run_keys;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "basics" `Quick test_cache_basics;
-          Alcotest.test_case "lru order" `Quick test_cache_lru_order;
-          Alcotest.test_case "find_or_add" `Quick test_cache_find_or_add;
-          Alcotest.test_case "overwrite and bounds" `Quick
-            test_cache_overwrite_and_bounds;
         ] );
     ]
