@@ -89,7 +89,8 @@ join:
 # per-group metric attribution and per-catalog stats, the
 # batched-engine bit-identity suite, and the CLI's cram tests
 # (malformed queries exit 1 with one line; the per-key
-# `catalog estimate --metrics` tables).
+# `catalog estimate --metrics` tables; the `synopsis info` and
+# `synopsis load` tables and their one-line refusal of a cut file).
 # The qcheck seeds are fixed, so this target is deterministic in CI.
 hot:
 	$(DUNE) exec test/test_pattern.exe
@@ -98,7 +99,7 @@ hot:
 	$(DUNE) exec test/test_plan.exe
 	$(DUNE) exec test/test_catalog.exe
 	$(DUNE) exec test/test_engine_batch.exe
-	$(DUNE) build @test/cli_catalog_info @test/cli_query_errors @test/cli_catalog_estimate
+	$(DUNE) build @test/cli_catalog_info @test/cli_query_errors @test/cli_catalog_estimate @test/cli_synopsis
 
 # Load-path suites: the synopsis codec (round-trips, pinned checksums,
 # the modeled bytes and histogram counts behind Tables 3-5 and Figures
@@ -114,9 +115,9 @@ load:
 	$(DUNE) exec test/test_summary.exe
 	$(DUNE) exec test/test_catalog.exe
 
-# The paper's evaluation (tables, figures) and the bechamel
-# micro-benchmarks.  Throughput is measured by the ledger
-# (perfbench/README.md), not here.
+# The paper's evaluation (tables, figures, ablations and the serving
+# experiment); its only timings are Tables 4-5's construction costs.
+# Throughput is measured by the ledger (perfbench/README.md), not here.
 bench:
 	$(DUNE) exec bench/main.exe
 

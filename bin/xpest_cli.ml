@@ -3,10 +3,13 @@
    Subcommands:
      generate    write a synthetic dataset as XML
      stats       show document / synopsis statistics
+     synopsis    save, load and inspect synopsis files
+     catalog     build and serve many synopses behind one routing service
      plan        print the compiled query-plan IR of XPath patterns
      estimate    estimate the selectivity of XPath patterns
      workload    generate and summarize a query workload
-     experiment  reproduce the paper's tables and figures *)
+
+   The paper's tables and figures are reproduced by bench/main.exe. *)
 
 module Registry = Xpest_datasets.Registry
 module Doc = Xpest_xml.Doc
@@ -29,10 +32,7 @@ module Manifest = Xpest_synopsis.Manifest
 module Sketch = Xpest_synopsis.Sketch
 module Catalog = Xpest_catalog.Catalog
 module Admission = Xpest_catalog.Admission
-module Env = Xpest_harness.Env
-module Experiments = Xpest_harness.Experiments
 module Metrics = Xpest_harness.Metrics
-module Report = Xpest_harness.Report
 
 open Cmdliner
 
@@ -72,6 +72,12 @@ let seed =
   Arg.(
     value & opt (some int) None
     & info [ "seed" ] ~docv:"N" ~doc:"Generator seed (default per dataset).")
+
+let p_variance_arg =
+  Arg.(value & opt float 0.0 & info [ "p-variance" ] ~docv:"V" ~doc:"P-histogram variance.")
+
+let o_variance_arg =
+  Arg.(value & opt float 0.0 & info [ "o-variance" ] ~docv:"V" ~doc:"O-histogram variance.")
 
 let load_doc source ~scale ~seed =
   match source with
@@ -148,20 +154,13 @@ let stats_cmd =
          ~align:[ Tablefmt.Left; Tablefmt.Right ]
          rows)
   in
-  let p_variance =
-    Arg.(value & opt float 0.0 & info [ "p-variance" ] ~docv:"V" ~doc:"P-histogram variance.")
-  in
-  let o_variance =
-    Arg.(value & opt float 0.0 & info [ "o-variance" ] ~docv:"V" ~doc:"O-histogram variance.")
-  in
   Cmd.v
     (Cmd.info "stats" ~doc:"Show document and synopsis statistics.")
-    Term.(const run $ source $ scale $ seed $ p_variance $ o_variance)
+    Term.(const run $ source $ scale $ seed $ p_variance_arg $ o_variance_arg)
 
-(* ---------------- synopsis save / load / info / bench ---------------- *)
+(* ---------------- synopsis save / load / info ---------------- *)
 
-let synopsis_save run_name source scale seed p_variance o_variance output =
-  ignore run_name;
+let synopsis_save source scale seed p_variance o_variance output =
   let doc = load_doc source ~scale ~seed in
   let s = Summary.build ~p_variance ~o_variance doc in
   Summary.save s output;
@@ -172,27 +171,11 @@ let synopsis_save run_name source scale seed p_variance o_variance output =
     (Tablefmt.fmt_bytes (Summary.p_histogram_bytes s))
     (Tablefmt.fmt_bytes (Summary.o_histogram_bytes s))
 
-let p_variance_arg =
-  Arg.(value & opt float 0.0 & info [ "p-variance" ] ~docv:"V" ~doc:"P-histogram variance.")
-
-let o_variance_arg =
-  Arg.(value & opt float 0.0 & info [ "o-variance" ] ~docv:"V" ~doc:"O-histogram variance.")
-
 let synopsis_output_arg =
   Arg.(
     required
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Synopsis output file.")
-
-let build_synopsis_cmd =
-  Cmd.v
-    (Cmd.info "build-synopsis"
-       ~doc:"Build the estimation synopsis and persist it to disk (alias of \
-             `synopsis save`).")
-    Term.(
-      const (synopsis_save "build-synopsis")
-      $ source $ scale $ seed $ p_variance_arg $ o_variance_arg
-      $ synopsis_output_arg)
 
 let synopsis_file_arg =
   Arg.(
@@ -335,12 +318,9 @@ let synopsis_info_cmd =
 let synopsis_load_cmd =
   let run file metrics =
     let work () =
-      let (s, seconds) =
-        Env.time (fun () -> or_die_e (Synopsis_io.load_typed file))
-      in
+      let s = or_die_e (Synopsis_io.load_typed file) in
       let rows =
         [
-          [ "loaded in"; Tablefmt.fmt_seconds seconds ];
           [ "distinct tags"; string_of_int (Array.length (Summary.tags s)) ];
           [
             "distinct root-to-leaf paths";
@@ -373,142 +353,19 @@ let synopsis_load_cmd =
              statistics.")
     Term.(const run $ synopsis_file_arg $ metrics)
 
-(* Cold-build vs. load-from-disk: the paper's Tables 4-5 measure
-   construction cost; this measures what persistence buys back. *)
-let synopsis_bench_cmd =
-  let run source scale seed p_variance o_variance attempts markdown =
-    Metrics.with_counters (fun () ->
-        let doc = load_doc source ~scale ~seed in
-        let file = Filename.temp_file "xpest_synopsis" ".bin" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-          (fun () ->
-            let built, build_s =
-              Env.time (fun () -> Summary.build ~p_variance ~o_variance doc)
-            in
-            let (), save_s = Env.time (fun () -> Summary.save built file) in
-            let loaded, load_s = Env.time (fun () -> Summary.load file) in
-            let config =
-              {
-                Workload.default_config with
-                num_simple = attempts;
-                num_branch = attempts;
-              }
-            in
-            let w = Workload.generate ~config doc in
-            let queries =
-              List.concat_map
-                (fun items ->
-                  List.map (fun (it : Workload.item) -> it.pattern) items)
-                [
-                  w.Workload.simple; w.Workload.branch;
-                  w.Workload.order_branch_target; w.Workload.order_trunk_target;
-                ]
-            in
-            let throughput summary =
-              let est = Estimator.create summary in
-              let estimates = ref [] in
-              let (), seconds =
-                Env.time (fun () ->
-                    List.iter
-                      (fun q ->
-                        estimates := Estimator.estimate est q :: !estimates)
-                      queries)
-              in
-              (List.rev !estimates, float_of_int (List.length queries) /. seconds)
-            in
-            let est_built, qps_built = throughput built in
-            let est_loaded, qps_loaded = throughput loaded in
-            let max_diff =
-              List.fold_left2
-                (fun acc a b -> Float.max acc (Float.abs (a -. b)))
-                0.0 est_built est_loaded
-            in
-            let file_bytes = (Unix.stat file).Unix.st_size in
-            let table =
-              {
-                Experiments.id = "SB";
-                title =
-                  Printf.sprintf
-                    "Synopsis persistence: cold build vs. load (%s, scale %g, \
-                     %d queries)"
-                    (match source with
-                    | `Dataset name -> Registry.to_string name
-                    | `File f -> f)
-                    scale (List.length queries);
-                header = [ "measure"; "cold build"; "load from disk" ];
-                rows =
-                  [
-                    [
-                      "synopsis ready (s)";
-                      Tablefmt.fmt_seconds build_s;
-                      Tablefmt.fmt_seconds load_s;
-                    ];
-                    [
-                      "speedup vs. cold build";
-                      "1.0x";
-                      Printf.sprintf "%.1fx" (build_s /. Float.max load_s 1e-9);
-                    ];
-                    [
-                      "estimation throughput (queries/s)";
-                      Printf.sprintf "%.0f" qps_built;
-                      Printf.sprintf "%.0f" qps_loaded;
-                    ];
-                    [
-                      "save time (s)";
-                      Tablefmt.fmt_seconds save_s;
-                      "-";
-                    ];
-                    [
-                      "file size";
-                      "-";
-                      Tablefmt.fmt_bytes file_bytes;
-                    ];
-                    [
-                      "max |estimate difference|";
-                      "-";
-                      Printf.sprintf "%g" max_diff;
-                    ];
-                  ];
-              }
-            in
-            if markdown then print_string (Report.table_md table)
-            else print_endline (Experiments.render (Experiments.Table table))));
-    Printf.printf "\nObservability counters:\n%s" (Metrics.render_counters ())
-  in
-  let attempts =
-    Arg.(
-      value & opt int 400
-      & info [ "attempts" ] ~docv:"N"
-          ~doc:"Workload generation attempts per class.")
-  in
-  let markdown =
-    Arg.(
-      value & flag
-      & info [ "markdown" ] ~doc:"Render the comparison as a markdown table.")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Compare cold-build vs. load-from-disk estimation throughput.")
-    Term.(
-      const run $ source $ scale $ seed $ p_variance_arg $ o_variance_arg
-      $ attempts $ markdown)
-
 let synopsis_cmd =
   Cmd.group
     (Cmd.info "synopsis"
-       ~doc:"Persist, inspect and benchmark estimation synopses.")
+       ~doc:"Persist and inspect estimation synopses.")
     [
       Cmd.v
         (Cmd.info "save"
            ~doc:"Build the estimation synopsis and persist it to disk.")
         Term.(
-          const (synopsis_save "synopsis save")
-          $ source $ scale $ seed $ p_variance_arg $ o_variance_arg
+          const synopsis_save $ source $ scale $ seed $ p_variance_arg $ o_variance_arg
           $ synopsis_output_arg);
       synopsis_load_cmd;
       synopsis_info_cmd;
-      synopsis_bench_cmd;
     ]
 
 (* ---------------- catalog ---------------- *)
@@ -1403,12 +1260,6 @@ let estimate_cmd =
              and lines starting with # are skipped); the whole batch is \
              estimated in one compile-dedupe-execute pass.")
   in
-  let p_variance =
-    Arg.(value & opt float 0.0 & info [ "p-variance" ] ~docv:"V" ~doc:"P-histogram variance.")
-  in
-  let o_variance =
-    Arg.(value & opt float 0.0 & info [ "o-variance" ] ~docv:"V" ~doc:"O-histogram variance.")
-  in
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Also compute the exact selectivity.")
   in
@@ -1417,8 +1268,8 @@ let estimate_cmd =
       value
       & opt (some string) None
       & info [ "synopsis" ] ~docv:"FILE"
-          ~doc:"Estimate from a synopsis saved by build-synopsis instead of \
-                building one from the source document.")
+          ~doc:"Estimate from a synopsis saved by $(b,synopsis save) instead \
+                of building one from the source document.")
   in
   let explain =
     Arg.(
@@ -1437,8 +1288,8 @@ let estimate_cmd =
   Cmd.v
     (Cmd.info "estimate" ~doc:"Estimate the selectivity of XPath patterns.")
     Term.(
-      const run $ source $ scale $ seed $ p_variance $ o_variance $ synopsis
-      $ check $ explain $ metrics $ batch $ queries)
+      const run $ source $ scale $ seed $ p_variance_arg $ o_variance_arg
+      $ synopsis $ check $ explain $ metrics $ batch $ queries)
 
 (* ---------------- workload ---------------- *)
 
@@ -1476,48 +1327,6 @@ let workload_cmd =
     (Cmd.info "workload" ~doc:"Generate a query workload and print a sample.")
     Term.(const run $ source $ scale $ seed $ wseed $ attempts)
 
-(* ---------------- experiment ---------------- *)
-
-let experiment_cmd =
-  let run scale cap ids =
-    let ids = match ids with [] -> Experiments.all_ids | ids -> ids in
-    let config =
-      { Env.default_config with scale; max_queries_per_class = cap }
-    in
-    let envs =
-      List.map
-        (fun name ->
-          Printf.printf "preparing %s (scale %g)...\n%!" (Registry.to_string name)
-            scale;
-          Env.prepare ~config name)
-        Registry.all
-    in
-    List.iter
-      (fun id ->
-        let artefact, seconds = Env.time (fun () -> Experiments.run envs id) in
-        Printf.printf "%s\n(%s computed in %s)\n\n%!"
-          (Experiments.render artefact)
-          id
-          (Tablefmt.fmt_seconds seconds))
-      ids
-  in
-  let ids =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"ID" ~doc:"Experiment ids (t1..t5, f9..f13); default all.")
-  in
-  let cap =
-    Arg.(
-      value
-      & opt (some int) (Some 500)
-      & info [ "cap" ] ~docv:"N"
-          ~doc:"Max queries evaluated per class (use --cap 0 for no cap).")
-  in
-  let cap = Term.(const (function Some 0 -> None | c -> c) $ cap) in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Reproduce the paper's tables and figures.")
-    Term.(const run $ scale $ cap $ ids)
-
 let () =
   let doc = "Selectivity estimation for XPath expressions with order axes (ICDE 2006)" in
   exit
@@ -1525,6 +1334,6 @@ let () =
        (Cmd.group
           (Cmd.info "xpest" ~version:"1.0.0" ~doc)
           [
-            generate_cmd; stats_cmd; build_synopsis_cmd; synopsis_cmd;
-            catalog_cmd; plan_cmd; estimate_cmd; workload_cmd; experiment_cmd;
+            generate_cmd; stats_cmd; synopsis_cmd; catalog_cmd; plan_cmd;
+            estimate_cmd; workload_cmd;
           ]))

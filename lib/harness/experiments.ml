@@ -459,18 +459,10 @@ let ablation_chain_pruning envs =
    fresh single-summary estimator per key.  The loop doubles as the
    bit-identity reference.  The batch runs forward then reversed: a
    cyclic scan is LRU's worst case (every access misses), the reverse
-   pass exercises the resident-hit path. *)
+   pass exercises the resident-hit path.  Throughput is the ledger's
+   (perfbench/ serve-hot and serve-churn), not this table's. *)
 let serving envs =
   let variances = [ 0.0; 2.0 ] in
-  (* summaries are memoized per env; warm them so both sides time
-     routing + estimation, not dataset assembly *)
-  List.iter
-    (fun env ->
-      List.iter
-        (fun v ->
-          ignore (Env.summary env ~p_variance:v ~o_variance:v ~with_order:true))
-        variances)
-    envs;
   let loader (k : Catalog.key) =
     let env =
       List.find (fun env -> String.equal (dsname env) k.Catalog.dataset) envs
@@ -504,8 +496,8 @@ let serving envs =
   in
   let nkeys = List.length envs * List.length variances in
   let capacity = max 1 (nkeys - 1) in
-  (* reference: a fresh estimator per key per pass — what serving the
-     same batches without a catalog costs, and the identity oracle *)
+  (* reference: a fresh estimator per key per pass — serving the same
+     batches without a catalog, and the identity oracle *)
   let reference () =
     let out = Array.make n 0.0 in
     let seen = Hashtbl.create 16 in
@@ -526,15 +518,12 @@ let serving envs =
       ~loader:(fun k -> Ok (loader k))
       ()
   in
-  (* timed passes, counters off *)
+  (* result passes, counters off *)
   let cat = make_catalog () in
-  let (routed, routed_rev), routed_s =
-    Env.time (fun () ->
-        ( Catalog.estimate_batch_r cat pairs,
-          Catalog.estimate_batch_r cat rev_pairs ))
-  in
+  let routed = Catalog.estimate_batch_r cat pairs in
+  let routed_rev = Catalog.estimate_batch_r cat rev_pairs in
   let cstats : Catalog.stats = Catalog.stats cat in
-  let (loop, _), loop_s = Env.time (fun () -> (reference (), reference ())) in
+  let loop = reference () in
   let same r v =
     match r with
     | Ok x -> Int64.bits_of_float x = Int64.bits_of_float v
@@ -588,11 +577,6 @@ let serving envs =
           [ "summary evictions"; i2 cstats.Catalog.evictions; "n/a" ];
           [ "plan compiles (cache misses)"; i2 routed_misses; i2 loop_misses ];
           [ "plan-cache hits"; i2 routed_hits; i2 loop_hits ];
-          [
-            "throughput (queries/s)";
-            Printf.sprintf "%.0f" (float_of_int (2 * n) /. Float.max routed_s 1e-9);
-            Printf.sprintf "%.0f" (float_of_int (2 * n) /. Float.max loop_s 1e-9);
-          ];
           [
             "bit-identical to fresh estimator";
             (if !identical then "yes" else "NO");

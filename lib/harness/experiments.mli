@@ -90,9 +90,8 @@ val serving : Env.t list -> artefact
     targets per dataset, with a resident capacity one short of the key
     count (so summaries evict and reload mid-run), versus a loop of
     fresh single-summary estimators.  Reports loads / pool hits /
-    evictions, cross-summary plan-cache reuse, throughput, and the
-    bit-identity of every routed result against the fresh-estimator
-    reference. *)
+    evictions, cross-summary plan-cache reuse, and the bit-identity of
+    every routed result against the fresh-estimator reference. *)
 
 val all_ids : string list
 

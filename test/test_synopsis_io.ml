@@ -70,20 +70,32 @@ let workload_of doc =
   w.Workload.simple @ w.Workload.branch @ w.Workload.order_branch_target
   @ w.Workload.order_trunk_target
 
+(* Persistence is exact: a summary saved to a file and loaded back
+   through the typed loader answers every workload query with the same
+   float, bit for bit. *)
 let test_loaded_estimates_match_on_workload () =
   let doc = Lazy.force small_doc in
   let summary = Summary.build doc in
-  let loaded = Summary.decode (Summary.encode summary) in
+  let path = temp_file () in
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Summary.save summary path;
+        match Synopsis_io.load_typed path with
+        | Ok s -> s
+        | Error e -> Alcotest.fail (Xpest_util.Xpest_error.to_string e))
+  in
   let est0 = Estimator.create summary in
   let est1 = Estimator.create loaded in
   let items = workload_of doc in
   Alcotest.(check bool) "workload is non-trivial" true (List.length items > 50);
   List.iter
     (fun (it : Workload.item) ->
-      Alcotest.(check (float 1e-9))
+      Alcotest.(check int64)
         (Pattern.to_string it.pattern)
-        (Estimator.estimate est0 it.pattern)
-        (Estimator.estimate est1 it.pattern))
+        (Int64.bits_of_float (Estimator.estimate est0 it.pattern))
+        (Int64.bits_of_float (Estimator.estimate est1 it.pattern)))
     items
 
 (* ------------------------------------------------------------------ *)
