@@ -70,7 +70,10 @@ degrade:
 # edge masks, every joined row and frequency against the per-bit
 # reference with chain pruning on and off, on three datasets), the
 # pinned per-stage pruning counts, the bound on the minor words an
-# uncached XMark join allocates beyond its result, and wide row sets;
+# uncached XMark join allocates beyond its result, wide row sets, and
+# the containment memo's order independence (the XMark specs joined
+# forward, backward and each on a fresh join keep the same rows) and
+# its indifference to tags outside the summary;
 # the plan suite's run-cache keys (two specs of the workloads share a
 # key iff their shapes are equal); the paper's worked examples, the
 # estimator's equations with their pinned derivations, and the

@@ -303,8 +303,10 @@ let synopsis_info_cmd =
              ~align:[ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right ]
              (manifest_entry_rows m))
     | `Synopsis | `Catalog_manifest | `Sketch | `Unknown -> ());
+    (* a damaged file ends with the typed refusal [synopsis load]
+       prints for it *)
     if not i.Synopsis_io.checksum_ok then begin
-      prerr_endline "xpest: checksum mismatch - file is corrupted or truncated";
+      ignore (or_die_e (Synopsis_io.load_typed file));
       exit 1
     end
   in

@@ -7,9 +7,9 @@ module Plan = Xpest_plan.Plan
 module Bounded_cache = Xpest_util.Bounded_cache
 module Cache_config = Xpest_plan.Cache_config
 
-(* Observability: which estimation equations fire, and how often
-   [estimate] is called.  No-ops unless [Counters.set_enabled true]. *)
-let c_estimate = Counters.create "estimator.estimate"
+(* Observability: which estimation equations fire, and how often and
+   how long [estimate] runs.  No-ops unless [Counters.set_enabled
+   true]. *)
 let c_theorem41 = Counters.create "estimator.eq.theorem_4_1"
 let c_equation2 = Counters.create "estimator.eq.equation_2"
 let c_equation3 = Counters.create "estimator.eq.equation_3"
@@ -262,7 +262,6 @@ let estimate_position t (q : Pattern.t) position =
   execute t (plan_of t (Pattern.v (Pattern.shape q) position))
 
 let estimate t q =
-  Counters.incr c_estimate;
   Counters.time t_estimate (fun () -> execute t (plan_of t q))
 
 let estimate_many t qs =

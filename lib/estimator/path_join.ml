@@ -24,28 +24,50 @@ let t_fixpoint = Counters.create_timer "path_join.fixpoint"
    shared, never copied, by every join over the tag.  Entry j is slot
    [lo + j] of the summary's p-histogram arrays (so j is the pid's
    column in the tag's o-histogram): [freq.(j)] is its frequency
-   estimate, and [bits.(bits_at.(j) .. bits_at.(j + 1) - 1)] the paths
-   its pid holds, listed once when the row is built.  The bits are held
-   as floats, exact far beyond any path count, because the GC does not
-   scan a float array.  Sets of entries are [words]-word bitsets, bit j
-   standing for entry j.  Only the paths the tag holds get a slice: the
-   set of entries whose pid holds the path.  [index] maps a path to 1 +
-   its slice's number (0 where the tag does not hold the path), [wide]
-   bytes per path; slice k is at [slices.(k * words ..)].  [tag] is the
-   tag's code, -1 for a tag outside the summary. *)
+   estimate, and path numbers [bits_at.(j) .. bits_at.(j + 1) - 1] of
+   [bits] the paths its pid holds, listed once when the row is built,
+   [bit_wide] bytes a path number (as wide as the summary's path count
+   needs; bytes, which the GC does not scan).  Sets of entries are
+   [words]-word bitsets, bit j standing for entry j.  Only the paths
+   the tag holds get a slice: the set of entries whose pid holds the
+   path.  [index] maps a path to 1 + its slice's number (0 where the
+   tag does not hold the path), [wide] bytes per path; slice k is at
+   [slices.(k * words ..)].  [tag] is the tag's code, -1 for a tag
+   outside the summary.  [pairs] is the address in the join's memo of
+   the first of the row's directories of container sets, 0 for none
+   (see [containers]). *)
 type row = {
   tag : int;
   lo : int;
   freq : float array;
   bits_at : int array;
-  bits : float array;
+  bits : Bytes.t;
+  bit_wide : int;
   words : int;
   wide : int;
   index : Bytes.t;
   slices : int array;
+  mutable pairs : int;
 }
 
-let nth_bit bits b = int_of_float bits.(b)
+(* Unsigned numbers of [wide] (1, 2 or 4) bytes each, packed in a byte
+   string: [wide_for n] is the width that holds the numbers below
+   [n]. *)
+let wide_for n = if n <= 0x100 then 1 else if n <= 0x10000 then 2 else 4
+
+let get_num b wide i =
+  match wide with
+  | 1 -> Bytes.get_uint8 b i
+  | 2 -> Bytes.get_uint16_le b (2 * i)
+  | _ -> Int32.to_int (Bytes.get_int32_le b (4 * i))
+
+let set_num b wide i v =
+  match wide with
+  | 1 -> Bytes.set_uint8 b i v
+  | 2 -> Bytes.set_uint16_le b (2 * i) v
+  | _ -> Bytes.set_int32_le b (4 * i) (Int32.of_int v)
+
+let nth_bit row b = get_num row.bits row.bit_wide b
 
 (* A query node's survivors: a row set over its tag's row. *)
 type jnode = { position : Pattern.position; row : row; set : int array }
@@ -88,9 +110,15 @@ type t = {
       (* the path sets a mask computation builds *)
   mutable live : Bytes.t;
       (* per path set of a chain's recurrence in [paths]: whether it is
-         non-empty.  Building [rows] and writing the scratch buffers are
-         safe because a join serves one domain at a time, like its run
-         cache. *)
+         non-empty *)
+  mutable memo : Bytes.t array;
+  mutable memo_top : int;
+      (* the containment memo: blocks of [memo_block] bytes, of which
+         the first [memo_top] are handed out, from byte 8 on (see
+         [containers]).
+         Building [rows], writing the scratch buffers and filling the
+         memo are safe because a join serves one domain at a time, like
+         its run cache. *)
   (* one estimate joins the same shape repeatedly (counterpart,
      simplified counterpart, Q'), and join output only depends on the
      shape given a fixed summary: results are memoized on the spec's
@@ -115,18 +143,7 @@ let full n =
 
 (* The slice number of path [p] in [row], -1 if the tag does not
    hold it. *)
-let slice_of row p =
-  (match row.wide with
-  | 1 -> Bytes.get_uint8 row.index p
-  | 2 -> Bytes.get_uint16_le row.index (2 * p)
-  | _ -> Int32.to_int (Bytes.get_int32_le row.index (4 * p)))
-  - 1
-
-let set_slice_of row p k =
-  match row.wide with
-  | 1 -> Bytes.set_uint8 row.index p (k + 1)
-  | 2 -> Bytes.set_uint16_le row.index (2 * p) (k + 1)
-  | _ -> Bytes.set_int32_le row.index (4 * p) (Int32.of_int (k + 1))
+let slice_of (row : row) p = get_num row.index row.wide p - 1
 
 (* The row of tag [code], read from the summary's flat arrays: list
    each entry's paths from its pid's words, number the paths the
@@ -155,58 +172,48 @@ let build_row (f : Summary.flat) slot code =
     done;
     bits_at.(j + 1) <- bits_at.(j) + !c
   done;
-  let bits = Array.make bits_at.(n) 0.0 in
+  let bit_wide = wide_for (Array.length slot) in
+  let bits = Bytes.create (bits_at.(n) * bit_wide) in
   for j = 0 to n - 1 do
     let w0 = f.slot_pid.(lo + j) * stride and k = ref bits_at.(j) in
     for wi = 0 to stride - 1 do
       let w = ref words.(w0 + wi) in
       while !w <> 0 do
         let low = !w land - !w in
-        bits.(!k) <- float_of_int ((wi * mask_bits) + Bitvec.bit_index low);
+        set_num bits bit_wide !k ((wi * mask_bits) + Bitvec.bit_index low);
         incr k;
         w := !w lxor low
       done
     done
   done;
+  let nbits = bits_at.(n) in
   let count = ref 0 in
-  for b = 0 to Array.length bits - 1 do
-    let p = nth_bit bits b in
+  for b = 0 to nbits - 1 do
+    let p = get_num bits bit_wide b in
     if slot.(p) < 0 then begin
       slot.(p) <- !count;
       incr count
     end
   done;
   let words = slice_words n in
-  let wide = if !count < 0xFF then 1 else if !count < 0xFFFF then 2 else 4 in
+  let wide = wide_for (!count + 1) in
   let slices = Array.make (!count * words) 0 in
-  let row =
-    {
-      tag = code;
-      lo;
-      freq;
-      bits_at;
-      bits;
-      words;
-      wide;
-      index = Bytes.make (Array.length slot * wide) '\000';
-      slices;
-    }
-  in
+  let index = Bytes.make (Array.length slot * wide) '\000' in
   for j = 0 to n - 1 do
     let word = j / slice_bits and bit = 1 lsl (j mod slice_bits) in
     for b = bits_at.(j) to bits_at.(j + 1) - 1 do
-      let o = (slot.(nth_bit bits b) * words) + word in
+      let o = (slot.(get_num bits bit_wide b) * words) + word in
       slices.(o) <- slices.(o) lor bit
     done
   done;
-  for b = 0 to Array.length bits - 1 do
-    let p = nth_bit bits b in
+  for b = 0 to nbits - 1 do
+    let p = get_num bits bit_wide b in
     if slot.(p) >= 0 then begin
-      set_slice_of row p slot.(p);
+      set_num index wide p (slot.(p) + 1);
       slot.(p) <- -1
     end
   done;
-  row
+  { tag = code; lo; freq; bits_at; bits; bit_wide; words; wide; index; slices; pairs = 0 }
 
 let empty_row =
   {
@@ -214,11 +221,13 @@ let empty_row =
     lo = 0;
     freq = [||];
     bits_at = [| 0 |];
-    bits = [||];
+    bits = Bytes.empty;
+    bit_wide = 1;
     words = 0;
     wide = 1;
     index = Bytes.empty;
     slices = [||];
+    pairs = 0;
   }
 
 let unbuilt = { empty_row with tag = -2 }
@@ -277,6 +286,8 @@ let create ?(chain_pruning = true) ?(config = Cache_config.default) summary =
     scratch = [||];
     paths = [||];
     live = Bytes.empty;
+    memo = [||];
+    memo_top = 8;
     run_cache =
       Bounded_cache.create ~capacity:config.Cache_config.run ~hit:c_run_hit
         ~miss:c_run_miss ~evict:c_run_evict ();
@@ -324,12 +335,12 @@ let union_inter_into dst o a ia b ib nw =
 (* True iff path [p] is in the set at [s.(o ..)]. *)
 let mem_path s o p = s.(o + (p / mask_bits)) land (1 lsl (p mod mask_bits)) <> 0
 
-(* True iff one of the paths [bits.(b0 .. b1 - 1)] lists is in the
-   set at [s.(o ..)]. *)
-let meets s o bits b0 b1 =
-  let hit = ref false and b = ref b0 in
+(* True iff one of the paths [row] lists for entry [j] is in the set
+   at [s.(o ..)]. *)
+let meets s o row j =
+  let hit = ref false and b = ref row.bits_at.(j) and b1 = row.bits_at.(j + 1) in
   while (not !hit) && !b < b1 do
-    hit := mem_path s o (nth_bit bits !b);
+    hit := mem_path s o (nth_bit row !b);
     incr b
   done;
   !hit
@@ -584,37 +595,120 @@ let anchor t node =
   done;
   ignore (restrict c_anchor_pruned node s 0)
 
-(* Write into [s.(lo .. hi)] the entries of [xs] whose pid holds every
-   path in [bits.(b0 .. b1 - 1)], the AND of [xs] and those paths'
-   slices in [x]; true iff there is one. *)
-let partners s x xs ~lo ~hi bits b0 b1 =
-  for i = lo to hi do
-    s.(i) <- xs.(i)
+(* The containment memo.  For an edge (x, y), the x pids containing a
+   y pid are the AND of the slices, in x's row, of the y pid's paths:
+   its container set, which depends on the two rows alone, not on any
+   query's survivors.  It is computed the first time a fixpoint visit
+   asks for it and kept for the join's lifetime: a pass over the XMark
+   workload asks for 302,459 container sets of 7,021 distinct (row,
+   entry) pairs, and most of them in a join's first round, so a memo
+   that lived for one join run would save little.  The memo is byte
+   blocks of [memo_block] bytes, large enough to be allocated outside
+   the minor heap, not scanned by the GC, and filled in place as the
+   memo grows, so all but the last block are full.  Addresses are byte
+   offsets into the blocks laid end to end, and every allocation starts
+   at a multiple of 8, so no 4- or 8-byte number straddles two blocks.
+   Numbers are written and read in the host's byte order, since the
+   memo never leaves the process. *)
+let memo_shift = 13
+let memo_block = 1 lsl memo_shift
+
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external bytes_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external bytes_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let memo_get t a =
+  Int64.to_int (bytes_get64 t.memo.(a lsr memo_shift) (a land (memo_block - 1)))
+
+let memo_set t a v =
+  bytes_set64 t.memo.(a lsr memo_shift) (a land (memo_block - 1)) (Int64.of_int v)
+
+(* 4-byte numbers: a tag, or an address held as a word address (a / 8),
+   0 for none: byte 0 is never handed out. *)
+let memo_get32 t a =
+  Int32.to_int (bytes_get32 t.memo.(a lsr memo_shift) (a land (memo_block - 1))) land 0xFFFF_FFFF
+
+let memo_set32 t a v =
+  bytes_set32 t.memo.(a lsr memo_shift) (a land (memo_block - 1)) (Int32.of_int v)
+
+(* [n] bytes of the memo, rounded up to a multiple of 8: their
+   address. *)
+let memo_alloc t n =
+  let a = t.memo_top in
+  t.memo_top <- a + ((n + 7) land lnot 7);
+  while Array.length t.memo * memo_block < t.memo_top do
+    t.memo <- Array.append t.memo [| Bytes.create memo_block |]
   done;
-  let any = ref (lo <= hi) and b = ref b0 in
-  while !any && !b < b1 do
-    let k = slice_of x (nth_bit bits !b) in
-    if k < 0 then any := false
-    else begin
-      let o = k * x.words and acc = ref 0 in
-      for i = lo to hi do
-        let v = s.(i) land x.slices.(o + i) in
-        s.(i) <- v;
-        acc := !acc lor v
-      done;
-      any := !acc <> 0
+  a
+
+(* The address of the directory of [y]'s entries' container sets in
+   [x]: a 4-byte slot per entry of [y], holding the address of the
+   entry's set once [container] has computed it.  Made on the first
+   call for the pair.  A directory follows a header of [y]'s tag and
+   the address of the next one of [x], so [x.pairs] heads a list of
+   them in the memo.  A directory found is moved to the front: a row's
+   next lookups are mostly for the same tag (over the XMark workload
+   this cuts the steps of a pass's lookups from 120k to 30k).  Both
+   rows are built and not empty: the shared [empty_row] and [unbuilt]
+   never get a memo. *)
+let containers t x y =
+  let d = ref x.pairs and prev = ref 0 in
+  while !d <> 0 && memo_get32 t !d <> y.tag do
+    prev := !d;
+    d := memo_get32 t (!d + 4) lsl 3
+  done;
+  if !d <> 0 then begin
+    if !prev <> 0 then begin
+      memo_set32 t (!prev + 4) (memo_get32 t (!d + 4));
+      memo_set32 t (!d + 4) (x.pairs lsr 3);
+      x.pairs <- !d
     end;
-    incr b
-  done;
-  !any
+    !d + 8
+  end
+  else begin
+    let n = Array.length y.freq in
+    let d = memo_alloc t (8 + (4 * n)) in
+    memo_set32 t d y.tag;
+    memo_set32 t (d + 4) (x.pairs lsr 3);
+    for j = 0 to n - 1 do
+      memo_set32 t (d + 8 + (4 * j)) 0
+    done;
+    x.pairs <- d;
+    d + 8
+  end
+
+(* The address of entry j's container set in [x], [x.words] words,
+   computed on first use; [dir] is [containers t x y]. *)
+let container t x y dir j =
+  let a = memo_get32 t (dir + (4 * j)) lsl 3 in
+  if a <> 0 then a
+  else begin
+    let w = x.words in
+    let a = memo_alloc t (8 * w) in
+    for i = 0 to w - 1 do
+      memo_set t (a + (8 * i)) ((1 lsl slice_bits) - 1)
+    done;
+    for b = y.bits_at.(j) to y.bits_at.(j + 1) - 1 do
+      let k = slice_of x (nth_bit y b) in
+      for i = 0 to w - 1 do
+        let v = if k < 0 then 0 else memo_get t (a + (8 * i)) land x.slices.((k * w) + i) in
+        memo_set t (a + (8 * i)) v
+      done
+    done;
+    memo_set32 t (dir + (4 * j)) (a lsr 3);
+    a
+  end
+
+let memo_bytes t = t.memo_top - 8
 
 (* One fixpoint visit of the edge (x, y): a y pid survives iff some x
    pid contains it (and, without chain pruning, it meets the edge's
    relation mask at [t.paths.(rel ..)]; [rel] is -1 with chain
    pruning), an x pid iff it contains a surviving y pid.  A y pid's
-   partners are the AND of x's set and the slices of the y pid's
-   paths, and x's survivors the OR of the surviving y pids' partners.
-   The word loops run over the non-zero words of x's set only: a large
+   partners are x's set ANDed with its container set from the memo,
+   and x's survivors the OR of the surviving y pids' partners.  The
+   word loops run over the non-zero words of x's set only: a large
    row's survivors usually fit in one word.  True iff anything was
    pruned. *)
 let visit t x y rel =
@@ -623,23 +717,25 @@ let visit t x y rel =
   while !lo < w && xs.(!lo) = 0 do incr lo done;
   while !hi >= !lo && xs.(!hi) = 0 do decr hi done;
   let lo = !lo and hi = !hi in
-  (* scratch: a partner set, then x's survivors *)
-  let s = scratch t (2 * w) in
+  (* scratch: x's survivors *)
+  let s = scratch t w in
+  let dir = if lo <= hi && Array.length ys > 0 then containers t x.row y.row else 0 in
   let dropped = ref 0 in
   for wi = 0 to Array.length ys - 1 do
     let word = ref ys.(wi) and b = ref 0 in
     while !word <> 0 do
       if !word land 1 <> 0 then begin
         let j = (wi * slice_bits) + !b in
-        let b0 = y.row.bits_at.(j) and b1 = y.row.bits_at.(j + 1) in
-        if
-          (rel < 0 || meets t.paths rel y.row.bits b0 b1)
-          && partners s x.row xs ~lo ~hi y.row.bits b0 b1
-        then
+        let any = ref 0 in
+        if lo <= hi && (rel < 0 || meets t.paths rel y.row j) then begin
+          let e = container t x.row y.row dir j in
           for i = lo to hi do
-            s.(w + i) <- s.(w + i) lor s.(i)
+            let v = xs.(i) land memo_get t (e + (8 * i)) in
+            s.(i) <- s.(i) lor v;
+            any := !any lor v
           done
-        else begin
+        end;
+        if !any = 0 then begin
           ys.(wi) <- ys.(wi) land lnot (1 lsl !b);
           incr dropped
         end
@@ -649,7 +745,7 @@ let visit t x y rel =
     done
   done;
   Counters.add c_fixpoint_pruned !dropped;
-  restrict c_fixpoint_pruned x s w > 0 || !dropped > 0
+  restrict c_fixpoint_pruned x s 0 > 0 || !dropped > 0
 
 (* The masks of the chains from the one whose masks go to [m] on. *)
 let rec chains_masks t spec nodes m = function

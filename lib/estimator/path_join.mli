@@ -50,12 +50,16 @@
     its tag's row.  Chain pruning ANDs the set with the OR of the
     slices of the mask's paths; the anchor keeps only the root's pid.
     The fixpoint does not test pid pairs: for an edge (X, Y), a Y pid's
-    partners (the X pids containing it) are X's set ANDed with the
-    slices of the Y pid's paths.  It survives iff they are not empty
-    (and, without chain pruning, it meets the edge mask), and an X pid
-    survives iff it is a partner of a surviving Y pid.  The word loops
-    run over the non-zero words of X's set only, and a visit allocates
-    nothing.  Join results hold row sets, not copies of rows.
+    container set, the X pids containing it, is the AND of the slices
+    of the Y pid's paths in X's row.  It depends on the two rows alone,
+    so a containment memo computes it once per summary, on first use,
+    and keeps it for the join's lifetime.  A Y pid's partners are X's
+    set ANDed with its container set.  It survives iff they are not
+    empty (and, without chain pruning, it meets the edge mask), and an
+    X pid survives iff it is a partner of a surviving Y pid.  The word
+    loops run over the non-zero words of X's set only, and a visit that
+    finds its container sets in the memo allocates nothing.  Join
+    results hold row sets, not copies of rows.
 
     The chain/edge extraction lives in the compiler
     ({!Xpest_plan.Plan.join_of_shape}); this module only executes
@@ -66,8 +70,10 @@
     only. *)
 
 type t
-(** Join machinery for one summary: the read-only path-mask index and
-    the bounded join-result (run) cache shared across queries. *)
+(** Join machinery for one summary: the read-only path-mask index, the
+    containment memo and the bounded join-result (run) cache shared
+    across queries.  Like its run cache, a join serves one domain at a
+    time. *)
 
 val create :
   ?chain_pruning:bool ->
@@ -102,6 +108,13 @@ val edge_mask :
     Without chain pruning, the fixpoint keeps a descendant-side pid
     only if it intersects this mask; with it, every kept pid does.  A
     copy of the mask the join computes in place, for tests. *)
+
+val memo_bytes : t -> int
+(** The bytes the containment memo (see "Row sets over path slices"
+    above) has filled: its container sets and their directories.  It
+    grows only while new ones are computed and never shrinks; the
+    memo's blocks round it up to a multiple of 8 KB.  For tests and
+    reports. *)
 
 type result
 

@@ -46,12 +46,20 @@ let test_estimator_sites_fire () =
       Alcotest.(check bool) (expected ^ " recorded") true
         (List.mem expected names))
     [
-      "estimator.estimate";
       "estimator.eq.theorem_4_1";
       "estimator.eq.equation_2";
       "path_join.run_cache.miss";
       "path_join.pruned.chain_rows";
     ];
+  (* [estimate] is counted by its timer alone *)
+  let calls =
+    match List.find_opt (fun (n, _, _) -> n = "estimator.estimate") (Counters.timers ()) with
+    | Some (_, calls, _) -> calls
+    | None -> Alcotest.fail "estimator.estimate did not fire"
+  in
+  Alcotest.(check int) "estimator.estimate calls" 2 calls;
+  Alcotest.(check bool) "estimator.estimate is not a counter" false
+    (List.mem "estimator.estimate" names);
   Alcotest.(check bool) "rendered" true
     (String.length (Metrics.render_counters ()) > 0);
   (* rows are [name; value] pairs *)

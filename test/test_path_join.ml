@@ -514,6 +514,67 @@ let test_uncached_join_allocation () =
       if words <> 0 then Alcotest.failf "a run-cache hit allocated %d words" words)
     specs
 
+(* The containment memo holds facts about the summary's rows alone, so
+   the order in which joins fill it cannot change any answer: over the
+   XMark workload's specs, a join that answers them forward, one that
+   answers them backward, and a fresh join per spec keep the same row
+   sets at every node, with chain pruning on and off. *)
+let test_memo_order_independent () =
+  let summary = Lazy.force xmark in
+  let specs = Array.of_list (workload_specs (Summary.doc summary)) in
+  let rows result (spec : Plan.join_spec) =
+    Array.map
+      (fun (n : Plan.jnode) -> bits_of_row (Path_join.pids result n.Plan.position))
+      spec.Plan.nodes
+  in
+  List.iter
+    (fun chain_pruning ->
+      let fresh =
+        Array.map
+          (fun spec -> rows (Path_join.exec (Path_join.create ~chain_pruning summary) spec) spec)
+          specs
+      in
+      let forward = Path_join.create ~chain_pruning summary
+      and backward = Path_join.create ~chain_pruning summary in
+      let n = Array.length specs in
+      let ahead = Array.map (fun spec -> rows (Path_join.exec forward spec) spec) specs in
+      let behind = Array.make n [||] in
+      for i = n - 1 downto 0 do
+        behind.(i) <- rows (Path_join.exec backward specs.(i)) specs.(i)
+      done;
+      Array.iteri
+        (fun i expected ->
+          let label = Pattern.to_string (Pattern.v specs.(i).Plan.shape (Pattern.In_trunk 0)) in
+          if ahead.(i) <> expected then
+            Alcotest.failf "%s (chain pruning %b): forward rows differ" label chain_pruning;
+          if behind.(i) <> expected then
+            Alcotest.failf "%s (chain pruning %b): backward rows differ" label chain_pruning)
+        fresh)
+    [ true; false ]
+
+(* A tag outside the summary has an empty row, which never gets a
+   memo: joining it, above or below a known tag, grows nothing, however
+   often the join runs uncached. *)
+let test_memo_unknown_tags () =
+  List.iter
+    (fun chain_pruning ->
+      let join =
+        Path_join.create ~chain_pruning
+          ~config:{ Xpest_plan.Cache_config.default with run = 1 }
+          summary
+      in
+      ignore (run join (shape_of "//A//D"));
+      let size = Path_join.memo_bytes join in
+      if size = 0 then Alcotest.fail "//A//D left the memo empty";
+      for _ = 1 to 1000 do
+        ignore (run join (shape_of "//Zebra//D"));
+        ignore (run join (shape_of "//A/Zebra"))
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "memo bytes (chain pruning %b)" chain_pruning)
+        size (Path_join.memo_bytes join))
+    [ true; false ]
+
 (* A tag outside the summary joins as an empty set, and empties the
    nodes it is joined to. *)
 let test_unknown_tag () =
@@ -645,5 +706,8 @@ let () =
             test_uncached_join_allocation;
           Alcotest.test_case "wide row sets (XMark)" `Slow test_wide_row_sets;
           Alcotest.test_case "wide slice index" `Quick test_wide_slice_index;
+          Alcotest.test_case "memo order-independent (XMark)" `Slow
+            test_memo_order_independent;
+          Alcotest.test_case "memo ignores unknown tags" `Quick test_memo_unknown_tags;
         ] );
     ]
